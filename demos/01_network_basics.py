@@ -6,7 +6,7 @@ Markov chain, and samples a few trajectories.
 
 import numpy as np
 
-from crnverify import ParamPoint, enumerate_states, exit_rate, load_crn, rate_matrix_row, simulate
+from crnverify import ParamPoint, enumerate_states, load_crn, propensity, rate_matrix_row, simulate
 from crnverify.rng import stream
 
 pcrn = load_crn("models/sir.crn")
@@ -21,8 +21,10 @@ theta = ParamPoint(("ki", "kr"), (0.002, 0.05))
 # reachable set finite
 space = enumerate_states(pcrn)
 print(f"\nreachable states: {len(space)}")
-print("exit rate at (95,5,0):", exit_rate((95, 5, 0), pcrn, theta))
-print("outgoing transitions:", rate_matrix_row((95, 5, 0), pcrn, theta, space))
+print("infection propensity at (95,5,0):", propensity(pcrn, (95, 5, 0), 0, theta))
+row = rate_matrix_row((95, 5, 0), pcrn, theta, space)
+print("outgoing transitions:", row)
+print("exit rate at (95,5,0):", sum(row.values()))
 
 # three independent sample paths; same seed + key = same path, always
 print("\nsampled epidemic end states (t = 150):")

@@ -35,7 +35,6 @@ from .model import (
     Species,
     StateSpace,
     enumerate_states,
-    exit_rate,
     propensity,
     rate_matrix_row,
 )

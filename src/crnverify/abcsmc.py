@@ -102,33 +102,19 @@ def adaptive_threshold(accepted_distances) -> float:
     return float(np.median(distances))
 
 
-def weighted_mean_cov(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Population-weighted mean and covariance (weights assumed normalized)."""
-    mean = weights @ points
-    centered = points - mean
+def kernel_covariance(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Perturbation covariance: twice the weighted empirical covariance of
+    ``points`` (weights assumed normalized), diagonal-regularized so it
+    never degenerates."""
+    centered = points - weights @ points
     cov = (centered * weights[:, None]).T @ centered
-    return mean, cov
-
-
-def kernel_covariance(particle_set: ParticleSet, order: tuple[str, ...]) -> np.ndarray:
-    """Perturbation covariance: twice the weighted empirical covariance,
-    diagonal-regularized so it never degenerates."""
-    points = particle_set.points_array(order)
-    _, cov = weighted_mean_cov(points, particle_set.weights())
     return 2.0 * cov + 1e-12 * np.eye(points.shape[1])
 
 
-def perturb(
-    ancestor: ParamPoint,
-    particle_set: ParticleSet,
-    rng: np.random.Generator,
-    _chol: np.ndarray | None = None,
-) -> ParamPoint:
-    """Gaussian perturbation of an ancestor using the set's kernel covariance."""
-    names = ancestor.names
-    chol = _chol if _chol is not None else np.linalg.cholesky(kernel_covariance(particle_set, names))
-    values = ancestor.array(names) + chol @ rng.standard_normal(len(names))
-    return ParamPoint(names, tuple(values))
+def perturb(values: np.ndarray, chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian perturbation of ``values`` by the kernel whose covariance has
+    Cholesky factor ``chol``."""
+    return values + chol @ rng.standard_normal(len(values))
 
 
 def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_weights: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -192,7 +178,7 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
                 stall_streak = 0
         thresholds.append(eps)
 
-        cov = 2.0 * weighted_mean_cov(points, weights)[1] + 1e-12 * np.eye(len(order))
+        cov = kernel_covariance(points, weights)
         chol = np.linalg.cholesky(cov)
         cum_weights = np.cumsum(weights)
         cum_weights[-1] = 1.0
@@ -204,7 +190,7 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
             for _ in range(config.max_attempts):
                 attempts_total += 1
                 ancestor = points[np.searchsorted(cum_weights, stream.random())]
-                proposal = ancestor + chol @ stream.standard_normal(len(order))
+                proposal = perturb(ancestor, chol, stream)
                 if not prior.contains(proposal):
                     continue
                 theta = ParamPoint(order, tuple(proposal))

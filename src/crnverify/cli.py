@@ -406,11 +406,11 @@ def main(argv: list[str] | None = None) -> int:
             particles_path, posterior_path = cmd_infer(config, Path(args.dataset), out_dir)
             print(f"wrote {particles_path} and {posterior_path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "verify":
+            if args.config:
+                config = _config_from_args(args)
+                args.seed, args.samples, args.scale = config.seed, config.slice_samples, config.slice_scale
             if args.seed is None:
-                cfg_seed = load_config(args.config).seed if args.config else None
-                if cfg_seed is None:
-                    raise ConfigError("verify needs --seed or a config with one")
-                args.seed = cfg_seed
+                raise ConfigError("verify needs --seed or a config with one")
             path = cmd_verify(
                 Path(args.partition),
                 Path(args.particles),

@@ -5,12 +5,16 @@ are free parameters confined to a hyperrectangle, and an initial molecule
 count vector.  States of the induced continuous-time Markov chain are
 molecule-count vectors; reaction j fires in state x at propensity
 ``theta_j * g_j(x)`` where ``g_j`` counts distinct reactant combinations
-(product of falling factorials).
+(product of falling factorials).  One kernel computes ``g_j`` for the
+simulator, the state enumeration and the chain builder alike.  Enumerated
+states are keyed by mixed-radix integers, so looking many of them up is
+one binary search over a sorted array.
 
 All types are immutable after construction and safe to share across
 concurrent tasks.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
@@ -186,25 +190,61 @@ class PCRN:
 class StateSpace:
     """Enumerated reachable states with a state<->ordinal bijection.
 
-    ``states`` is an (N, n) int array in lexicographic order; ``index``
-    maps state tuples back to row numbers.
+    ``states`` is an (N, n) int array in lexicographic order.  A state's key
+    is its mixed-radix number whose digit i is the count of species i in
+    radix ``radices[i]`` (the species' maximum count + 1), species 0 most
+    significant; lexicographic order makes ``keys`` ascending, so a lookup
+    is a binary search.
     """
 
     states: np.ndarray
-    index: dict[tuple[int, ...], int] = field(repr=False)
+    radices: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def ordinals(self, rows) -> np.ndarray:
+        """Row numbers of the states in ``rows`` (an (m, n) array), -1 where absent.
+
+        A row with a count outside ``[0, radix)`` cannot be in the space and
+        is rejected before keying, so no key can alias another state.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        valid = np.all((rows >= 0) & (rows < self.radices), axis=1)
+        keys = rows[valid] @ _place_values(self.radices)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        found = self.keys[pos] == keys
+        out = np.full(len(rows), -1, dtype=np.int64)
+        out[np.nonzero(valid)[0][found]] = pos[found]
+        return out
+
     def ordinal(self, state) -> int:
-        return self.index[tuple(int(c) for c in state)]
+        i = int(self.ordinals([state])[0])
+        if i < 0:
+            raise KeyError(tuple(int(c) for c in state))
+        return i
 
 
-def _falling_factorial(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
+def _place_values(radices: np.ndarray) -> np.ndarray:
+    # digit i weighs the product of the radices after it
+    return np.append(np.cumprod(radices[:0:-1])[::-1], 1)
+
+
+def _falling_product(reactants, x):
+    """Reactant-combination count prod_i x_i (x_i - 1) ... (x_i - u_i + 1).
+
+    ``reactants`` is a compiled ``((species index, order u_i), ...)`` list
+    and ``x`` is indexed by species: one state of ints, or ``states.T`` as
+    float columns to count in every state at once.  Counts are nonnegative,
+    so a factor reaches 0 before any factor goes negative and no clamp is
+    needed.
+    """
+    g = 1
+    for i, needed in reactants:
+        for k in range(needed):
+            g = g * (x[i] - k)
+    return g
 
 
 # Per-network compiled reaction structure: index-based reactant lists and
@@ -223,41 +263,12 @@ def compiled_reactions(pcrn: PCRN):
     return tuple(compiled)
 
 
-def propensity(state, reaction: Reaction, point: ParamPoint, species_index: dict[str, int]) -> float:
-    """Mass-action propensity of one reaction in one state.
-
-    ``species_index`` maps species names to state-vector positions (see
-    ``PCRN.species_index``).  Returns ``rate * prod_i ff(x_i, u_i)`` with
-    ``ff`` the falling factorial; zero whenever a reactant count is below
-    its required multiplicity.
-    """
-    rate = point[reaction.rate_parameter]
-    counts: dict[str, int] = {}
-    for species, count in reaction.reactants:
-        counts[species] = counts.get(species, 0) + count
-    g = 1
-    for species, needed in counts.items():
-        g *= _falling_factorial(int(state[species_index[species]]), needed)
-        if g <= 0:
-            return 0.0
-    return rate * g
-
-
-def propensity_in(pcrn: PCRN, state, reaction_index: int, point: ParamPoint) -> float:
-    """Propensity of ``pcrn.reactions[reaction_index]`` at ``state``."""
+def propensity(pcrn: PCRN, state, reaction_index: int, point: ParamPoint) -> float:
+    """Mass-action propensity of ``pcrn.reactions[reaction_index]`` at ``state``:
+    its rate times the falling-factorial reactant count, zero whenever a
+    reactant count is below its required multiplicity."""
     reactants, _, param = compiled_reactions(pcrn)[reaction_index]
-    rate = point[param]
-    g = 1
-    for i, needed in reactants:
-        g *= _falling_factorial(int(state[i]), needed)
-        if g <= 0:
-            return 0.0
-    return rate * g
-
-
-def exit_rate(state, pcrn: PCRN, point: ParamPoint) -> float:
-    """Total rate of leaving ``state``: the sum of all reaction propensities."""
-    return sum(propensity_in(pcrn, state, j, point) for j in range(len(pcrn.reactions)))
+    return point[param] * _falling_product(reactants, state)
 
 
 def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSpace:
@@ -265,7 +276,8 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
 
     Successors whose total molecule count exceeds ``conserved_total`` (when
     set) are outside the modeled manifold and are not explored.  Exceeding
-    ``max_states`` raises rather than truncating silently.
+    ``max_states``, or a state space whose keys do not fit in int64, raises
+    rather than truncating silently.
     """
     compiled = compiled_reactions(pcrn)
     start = tuple(int(c) for c in pcrn.initial_state)
@@ -274,7 +286,7 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
     while queue:
         state = queue.popleft()
         for reactants, delta, _ in compiled:
-            if any(state[i] < needed for i, needed in reactants):
+            if _falling_product(reactants, state) == 0:
                 continue
             nxt = list(state)
             for i, d in delta:
@@ -292,10 +304,16 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
                     )
                 seen.add(nxt)
                 queue.append(nxt)
-    ordered = sorted(seen)
-    states = np.array(ordered, dtype=np.int64)
-    states.setflags(write=False)
-    return StateSpace(states=states, index={s: i for i, s in enumerate(ordered)})
+    states = np.array(sorted(seen), dtype=np.int64)
+    radices = states.max(axis=0) + 1
+    if math.prod(radices.tolist()) > np.iinfo(np.int64).max:
+        raise StateSpaceCapError(
+            f"state keys with per-species radices {radices.tolist()} overflow int64"
+        )
+    keys = states @ _place_values(radices)
+    for a in (states, radices, keys):
+        a.setflags(write=False)
+    return StateSpace(states=states, radices=radices, keys=keys)
 
 
 def rate_matrix_row(state, pcrn: PCRN, point: ParamPoint, space: StateSpace) -> dict[tuple[int, ...], float]:
@@ -306,17 +324,16 @@ def rate_matrix_row(state, pcrn: PCRN, point: ParamPoint, space: StateSpace) -> 
     which is an error; targets leaving the conserved manifold are dropped.
     """
     row: dict[tuple[int, ...], float] = {}
-    compiled = compiled_reactions(pcrn)
     state = tuple(int(c) for c in state)
-    for j, (_, delta, _) in enumerate(compiled):
-        a = propensity_in(pcrn, state, j, point)
+    for j, (_, delta, _) in enumerate(compiled_reactions(pcrn)):
+        a = propensity(pcrn, state, j, point)
         if a <= 0.0:
             continue
         target = list(state)
         for i, d in delta:
             target[i] += d
         target = tuple(target)
-        if target not in space.index:
+        if space.ordinals([target])[0] < 0:
             if pcrn.conserved_total is not None and sum(target) > pcrn.conserved_total:
                 continue
             raise StateSpaceCapError(f"transition target {target} missing from enumerated space")

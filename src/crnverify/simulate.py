@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .model import PCRN, ParamPoint, compiled_reactions
+from .model import PCRN, ParamPoint, _falling_product, compiled_reactions
 
 FORMAT_VERSION = 1
 _BLOCK = 256  # RNG draws consumed in blocks to cut per-call overhead
@@ -105,6 +105,7 @@ def simulate(pcrn: PCRN, point: ParamPoint, t_end: float, rng: np.random.Generat
         raise ConfigError("simulation horizon must be positive")
     compiled = compiled_reactions(pcrn)
     rates = [point[param] for _, _, param in compiled]
+    reactants = [r for r, _, _ in compiled]
     n_reactions = len(compiled)
     state = list(pcrn.initial_state)
     t = 0.0
@@ -115,16 +116,7 @@ def simulate(pcrn: PCRN, point: ParamPoint, t_end: float, rng: np.random.Generat
     while True:
         total = 0.0
         for j in range(n_reactions):
-            reactants, _, _ = compiled[j]
-            g = 1
-            for i, needed in reactants:
-                x = state[i]
-                for k in range(needed):
-                    g *= x - k
-                if g <= 0:
-                    g = 0
-                    break
-            a = rates[j] * g
+            a = rates[j] * _falling_product(reactants[j], state)
             props[j] = a
             total += a
         if total <= 0.0:

@@ -279,27 +279,20 @@ def _box_arrays(partition: RegionPartition):
 
 
 def classify_point(partition: RegionPartition, point: ParamPoint) -> str:
-    """Label of the box containing the point.
-
-    Points on shared box faces resolve to the containing box whose corner
-    is lexicographically smallest, so classification is deterministic.
-    """
-    values = point.array(partition.param_names)
-    if not partition.theta.contains(values):
+    """Label of the box containing the point (see ``classify_points``)."""
+    label = classify_points(partition, point.array(partition.param_names)[None, :])[0]
+    if label is None:
         raise ValueError(f"point {point.as_dict()} outside the parameter space")
-    los, his, labels = _box_arrays(partition)
-    hits = np.nonzero(np.all((los <= values) & (values <= his), axis=1))[0]
-    if hits.size == 0:
-        raise ValueError(f"partition does not cover point {point.as_dict()}")
-    best = min(hits, key=lambda i: (tuple(los[i]), tuple(his[i])))
-    return labels[best]
+    return label
 
 
 def classify_points(partition: RegionPartition, values: np.ndarray) -> list[str | None]:
-    """Labels for many points at once; None for points outside the space.
+    """Labels of the boxes containing many points; None for points outside
+    the space.
 
-    Matches ``classify_point``'s face tie-break.  ``values`` columns follow
-    ``partition.param_names``.
+    Points on shared box faces resolve to the containing box whose corner
+    is lexicographically smallest, so classification is deterministic.
+    ``values`` columns follow ``partition.param_names``.
     """
     los, his, labels = _box_arrays(partition)
     lo = np.array(partition.theta.lo)
@@ -309,6 +302,8 @@ def classify_points(partition: RegionPartition, values: np.ndarray) -> list[str 
     for j in np.nonzero(inside)[0]:
         v = values[j]
         hits = np.nonzero(np.all((los <= v) & (v <= his), axis=1))[0]
+        if hits.size == 0:
+            raise ValueError(f"partition does not cover point {dict(zip(partition.param_names, v.tolist()))}")
         best = min(hits, key=lambda i: (tuple(los[i]), tuple(his[i])))
         out[j] = labels[best]
     return out
@@ -380,7 +375,7 @@ def save_heatmap_grid(
     if seed is not None:
         lines.append(f"# seed={seed}")
     lines.append(",".join([*partition.param_names, "label"]))
-    for combo in itertools.product(*axes):
-        label = classify_point(partition, ParamPoint(partition.param_names, tuple(combo)))
+    grid = np.array(list(itertools.product(*axes)))
+    for combo, label in zip(grid, classify_points(partition, grid)):
         lines.append(",".join([*(repr(float(v)) for v in combo), label]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,15 +1,19 @@
 """Exact transient analysis of instantiated finite-state chains.
 
 The chain is uniformized: with q at least the largest exit rate, the
-distribution at time t is a Poisson-weighted sum of powers of the
-discrete matrix P = I + Q/q.  The series is truncated once the Poisson
-tail mass drops below the requested tolerance, and terms accumulate in
-ascending order.
+transient operator exp(Qt) is the Poisson(qt)-weighted sum of powers of
+the discrete matrix P = I + Q/q.  One series, sum_k pois(k; qt) M^k v,
+serves every use: with M = P it runs backward, giving per-state expected
+values of v at time t; with M = P^T it runs forward, carrying a
+distribution.  The series is truncated once the Poisson tail mass drops
+below the requested tolerance, and terms accumulate in ascending order.
 
-Time-bounded until probabilities use the standard two-phase reduction:
-run the chain with non-phi1 states made absorbing up to the window start,
-then from each phi1 state take the probability of sitting in a phi2 state
-at the window end, in the chain where phi2 and dead-end states absorb.
+Time-bounded until probabilities phi1 U[t,t'] phi2 use the standard
+two-phase reduction, both phases run backward.  Phase 2 takes, from each
+state, the probability of sitting in a phi2 state after t'-t in the chain
+where phi2 and dead-end states absorb.  Phase 1 carries those values,
+zeroed outside phi1, back over [0, t] in the chain where non-phi1 states
+absorb, and reads the result at the initial state.
 Rate matrices here are linear in the parameters (one rate parameter per
 reaction), so repeated evaluations at different points reuse one sparse
 matrix per parameter.
@@ -19,12 +23,11 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import sparse
-from scipy.stats import poisson
+from scipy import sparse, special
 
 from .csl import CslFormula, StateFormula
-from .errors import ConfigError
-from .model import PCRN, ParamPoint, StateSpace, compiled_reactions, enumerate_states
+from .errors import ConfigError, CrnVerifyError
+from .model import PCRN, ParamPoint, StateSpace, _falling_product, compiled_reactions, enumerate_states
 
 DEFAULT_TOL = 1e-10
 RATE_MARGIN = 1.02  # uniformization rate = margin * max exit rate
@@ -45,12 +48,12 @@ class UniformizedChain:
         R.setdiag(0.0)
         R.eliminate_zeros()
         n = R.shape[0]
-        exit_rates = np.asarray(R.sum(axis=1)).ravel()
-        q = RATE_MARGIN * float(exit_rates.max()) if exit_rates.size and exit_rates.max() > 0 else 0.0
+        outflow = np.asarray(R.sum(axis=1)).ravel()
+        q = RATE_MARGIN * float(outflow.max()) if outflow.size and outflow.max() > 0 else 0.0
         if q == 0.0:
             P = sparse.identity(n, format="csr")
         else:
-            P = (R / q + sparse.diags(1.0 - exit_rates / q)).tocsr()
+            P = (R / q + sparse.diags(1.0 - outflow / q)).tocsr()
         return cls(q=q, P=P, n_states=n)
 
     def row_sum_defect(self) -> float:
@@ -59,11 +62,35 @@ class UniformizedChain:
 
 
 def _poisson_weights(qt: float, tol: float) -> np.ndarray:
-    """Probability weights pmf(0..K) with tail mass beyond K below tol."""
-    k_max = int(poisson.isf(tol, qt)) + 1
-    while poisson.sf(k_max, qt) > tol:
+    """Poisson(qt) probabilities of 0..K, with the tail mass beyond K below tol.
+
+    K starts one past the (1 - tol)-quantile and grows until the tail test
+    passes.  Quantile (``pdtrik``/``pdtr``), tail (``pdtrc``) and pmf follow
+    the formulas of SciPy's Poisson distribution, so the weights equal its
+    ``pmf`` bit for bit without the cost of importing SciPy's statistics
+    package.
+    """
+    q = 1.0 - tol
+    k = np.ceil(special.pdtrik(q, qt))
+    below = max(k - 1.0, 0.0)
+    k_max = int(below if special.pdtr(below, qt) >= q else k) + 1
+    while special.pdtrc(k_max, qt) > tol:
         k_max += max(1, k_max // 10)
-    return poisson.pmf(np.arange(k_max + 1), qt)
+    ks = np.arange(k_max + 1)
+    return np.exp(special.xlogy(ks, qt) - special.gammaln(ks + 1) - qt)
+
+
+def _poisson_series(M, v: np.ndarray, qt: float, tol: float) -> np.ndarray:
+    """sum_k pois(k; qt) M^k v, truncated where the Poisson tail drops below tol."""
+    if qt == 0:
+        return v
+    acc = np.zeros_like(v)
+    for k, w in enumerate(_poisson_weights(qt, tol)):
+        if k:
+            v = M @ v
+        if w > 0.0:
+            acc += w * v
+    return acc
 
 
 def transient(
@@ -79,30 +106,7 @@ def transient(
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    pi = np.asarray(initial, dtype=float).copy()
-    if t == 0 or chain.q == 0:
-        return pi
-    weights = _poisson_weights(chain.q * t, tol)
-    acc = np.zeros_like(pi)
-    for w in weights:
-        if w > 0.0:
-            acc += w * pi
-        pi = pi @ chain.P
-    return acc
-
-
-def _weighted_powers_applied(chain: UniformizedChain, v: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """Column-vector analogue of ``transient``: sum_k pois(k) P^k v."""
-    vec = np.asarray(v, dtype=float).copy()
-    if t == 0 or chain.q == 0:
-        return vec
-    weights = _poisson_weights(chain.q * t, tol)
-    acc = np.zeros_like(vec)
-    for w in weights:
-        if w > 0.0:
-            acc += w * vec
-        vec = chain.P @ vec
-    return acc
+    return _poisson_series(chain.P.T, np.array(initial, dtype=float), chain.q * t, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -111,52 +115,38 @@ def _weighted_powers_applied(chain: UniformizedChain, v: np.ndarray, t: float, t
 
 @cache
 def _chain_basis(pcrn: PCRN):
-    """Per-parameter sparse rate matrices: R(theta) = sum_k theta_k * basis_k.
-
-    Also returns the state space and, per parameter, the vector of exit-rate
-    factors (basis row sums).
-    """
+    """State space and per-parameter sparse rate matrices:
+    R(theta) = sum_k theta_k * basis_k."""
     space = enumerate_states(pcrn)
     n = len(space)
-    compiled = compiled_reactions(pcrn)
     by_param: dict[str, list] = {name: [[], [], []] for name in pcrn.params.names}
     states = space.states
-    for reactants, delta, param in compiled:
-        g = np.ones(n, dtype=float)
-        for i, needed in reactants:
-            col = states[:, i].astype(float)
-            # clamped falling factorial: any nonpositive factor zeroes the product
-            for k in range(needed):
-                g *= np.maximum(col - k, 0.0)
+    columns = states.T.astype(float)
+    for reactants, delta, param in compiled_reactions(pcrn):
+        g = np.ones(n) * _falling_product(reactants, columns)
         active = np.nonzero(g > 0)[0]
         if active.size == 0:
             continue
-        targets = states[active].copy()
+        targets = states[active]
         for i, d in delta:
             targets[:, i] += d
-        tgt_idx = np.fromiter(
-            (space.index.get(tuple(row), -1) for row in targets),
-            dtype=np.int64,
-            count=len(targets),
-        )
+        tgt_idx = space.ordinals(targets)
         keep = tgt_idx >= 0
         rows, cols, vals = by_param[param]
         rows.extend(active[keep].tolist())
         cols.extend(tgt_idx[keep].tolist())
         vals.extend(g[active][keep].tolist())
     basis = {}
-    exit_factors = {}
     for name, (rows, cols, vals) in by_param.items():
         B = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         B.sum_duplicates()
         basis[name] = B
-        exit_factors[name] = np.asarray(B.sum(axis=1)).ravel()
-    return space, basis, exit_factors
+    return space, basis
 
 
 def build_chain(pcrn: PCRN, point: ParamPoint) -> tuple[UniformizedChain, StateSpace]:
     """Uniformized chain of the network instantiated at one parameter point."""
-    space, basis, _ = _chain_basis(pcrn)
+    space, basis = _chain_basis(pcrn)
     R = _combine(basis, pcrn.params.names, point)
     return UniformizedChain.from_rate_matrix(R), space
 
@@ -184,12 +174,11 @@ class UntilEvaluator:
         self.pcrn = pcrn
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
-        space, basis, _ = _chain_basis(pcrn)
+        space, basis = _chain_basis(pcrn)
         self.space = space
         index = pcrn.species_index()
         self.mask1 = phi1.mask(space.states, index)
         self.mask2 = phi2.mask(space.states, index)
-        n = len(space)
         self.init_idx = space.ordinal(pcrn.initial_state)
         names = pcrn.params.names
         # phase 1: non-phi1 states absorb; phase 2: phi2 and (!phi1 & !phi2) absorb
@@ -198,12 +187,11 @@ class UntilEvaluator:
         self._basis1 = {name: (keep1 @ basis[name]).tocsr() for name in names}
         self._basis2 = {name: (keep2 @ basis[name]).tocsr() for name in names}
         self._names = names
-        self._n = n
 
     def probability(self, point: ParamPoint, tol: float = DEFAULT_TOL) -> float:
         chain2 = UniformizedChain.from_rate_matrix(_combine(self._basis2, self._names, point))
-        values = _weighted_powers_applied(
-            chain2, self.mask2.astype(float), self.t_hi - self.t_lo, tol
+        values = _poisson_series(
+            chain2.P, self.mask2.astype(float), chain2.q * (self.t_hi - self.t_lo), tol
         )
         if self.t_lo == 0:
             result = values[self.init_idx]
@@ -213,10 +201,14 @@ class UntilEvaluator:
                 result = 0.0
         else:
             chain1 = UniformizedChain.from_rate_matrix(_combine(self._basis1, self._names, point))
-            pi0 = np.zeros(self._n)
-            pi0[self.init_idx] = 1.0
-            pi_t = transient(chain1, pi0, self.t_lo, tol)
-            result = float(np.dot(pi_t[self.mask1], values[self.mask1]))
+            result = _poisson_series(chain1.P, self.mask1 * values, chain1.q * self.t_lo, tol)[self.init_idx]
+        # truncation and rounding may move the value past [0, 1] by at most
+        # tol; anything beyond that is a numerical defect, not noise
+        if not -tol <= result <= 1.0 + tol:
+            raise CrnVerifyError(
+                f"until probability {float(result)!r} at {point.as_dict()} lies outside "
+                f"[0, 1] by more than the truncation tolerance {tol}"
+            )
         return float(min(max(result, 0.0), 1.0))
 
 

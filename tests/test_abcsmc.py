@@ -48,30 +48,17 @@ class TestAdaptiveThreshold:
 
 
 class TestPerturb:
-    def _set(self, points, weights):
-        particles = [
-            Particle(point=ParamPoint(("a", "b"), tuple(p)), weight=w, distance=0.0)
-            for p, w in zip(points, weights)
-        ]
-        return ParticleSet(particles=particles, round=1, threshold=1.0, attempts=len(points))
-
     def test_kernel_covariance_doubles_hand_computed(self):
         # weights (0.5, 0.3, 0.2) on 1-d points (1, 2, 4):
         # mean = 1.9, weighted var = 0.5*0.81 + 0.3*0.01 + 0.2*4.41 = 1.29
-        particles = [
-            Particle(ParamPoint(("k",), (1.0,)), 0.5, 0.0),
-            Particle(ParamPoint(("k",), (2.0,)), 0.3, 0.0),
-            Particle(ParamPoint(("k",), (4.0,)), 0.2, 0.0),
-        ]
-        pset = ParticleSet(particles=particles, round=1, threshold=1.0, attempts=3)
-        cov = kernel_covariance(pset, ("k",))
+        cov = kernel_covariance(np.array([[1.0], [2.0], [4.0]]), np.array([0.5, 0.3, 0.2]))
         assert cov[0, 0] == pytest.approx(2 * 1.29, rel=1e-9)
 
     def test_degenerate_cloud_regularizes(self):
-        pset = self._set([(1.0, 2.0)] * 5, [0.2] * 5)
-        out = perturb(ParamPoint(("a", "b"), (1.0, 2.0)), pset, stream(1, 0))
-        assert abs(out["a"] - 1.0) < 1e-4
-        assert abs(out["b"] - 2.0) < 1e-4
+        chol = np.linalg.cholesky(kernel_covariance(np.array([(1.0, 2.0)] * 5), np.full(5, 0.2)))
+        out = perturb(np.array([1.0, 2.0]), chol, stream(1, 0))
+        assert abs(out[0] - 1.0) < 1e-4
+        assert abs(out[1] - 2.0) < 1e-4
 
     def test_kernel_is_symmetric(self):
         # the Gaussian kernel density depends only on the difference
@@ -85,10 +72,10 @@ class TestPerturb:
         assert d_ab == pytest.approx(d_ba, rel=1e-12)
 
     def test_perturbation_spread_matches_covariance(self):
-        pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        pset = self._set([(p[0], 0.0) for p in pts], [0.25] * 4)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        chol = np.linalg.cholesky(kernel_covariance(pts, np.full(4, 0.25)))
         rng = stream(2, 0)
-        draws = np.array([perturb(ParamPoint(("a", "b"), (1.5, 0.0)), pset, rng)["a"] for _ in range(4000)])
+        draws = np.array([perturb(np.array([1.5, 0.0]), chol, rng)[0] for _ in range(4000)])
         # var of the 'a' coordinate: 2 * 1.25
         assert np.var(draws) == pytest.approx(2.5, rel=0.1)
 

@@ -81,6 +81,19 @@ class TestStages:
         total = verdict["mass_T"] + verdict["mass_F"] + verdict["mass_U"] + verdict["mass_outside"]
         assert total == pytest.approx(1.0)
 
+    def test_verify_takes_slice_settings_from_config(self, workspace):
+        run("synth", "--config", "smoke.json", "--out-dir", "out")
+        run("generate", "--config", "smoke.json", "--out-dir", "out")
+        run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv", "--out-dir", "out")
+        assert run("verify", "out/partition.json", "out/particles.csv",
+                   "--config", "smoke.json", "--out-dir", "out") == 0
+        verdict = json.loads((workspace / "out" / "verdict.json").read_text())
+        assert verdict["n_samples"] == 2000  # smoke.json's slice_samples
+        assert run("verify", "out/partition.json", "out/particles.csv",
+                   "--config", "smoke.json", "--samples", "300", "--out-dir", "out") == 0
+        verdict = json.loads((workspace / "out" / "verdict.json").read_text())
+        assert verdict["n_samples"] == 300
+
     def test_baseline_on_particles(self, workspace):
         run("generate", "--config", "smoke.json", "--out-dir", "out")
         run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv", "--out-dir", "out")

@@ -12,11 +12,11 @@ from crnverify import (
     Species,
     StateSpaceCapError,
     enumerate_states,
-    exit_rate,
     parse_crn,
     propensity,
     rate_matrix_row,
 )
+from crnverify.transient import _chain_basis
 
 SIR_SOURCE = """
 format=1;
@@ -78,20 +78,22 @@ def brute_force_reachable(pcrn):
     return seen
 
 
+def exit_rate(state, pcrn, point):
+    """Total rate of leaving ``state``: the sum of all reaction propensities."""
+    return sum(propensity(pcrn, state, j, point) for j in range(len(pcrn.reactions)))
+
+
 class TestPropensity:
     def test_sir_infection_by_hand(self, sir):
         # 0.002 * 95 * 5
-        infect = sir.reactions[0]
-        a = propensity((95, 5, 0), infect, THETA_PHI, sir.species_index())
+        a = propensity(sir, (95, 5, 0), 0, THETA_PHI)
         assert a == pytest.approx(0.95)
 
     def test_zero_reactant_count_forces_zero(self, sir):
-        infect = sir.reactions[0]
-        assert propensity((95, 0, 5), infect, THETA_PHI, sir.species_index()) == 0.0
+        assert propensity(sir, (95, 0, 5), 0, THETA_PHI) == 0.0
 
     def test_sir_recovery_by_hand(self, sir):
-        recover = sir.reactions[1]
-        a = propensity((0, 5, 95), recover, THETA_PHI, sir.species_index())
+        a = propensity(sir, (0, 5, 95), 1, THETA_PHI)
         assert a == pytest.approx(0.25)
 
     def test_bimolecular_same_species_uses_falling_factorial(self):
@@ -99,12 +101,15 @@ class TestPropensity:
             "format=1; species A B; param k in [0.1, 10];"
             "reaction dimerize: A + A -> B @ k; init A=4;"
         )
-        a = propensity((4, 0), net.reactions[0], ParamPoint(("k",), (1.0,)), net.species_index())
+        a = propensity(net, (4, 0), 0, ParamPoint(("k",), (1.0,)))
         assert a == pytest.approx(4 * 3)
+        # fewer molecules than the reaction's order: no combination exists
+        assert propensity(net, (1, 0), 0, ParamPoint(("k",), (1.0,))) == 0.0
+        assert propensity(net, (0, 0), 0, ParamPoint(("k",), (1.0,))) == 0.0
 
     def test_unknown_parameter_is_config_error(self, sir):
         with pytest.raises(ConfigError):
-            propensity((95, 5, 0), sir.reactions[0], ParamPoint(("zz",), (1.0,)), sir.species_index())
+            propensity(sir, (95, 5, 0), 0, ParamPoint(("zz",), (1.0,)))
 
 
 class TestExitRate:
@@ -119,12 +124,15 @@ class TestExitRate:
         assert exit_rate((1, 0), net, ParamPoint(("k",), (1.0,))) == pytest.approx(1.0)
 
     def test_exit_rate_equals_row_sum(self, sir):
-        space = enumerate_states(sir)
+        # the scalar kernel against the row map and the vectorized rate basis
+        space, basis = _chain_basis(sir)
+        R = sum(basis[name] * THETA_PHI[name] for name in sir.params.names)
         rng = np.random.default_rng(5)
         for i in rng.choice(len(space), size=40, replace=False):
             state = tuple(int(c) for c in space.states[i])
             row = rate_matrix_row(state, sir, THETA_PHI, space)
             assert exit_rate(state, sir, THETA_PHI) == pytest.approx(sum(row.values()), abs=1e-12)
+            assert exit_rate(state, sir, THETA_PHI) == pytest.approx(R[i].sum(), abs=1e-12)
 
 
 class TestEnumerateStates:
@@ -162,6 +170,37 @@ class TestEnumerateStates:
         space = enumerate_states(sir)
         i = space.ordinal((95, 5, 0))
         assert tuple(space.states[i]) == (95, 5, 0)
+
+    def test_ordinals_invert_states(self, sir):
+        space = enumerate_states(sir)
+        assert np.array_equal(space.ordinals(space.states), np.arange(len(space)))
+        assert np.all(np.diff(space.keys) > 0)
+
+    def test_absent_states_are_minus_one(self, sir):
+        space = enumerate_states(sir)
+        # (96, 4, 0) is in range but unreachable; the others leave the key ranges
+        absent = [(96, 4, 0), (-1, 5, 96), (95, 5, 0 + int(space.radices[2]))]
+        assert space.ordinals(absent).tolist() == [-1, -1, -1]
+        with pytest.raises(KeyError):
+            space.ordinal((96, 4, 0))
+
+    def test_out_of_range_rows_do_not_alias(self, sir):
+        # each row below has the same mixed-radix number as a reachable state
+        space = enumerate_states(sir)
+        r1, r2 = (int(r) for r in space.radices[1:])
+        s, i, r = (int(c) for c in space.states[len(space) // 2])
+        aliases = [(s + 1, i - r1, r), (s, i - 1, r + r2)]
+        assert space.ordinals(aliases).tolist() == [-1, -1]
+
+    def test_keys_overflowing_int64_are_explicit(self):
+        names = [f"X{i}" for i in range(20)]
+        net = parse_crn(
+            f"format=1; species {' '.join(names)}; param k in [0.1, 1];"
+            f"init {', '.join(f'{n}=8' for n in names)};"
+        )
+        # radix 9 per species: 9**20 > 2**63 - 1
+        with pytest.raises(StateSpaceCapError):
+            enumerate_states(net)
 
 
 class TestRateMatrixRow:

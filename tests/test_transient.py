@@ -1,10 +1,15 @@
 """Uniformization against closed forms and a dense matrix-exponential oracle."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from crnverify import (
+    CrnVerifyError,
     ParamPoint,
     UniformizedChain,
     bounded_until_prob,
@@ -16,7 +21,11 @@ from crnverify import (
     transient,
 )
 from crnverify.csl import BoolLiteral, Comparison
-from crnverify.transient import evaluator_for
+from crnverify.transient import _poisson_weights, evaluator_for
+
+REPO = Path(__file__).resolve().parents[1]
+# crnverify.transient the attribute is the re-exported function
+TRANSIENT = sys.modules["crnverify.transient"]
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
 K_ONE = ParamPoint(("k",), (1.0,))
@@ -92,6 +101,30 @@ class TestTransient:
             assert chain.row_sum_defect() <= 1e-12
             assert chain.P.min() >= 0.0
             assert chain.P.max() <= 1.0
+
+
+class TestPoissonWeights:
+    @pytest.mark.parametrize("qt", [1e-3, 0.5, 7.0, 150.0, 3000.0])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_bit_equal_to_scipy_stats(self, qt, tol):
+        from scipy.stats import poisson  # the reference only
+
+        k_max = int(poisson.isf(tol, qt)) + 1
+        while poisson.sf(k_max, qt) > tol:
+            k_max += max(1, k_max // 10)
+        want = poisson.pmf(np.arange(k_max + 1), qt)
+        got = _poisson_weights(qt, tol)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, crnverify.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 def until_oracle(R, phi1_mask, phi2_mask, init_idx, t_lo, t_hi):
@@ -196,6 +229,25 @@ class TestBoundedUntil:
         for vals in [(5e-5, 0.005), (0.003, 0.2), (0.003, 0.005), (5e-5, 0.2)]:
             v = ev.probability(ParamPoint(("ki", "kr"), vals), tol=1e-8)
             assert 0.0 <= v <= 1.0
+
+
+class TestNumericalDefect:
+    F = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
+
+    def _fake_series(self, monkeypatch, value):
+        monkeypatch.setattr(TRANSIENT, "_poisson_series", lambda M, v, qt, tol: np.full(len(v), value))
+
+    def test_excess_within_tolerance_is_clipped(self, monkeypatch):
+        self._fake_series(monkeypatch, 1.0 + 5e-11)
+        assert evaluator_for(AB, self.F).probability(K_ONE, tol=1e-10) == 1.0
+        self._fake_series(monkeypatch, -5e-11)
+        assert evaluator_for(AB, self.F).probability(K_ONE, tol=1e-10) == 0.0
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-6, -1e-6, float("nan")])
+    def test_excess_beyond_tolerance_raises(self, monkeypatch, value):
+        self._fake_series(monkeypatch, value)
+        with pytest.raises(CrnVerifyError, match="'k': 1.0"):
+            evaluator_for(AB, self.F).probability(K_ONE, tol=1e-10)
 
 
 def _evaluate_with_masks(pcrn, point, phi1_mask, phi2_mask, space, t_lo, t_hi):
