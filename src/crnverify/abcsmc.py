@@ -13,8 +13,6 @@ Per-particle substreams are keyed by (seed, batch, round, slot), so runs
 are reproducible no matter how slots are scheduled.
 """
 
-import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,10 +20,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, ParseError
+from .files import read_csv, write_csv
 from .model import PCRN, ParamPoint, ParameterSpace
 from .simulate import Dataset, discrepancy, simulate
-
-FORMAT_VERSION = 1
 
 STATUS_OK = "ok"
 STATUS_CONVERGED_EARLY = "converged-early"
@@ -275,47 +272,18 @@ def save_particles(
         "theta_lo": list(map(float, space.lower)),
         "theta_hi": list(map(float, space.upper)),
     }
-    lines = [
-        f"# format={FORMAT_VERSION}",
-        "# meta=" + json.dumps(meta, sort_keys=True),
-        ",".join(["batch", "round", "weight", *names, "distance"]),
-    ]
-    for b, s in enumerate(batch_sets):
-        for p in s.particles:
-            values = p.point.array(names)
-            lines.append(
-                ",".join(
-                    [str(b), str(s.round), repr(p.weight), *(repr(float(v)) for v in values), repr(p.distance)]
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        [str(b), str(s.round), repr(p.weight), *(repr(float(v)) for v in p.point.array(names)), repr(p.distance)]
+        for b, s in enumerate(batch_sets)
+        for p in s.particles
+    )
+    write_csv(path, {"meta": meta}, ["batch", "round", "weight", *names, "distance"], rows)
 
 
 def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace, dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    meta: dict = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    saw_format = False
-    for line in lines:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body == f"format={FORMAT_VERSION}":
-                saw_format = True
-            elif re.match(r"format=", body):
-                raise ParseError(f"unsupported particle-file format: {body}")
-            elif body.startswith("meta="):
-                meta = json.loads(body[len("meta="):])
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(line.split(","))
-    if not saw_format:
-        raise ParseError("particle file missing 'format=1' header")
-    if header is None or header[:3] != ["batch", "round", "weight"] or header[-1] != "distance":
+    comments, header, rows = read_csv(path, "particle")
+    meta = comments.get("meta", {})
+    if header[:3] != ["batch", "round", "weight"] or header[-1:] != ["distance"]:
         raise ParseError("particle file missing 'batch,round,weight,...,distance' header")
     names = tuple(header[3:-1])
     lo = meta.get("theta_lo")

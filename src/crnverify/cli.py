@@ -10,7 +10,6 @@ without meeting the undecided-volume tolerance, 4 runtime failure.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -18,14 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import rng as rngmod
 from .abcsmc import AbcConfig, ParticleSet, Prior, abcseq, load_particles, pool_batches, save_particles
 from .config import ExperimentConfig, load_config
 from .crn_text import load_crn
 from .csl import parse_csl
 from .errors import ConfigError, CrnVerifyError, ParseError, ToleranceUnmetError
+from .files import read_json, write_json
 from .model import PCRN, ParamPoint
 from .simulate import observe, save_dataset, simulate, load_dataset
 from .synthesis import (
@@ -42,10 +40,10 @@ from .verdict import (
     majority_verdict,
     probability,
     Posterior,
+    posterior_from_doc,
+    posterior_to_doc,
     save_report,
 )
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -153,19 +151,15 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
     particles_path = out_dir / "particles.csv"
     save_particles(batch_sets, pcrn.params, particles_path, seed=config.seed)
     pooled = pool_batches(batch_sets, pcrn.params)
-    posterior = fit_posterior(pooled)
     posterior_path = out_dir / "posterior.json"
-    doc = {
-        "format": FORMAT_VERSION,
-        "mu": {n: float(m) for n, m in zip(posterior.names, posterior.mean)},
-        "sigma": {n: float(s) for n, s in zip(posterior.names, posterior.std())},
+    write_json(posterior_path, {
+        **posterior_to_doc(fit_posterior(pooled)),
         "particles": config.abc_particles,
         "batches": config.abc_batches,
         "rounds": config.abc_rounds,
         "seed": config.seed,
         "statuses": [s.status for s in batch_sets],
-    }
-    posterior_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    })
     return particles_path, posterior_path
 
 
@@ -174,8 +168,8 @@ def cmd_verify(
     particles_path: Path,
     out_dir: Path,
     seed: int,
-    n_samples: int = 10000,
-    scale: float = 2.0,
+    n_samples: int,
+    scale: float,
 ) -> Path:
     """Integrate the fitted posterior over the satisfying region."""
     partition = load_partition(partition_path)
@@ -197,13 +191,7 @@ def cmd_verify(
 
 def _posterior_from_file(path: Path) -> Posterior:
     if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if doc.get("format") != FORMAT_VERSION:
-            raise ConfigError(f"unsupported posterior format in {path}")
-        names = tuple(doc["mu"].keys())
-        mean = np.array([doc["mu"][n] for n in names])
-        std = np.array([doc["sigma"][n] for n in names])
-        return Posterior(names=names, mean=mean, variance=std**2)
+        return posterior_from_doc(read_json(path, "posterior", ConfigError))
     batch_sets, space, _ = load_particles(path)
     return fit_posterior(pool_batches(batch_sets, space))
 
@@ -223,8 +211,8 @@ def cmd_baseline(
         posterior, pcrn, formula, n_params, n_sims,
         rngmod.stream(config.seed, rngmod.STAGE_BASELINE),
     )
-    doc = {
-        "format": FORMAT_VERSION,
+    path = out_dir / "baseline.json"
+    write_json(path, {
         "n_params": n_params,
         "n_sims": n_sims,
         "seed": config.seed,
@@ -234,9 +222,7 @@ def cmd_baseline(
             {"point": point.as_dict(), "estimate": estimate, "verdict": verdict}
             for point, estimate, verdict in results
         ],
-    }
-    path = out_dir / "baseline.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    })
     return path
 
 
@@ -270,10 +256,9 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
     run.verdict_path = str(verdict_path)
     run.timings["verdict"] = time.perf_counter() - t0
 
-    posterior_doc = json.loads(Path(posterior_path).read_text(encoding="utf-8"))
-    verdict_doc = json.loads(Path(verdict_path).read_text(encoding="utf-8"))
+    posterior_doc = read_json(posterior_path, "posterior")
+    verdict_doc = read_json(verdict_path, "verdict")
     summary = {
-        "format": FORMAT_VERSION,
         "scenario": config.scenario_name(),
         "true_point": config.true_point,
         "mean": posterior_doc["mu"],
@@ -289,7 +274,7 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
             "verdict": Path(run.verdict_path).name,
         },
     }
-    (out_dir / "run.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(out_dir / "run.json", summary)
 
     total = sum(run.timings.values())
     mu = ", ".join(f"{k}={v:.4g}" for k, v in posterior_doc["mu"].items())
@@ -378,6 +363,8 @@ def _config_from_args(args, require_config: bool = False) -> ExperimentConfig:
     if require_config:
         raise ConfigError("this command needs --config")
     merged = {k: v for k, v in overrides.items() if v is not None}
+    if args.command == "verify":  # integration reads neither the model nor the property
+        merged = {"model": "", "property": "", **merged}
     for key in ("model", "property", "seed"):
         if key not in merged:
             raise ConfigError(f"missing --{key} (or provide --config)")
@@ -406,18 +393,14 @@ def main(argv: list[str] | None = None) -> int:
             particles_path, posterior_path = cmd_infer(config, Path(args.dataset), out_dir)
             print(f"wrote {particles_path} and {posterior_path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "verify":
-            if args.config:
-                config = _config_from_args(args)
-                args.seed, args.samples, args.scale = config.seed, config.slice_samples, config.slice_scale
-            if args.seed is None:
-                raise ConfigError("verify needs --seed or a config with one")
+            config = _config_from_args(args)
             path = cmd_verify(
                 Path(args.partition),
                 Path(args.particles),
                 out_dir,
-                seed=args.seed,
-                n_samples=args.samples or 10000,
-                scale=args.scale or 2.0,
+                seed=config.seed,
+                n_samples=config.slice_samples,
+                scale=config.slice_scale,
             )
             print(f"wrote {path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "baseline":

@@ -5,25 +5,13 @@ mandatory; every stage derives its substreams from it, so a config fully
 determines every output byte.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-
-FORMAT_VERSION = 1
-
-_KNOWN_KEYS = {
-    "format", "scenario", "model", "property", "seed", "workers",
-    "param_bounds", "true_point",
-    "observation_times", "observation_count", "observation_end", "noise_sigma",
-    "abc_particles", "abc_batches", "abc_rounds", "abc_max_attempts",
-    "synth_volume_tolerance", "synth_margin", "synth_max_depth",
-    "synth_backend", "synth_transient_tol", "grid_resolution",
-    "slice_samples", "slice_scale", "slice_init",
-}
+from .files import read_json
 
 
 @dataclass
@@ -51,7 +39,6 @@ class ExperimentConfig:
     grid_resolution: int = 100
     slice_samples: int = 10000
     slice_scale: float = 2.0
-    slice_init: list[float] | None = None
 
     def __post_init__(self):
         if self.seed is None:
@@ -102,18 +89,10 @@ class ExperimentConfig:
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a config file, apply CLI overrides, and validate."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
-        raise ConfigError(f"config {path}: missing or unsupported 'format' (expected {FORMAT_VERSION})")
-    unknown = set(doc) - _KNOWN_KEYS
+    merged = read_json(path, "config", ConfigError)
+    unknown = set(merged) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    merged = {k: v for k, v in doc.items() if k != "format"}
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value

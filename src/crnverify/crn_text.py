@@ -23,9 +23,8 @@ import re
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
+from .files import FORMAT_VERSION
 from .model import PCRN, ParameterSpace, Reaction, Species
-
-FORMAT_VERSION = 1
 
 _CRN_TOKEN_RE = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)"
@@ -35,13 +34,17 @@ _CRN_TOKEN_RE = re.compile(
 )
 
 
-class _CrnTokens:
-    def __init__(self, text: str):
+class Tokens:
+    """(kind, value, position) tokens of ``text`` under ``pattern``, whose
+    named groups are the kinds; a ``comment`` group is skipped.  Errors
+    raise ParseError with the line and column of the offending token."""
+
+    def __init__(self, text: str, pattern: re.Pattern = _CRN_TOKEN_RE):
         self.text = text
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
-            m = _CRN_TOKEN_RE.match(text, pos)
+            m = pattern.match(text, pos)
             if not m:
                 rest = text[pos:]
                 if rest.strip():
@@ -99,7 +102,7 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def parse_crn(text: str) -> PCRN:
     """Parse network source text into a validated PCRN."""
-    toks = _CrnTokens(text)
+    toks = Tokens(text)
 
     # version header
     kind, val, pos = toks.next()
@@ -204,7 +207,7 @@ def parse_crn(text: str) -> PCRN:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_side(toks: _CrnTokens, species_order: list[str]) -> dict[str, int]:
+def _parse_side(toks: Tokens, species_order: list[str]) -> dict[str, int]:
     side: dict[str, int] = {}
     kind, val, pos = toks.peek()
     if kind == "num" and val == "0":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crn_text import Tokens
 from .errors import ParseError
 
 RELATIONS = ("<=", ">=", "<", ">")
@@ -27,13 +28,7 @@ COMPARATORS = ("<=", ">=", "!=", "<", ">", "=")
 
 @dataclass(frozen=True)
 class StateFormula:
-    def holds(self, state, index: dict[str, int]) -> bool:
-        return bool(self.mask(np.asarray(state).reshape(1, -1), index)[0])
-
     def mask(self, states: np.ndarray, index: dict[str, int]) -> np.ndarray:
-        raise NotImplementedError
-
-    def species(self) -> set[str]:
         raise NotImplementedError
 
 
@@ -43,9 +38,6 @@ class BoolLiteral(StateFormula):
 
     def mask(self, states, index):
         return np.full(len(states), self.value)
-
-    def species(self):
-        return set()
 
 
 @dataclass(frozen=True)
@@ -77,9 +69,6 @@ class Comparison(StateFormula):
                 return lhs >= self.constant
         raise AssertionError(self.op)
 
-    def species(self):
-        return {name for name, _ in self.terms}
-
 
 @dataclass(frozen=True)
 class Not(StateFormula):
@@ -87,9 +76,6 @@ class Not(StateFormula):
 
     def mask(self, states, index):
         return ~self.operand.mask(states, index)
-
-    def species(self):
-        return self.operand.species()
 
 
 @dataclass(frozen=True)
@@ -100,9 +86,6 @@ class And(StateFormula):
     def mask(self, states, index):
         return self.left.mask(states, index) & self.right.mask(states, index)
 
-    def species(self):
-        return self.left.species() | self.right.species()
-
 
 @dataclass(frozen=True)
 class Or(StateFormula):
@@ -111,9 +94,6 @@ class Or(StateFormula):
 
     def mask(self, states, index):
         return self.left.mask(states, index) | self.right.mask(states, index)
-
-    def species(self):
-        return self.left.species() | self.right.species()
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +140,6 @@ class CslFormula:
                 return value >= self.bound
         raise AssertionError(self.relation)
 
-    def species(self) -> set[str]:
-        return self.path.phi1.species() | self.path.phi2.species()
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -174,66 +151,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:]
-                if rest.strip():
-                    offset = pos + (len(rest) - len(rest.lstrip()))
-                    line, col = _line_col(text, offset)
-                    raise ParseError(f"unexpected character {rest.strip()[0]!r}", line, col)
-                break
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            self.error(f"expected {value!r}, found {val or 'end of input'!r}", pos)
-        return val
-
-    def error(self, message: str, pos: int | None = None):
-        if pos is None:
-            pos = self.peek()[2]
-        line, col = _line_col(self.text, pos)
-        raise ParseError(message, line, col)
-
-
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, col
-
-
 def parse_csl(text: str) -> CslFormula:
     """Parse a property string into its AST.
 
     Raises ParseError (with position) on malformed input, bounds outside
     [0,1], reversed intervals, or use of the unsupported fragment.
     """
-    toks = _Tokens(text)
+    toks = Tokens(text, _TOKEN_RE)
     kind, val, pos = toks.next()
     if val != "P":
         toks.error("property must start with a top-level P operator", pos)
     relation = toks.next()[1]
     if relation not in RELATIONS:
         toks.error(f"unsupported probability relation {relation!r}; use <, <=, >, >=")
-    bound = _number(toks)
+    bound = toks.number()
     if not 0.0 <= bound <= 1.0:
         raise ParseError(f"probability bound {bound} outside [0,1]")
     toks.expect("[")
@@ -245,14 +176,7 @@ def parse_csl(text: str) -> CslFormula:
     return CslFormula(relation=relation, bound=bound, path=path)
 
 
-def _number(toks: _Tokens) -> float:
-    kind, val, pos = toks.next()
-    if kind != "num":
-        toks.error(f"expected a number, found {val or 'end of input'!r}", pos)
-    return float(val)
-
-
-def _parse_path(toks: _Tokens) -> BoundedUntil:
+def _parse_path(toks: Tokens) -> BoundedUntil:
     phi1 = _parse_state(toks)
     kind, val, pos = toks.next()
     if not (kind == "ident" and val == "U"):
@@ -261,9 +185,9 @@ def _parse_path(toks: _Tokens) -> BoundedUntil:
     if val != "[":
         toks.error("unbounded until is unsupported; give a time interval U[t,t']", pos)
     toks.expect("[")
-    t_lo = _number(toks)
+    t_lo = toks.number()
     toks.expect(",")
-    t_hi = _number(toks)
+    t_hi = toks.number()
     toks.expect("]")
     if t_lo > t_hi:
         raise ParseError(f"until interval [{t_lo}, {t_hi}] has t > t'")
@@ -271,11 +195,11 @@ def _parse_path(toks: _Tokens) -> BoundedUntil:
     return BoundedUntil(phi1=phi1, phi2=phi2, t_lo=t_lo, t_hi=t_hi)
 
 
-def _parse_state(toks: _Tokens) -> StateFormula:
+def _parse_state(toks: Tokens) -> StateFormula:
     return _parse_or(toks)
 
 
-def _parse_or(toks: _Tokens) -> StateFormula:
+def _parse_or(toks: Tokens) -> StateFormula:
     left = _parse_and(toks)
     while toks.peek()[1] == "|":
         toks.next()
@@ -283,7 +207,7 @@ def _parse_or(toks: _Tokens) -> StateFormula:
     return left
 
 
-def _parse_and(toks: _Tokens) -> StateFormula:
+def _parse_and(toks: Tokens) -> StateFormula:
     left = _parse_unary(toks)
     while toks.peek()[1] == "&":
         toks.next()
@@ -291,7 +215,7 @@ def _parse_and(toks: _Tokens) -> StateFormula:
     return left
 
 
-def _parse_unary(toks: _Tokens) -> StateFormula:
+def _parse_unary(toks: Tokens) -> StateFormula:
     kind, val, pos = toks.peek()
     if val == "!":
         toks.next()
@@ -314,7 +238,7 @@ def _parse_unary(toks: _Tokens) -> StateFormula:
     return _parse_comparison(toks)
 
 
-def _parse_comparison(toks: _Tokens) -> Comparison:
+def _parse_comparison(toks: Tokens) -> Comparison:
     lhs_terms, lhs_const = _parse_linear(toks)
     kind, op, pos = toks.next()
     if op not in COMPARATORS:
@@ -336,7 +260,7 @@ def _parse_comparison(toks: _Tokens) -> Comparison:
     )
 
 
-def _parse_linear(toks: _Tokens) -> tuple[list[tuple[str, int]], int]:
+def _parse_linear(toks: Tokens) -> tuple[list[tuple[str, int]], int]:
     """Parse  [-] term (('+'|'-') term)*  where term = INT ['*' IDENT] | IDENT."""
     terms: list[tuple[str, int]] = []
     const = 0

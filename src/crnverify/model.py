@@ -97,13 +97,6 @@ class ParameterSpace:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def contains(self, point: "ParamPoint") -> bool:
-        for name, lo, hi in self.dims:
-            v = point[name]
-            if not lo <= v <= hi:
-                return False
-        return True
-
     def with_bounds(self, overrides: dict[str, tuple[float, float]]) -> "ParameterSpace":
         """Copy with some dimensions' bounds replaced."""
         unknown = set(overrides) - set(self.names)
@@ -122,10 +115,6 @@ class ParamPoint:
 
     names: tuple[str, ...]
     values: tuple[float, ...]
-
-    @classmethod
-    def from_dict(cls, values: dict[str, float]) -> "ParamPoint":
-        return cls(tuple(values.keys()), tuple(float(v) for v in values.values()))
 
     def __getitem__(self, name: str) -> float:
         try:

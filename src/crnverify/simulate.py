@@ -8,16 +8,15 @@ inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .files import read_csv, write_csv
 from .model import PCRN, ParamPoint, _falling_product, compiled_reactions
 
-FORMAT_VERSION = 1
 _BLOCK = 256  # RNG draws consumed in blocks to cut per-call overhead
 
 
@@ -43,16 +42,14 @@ class Trajectory:
 class Dataset:
     """Noisy observations of a path at fixed times.
 
-    ``observations`` has one row per observation time; columns follow
-    ``species`` order after applying the observation matrix (identity in
-    this pipeline, kept general in the type).
+    ``observations`` has one row per observation time and one column per
+    species, in ``species`` order.
     """
 
     times: np.ndarray
     observations: np.ndarray
     species: tuple[str, ...]
     sigma: float
-    obs_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.times) < 1:
@@ -61,11 +58,6 @@ class Dataset:
             raise ConfigError("observation count does not match time count")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("observation times must be strictly increasing")
-
-    def matrix(self, n_species: int) -> np.ndarray:
-        if self.obs_matrix is None:
-            return np.eye(n_species)
-        return np.asarray(self.obs_matrix, dtype=float)
 
 
 class _DrawBuffer:
@@ -166,21 +158,12 @@ def observe(
     sigma: float,
     rng: np.random.Generator,
     species: tuple[str, ...] = (),
-    obs_matrix: np.ndarray | None = None,
 ) -> Dataset:
     """Observe a path at ``times`` with additive N(0, sigma) noise per component."""
     times = np.asarray(times, dtype=float)
     x = states_at(traj, times).astype(float)
-    if obs_matrix is not None:
-        x = x @ np.asarray(obs_matrix, dtype=float).T
     y = x if sigma == 0 else x + rng.normal(0.0, sigma, size=x.shape)
-    return Dataset(
-        times=times,
-        observations=y,
-        species=species,
-        sigma=float(sigma),
-        obs_matrix=obs_matrix,
-    )
+    return Dataset(times=times, observations=y, species=species, sigma=float(sigma))
 
 
 def discrepancy(data: Dataset, sim: Trajectory) -> float:
@@ -194,8 +177,6 @@ def discrepancy(data: Dataset, sim: Trajectory) -> float:
     if sim.horizon < last:
         raise ValueError(f"simulation horizon {sim.horizon} ends before last observation at {last}")
     x = states_at(sim, data.times).astype(float)
-    if data.obs_matrix is not None:
-        x = x @ np.asarray(data.obs_matrix, dtype=float).T
     diff = data.observations - x
     return float(np.sqrt(np.sum(diff * diff)))
 
@@ -206,42 +187,16 @@ def discrepancy(data: Dataset, sim: Trajectory) -> float:
 
 def save_dataset(data: Dataset, path: str | Path, meta: dict | None = None) -> None:
     """Write ``time,<species...>`` CSV with shortest round-trip floats."""
-    lines = [f"# format={FORMAT_VERSION}"]
-    if meta:
-        lines.append("# meta=" + json.dumps(meta, sort_keys=True))
-    lines.append("# meta-sigma=" + repr(data.sigma))
-    lines.append(",".join(["time", *data.species]))
-    for t, row in zip(data.times, data.observations):
-        lines.append(",".join([repr(float(t)), *(repr(float(v)) for v in row)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comments = {"meta": meta} if meta else {}
+    comments["meta-sigma"] = data.sigma
+    rows = ([repr(float(t)), *(repr(float(v)) for v in row)] for t, row in zip(data.times, data.observations))
+    write_csv(path, comments, ["time", *data.species], rows)
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset CSV written by ``save_dataset``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    sigma = 0.0
-    header = None
-    rows = []
-    saw_format = False
-    for line in lines:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body == f"format={FORMAT_VERSION}":
-                saw_format = True
-            elif body.startswith("format="):
-                raise ParseError(f"unsupported dataset format: {body}")
-            elif body.startswith("meta-sigma="):
-                sigma = float(body.split("=", 1)[1])
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if not saw_format:
-        raise ParseError("dataset file missing 'format=1' header")
-    if header is None or header[0] != "time" or len(header) < 2:
+    comments, header, rows = read_csv(path, "dataset")
+    if not header or header[0] != "time" or len(header) < 2:
         raise ParseError("dataset file missing 'time,<species...>' header row")
     if not rows:
         raise ParseError("dataset file contains no observations")
@@ -250,5 +205,5 @@ def load_dataset(path: str | Path) -> Dataset:
         times=arr[:, 0],
         observations=arr[:, 1:],
         species=tuple(header[1:]),
-        sigma=sigma,
+        sigma=float(comments.get("meta-sigma", 0.0)),
     )

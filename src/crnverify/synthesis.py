@@ -21,7 +21,6 @@ quantifies that gap rather than certifying it away.
 """
 
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .csl import CslFormula, format_csl, parse_csl
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
+from .files import read_json, write_csv, write_json
 from .model import PCRN, ParamPoint
 from .transient import UntilEvaluator, evaluator_for
-
-FORMAT_VERSION = 1
 
 LABEL_SAT = "T"
 LABEL_VIOL = "F"
@@ -56,12 +54,6 @@ class Box:
 
     def volume(self) -> float:
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
-
-    def contains(self, values) -> bool:
-        return all(l <= v <= h for l, v, h in zip(self.lo, values, self.hi))
-
-    def center(self) -> tuple[float, ...]:
-        return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
 
     def split(self, dim: int) -> tuple["Box", "Box"]:
         mid = (self.lo[dim] + self.hi[dim]) / 2.0
@@ -319,8 +311,7 @@ def feasible_volume_fraction(partition: RegionPartition) -> float:
 
 
 def save_partition(partition: RegionPartition, path: str | Path, seed: int | None = None) -> None:
-    doc = {
-        "format": FORMAT_VERSION,
+    write_json(path, {
         "header": {
             "p": partition.threshold,
             "relation": partition.relation,
@@ -337,14 +328,11 @@ def save_partition(partition: RegionPartition, path: str | Path, seed: int | Non
             {"lo": list(box.lo), "hi": list(box.hi), "label": label}
             for box, label in partition.boxes
         ],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    })
 
 
 def load_partition(path: str | Path) -> RegionPartition:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_VERSION:
-        raise ParseError(f"unsupported partition format {doc.get('format')!r}")
+    doc = read_json(path, "partition")
     header = doc["header"]
     return RegionPartition(
         param_names=tuple(header["params"]),
@@ -371,11 +359,6 @@ def save_heatmap_grid(
     hi = np.array(partition.theta.hi)
     k = len(lo)
     axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(resolution) + 0.5) / resolution for d in range(k)]
-    lines = [f"# format={FORMAT_VERSION}"]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append(",".join([*partition.param_names, "label"]))
     grid = np.array(list(itertools.product(*axes)))
-    for combo, label in zip(grid, classify_points(partition, grid)):
-        lines.append(",".join([*(repr(float(v)) for v in combo), label]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ([*(repr(float(v)) for v in combo), label] for combo, label in zip(grid, classify_points(partition, grid)))
+    write_csv(path, {} if seed is None else {"seed": seed}, [*partition.param_names, "label"], rows)

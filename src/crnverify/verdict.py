@@ -8,7 +8,6 @@ undecided boxes or outside the parameter space is never counted as
 satisfying; both fractions are reported alongside.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,11 +17,10 @@ import numpy as np
 from .abcsmc import Particle
 from .csl import CslFormula
 from .errors import ConfigError
+from .files import write_json
 from .model import PCRN, ParamPoint
 from .monitor import estimate_lambda
 from .synthesis import LABEL_SAT, LABEL_UNDECIDED, RegionPartition, classify_points
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +221,28 @@ def majority_verdict(results: list[tuple[ParamPoint, float, bool]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Report serialization (wall time stays out of the file so reruns with the
-# same seed are byte-identical).
+# Posterior and report documents (wall time stays out of the file so reruns
+# with the same seed are byte-identical).
+
+
+def posterior_to_doc(posterior: Posterior) -> dict:
+    """The ``{mu, sigma}`` document that posterior.json and verdict.json hold."""
+    return {
+        "mu": {n: float(m) for n, m in zip(posterior.names, posterior.mean)},
+        "sigma": {n: float(s) for n, s in zip(posterior.names, posterior.std())},
+    }
+
+
+def posterior_from_doc(doc: dict) -> Posterior:
+    """Inverse of ``posterior_to_doc``."""
+    names = tuple(doc["mu"])
+    mean = np.array([doc["mu"][n] for n in names])
+    std = np.array([doc["sigma"][n] for n in names])
+    return Posterior(names=names, mean=mean, variance=std**2)
 
 
 def save_report(report: VerdictReport, path: str | Path) -> None:
-    doc = {
-        "format": FORMAT_VERSION,
+    write_json(path, {
         "C": report.probability,
         "se": report.standard_error,
         "mass_T": report.mass_sat,
@@ -239,16 +252,5 @@ def save_report(report: VerdictReport, path: str | Path) -> None:
         "n_samples": report.n_samples,
         "seed": report.seed,
         "partition_file": report.partition_file,
-        "posterior": {
-            "mu": {n: float(m) for n, m in zip(report.posterior.names, report.posterior.mean)},
-            "sigma": {n: float(s) for n, s in zip(report.posterior.names, report.posterior.std())},
-        },
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
-def load_report(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported report format {doc.get('format')!r}")
-    return doc
+        "posterior": posterior_to_doc(report.posterior),
+    })

@@ -3,7 +3,8 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 The two full SIR pipeline runs (satisfying and violating ground truth) are
 module-scoped fixtures; later criteria reuse their stage files instead of
-recomputing them.
+recomputing them.  The criteria that use them are marked ``slow``;
+``pytest -m "not slow"`` leaves them out for a fast loop.
 """
 
 import json
@@ -143,6 +144,7 @@ def test_criterion_3_ground_truth_classification(sir, case_formula):
         assert time.perf_counter() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
     with criterion(4, "SIR partition: coverage, tolerance, labels, statistical audit"):
         partition = load_partition(phi_run["out"] / phi_run["run"]["stages"]["partition"])
@@ -184,6 +186,7 @@ def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
         assert agree >= 96, f"audit agreement {agree}/100"
 
 
+@pytest.mark.slow
 def test_criterion_5_inference_accuracy(phi_run):
     with criterion(5, "pooled posterior mean lands in the published bands"):
         mu = phi_run["posterior"]["mu"]
@@ -193,12 +196,14 @@ def test_criterion_5_inference_accuracy(phi_run):
         assert phi_run["posterior"]["batches"] == 5
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_verdicts(phi_run, notphi_run):
     with criterion(6, "pipeline verdict bands: C >= 0.9 satisfying, C <= 0.1 violating"):
         assert phi_run["verdict"]["C"] >= 0.9, phi_run["verdict"]
         assert notphi_run["verdict"]["C"] <= 0.1, notphi_run["verdict"]
 
 
+@pytest.mark.slow
 def test_criterion_7_baseline_agreement(phi_run, notphi_run):
     with criterion(7, "Bayesian SMC majority verdict agrees with the integral"):
         for run, config_name in (
@@ -214,6 +219,7 @@ def test_criterion_7_baseline_agreement(phi_run, notphi_run):
             assert doc["majority_verdict"] == (run["verdict"]["C"] > 0.5)
 
 
+@pytest.mark.slow
 def test_criterion_8_property_suites(sir, case_formula, phi_run):
     with criterion(8, "module invariants: weights, thresholds, conservation, partitions, sampler"):
         t0 = time.perf_counter()

@@ -94,6 +94,21 @@ class TestStages:
         verdict = json.loads((workspace / "out" / "verdict.json").read_text())
         assert verdict["n_samples"] == 300
 
+    def test_verify_without_config_takes_config_defaults(self, workspace):
+        run("synth", "--config", "smoke.json", "--out-dir", "out")
+        run("generate", "--config", "smoke.json", "--out-dir", "out")
+        run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv", "--out-dir", "out")
+        assert run("verify", "out/partition.json", "out/particles.csv",
+                   "--seed", "1", "--out-dir", "out") == 0
+        verdict = json.loads((workspace / "out" / "verdict.json").read_text())
+        assert verdict["n_samples"] == 10000  # ExperimentConfig's slice_samples
+        for flags in (["--samples", "0"], ["--scale", "0"], ["--samples", "-5"]):
+            assert run("verify", "out/partition.json", "out/particles.csv",
+                       "--seed", "1", "--out-dir", "out", *flags) == 2
+        assert run("verify", "out/partition.json", "out/particles.csv",
+                   "--config", "smoke.json", "--samples", "0", "--out-dir", "out") == 2
+        assert run("verify", "out/partition.json", "out/particles.csv", "--out-dir", "out") == 2
+
     def test_baseline_on_particles(self, workspace):
         run("generate", "--config", "smoke.json", "--out-dir", "out")
         run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv", "--out-dir", "out")
@@ -103,6 +118,15 @@ class TestStages:
         assert doc["n_params"] == 5
         assert len(doc["points"]) == 5
         assert isinstance(doc["majority_verdict"], bool)
+
+    def test_baseline_on_posterior_json(self, workspace):
+        run("generate", "--config", "smoke.json", "--out-dir", "out")
+        run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv", "--out-dir", "out")
+        assert run("baseline", "out/posterior.json", "--config", "smoke.json",
+                   "--out-dir", "out", "--n-params", "5", "--n-sims", "40") == 0
+        doc = json.loads((workspace / "out" / "baseline.json").read_text())
+        assert doc["n_params"] == 5
+        assert len(doc["points"]) == 5
 
     def test_pipeline_writes_run_summary(self, workspace, capsys):
         assert run("pipeline", "--config", "smoke.json", "--out-dir", "out") == 0

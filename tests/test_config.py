@@ -48,6 +48,11 @@ def test_unknown_key_rejected(tmp_path):
         load_config(write(tmp_path, {**BASE, "particle_count": 5}))
 
 
+def test_slice_init_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown keys"):
+        load_config(write(tmp_path, {**BASE, "slice_init": [0.002, 0.05]}))
+
+
 def test_nonpositive_counts_rejected(tmp_path):
     for key in ("observation_count", "abc_particles", "abc_batches", "abc_rounds", "slice_samples"):
         with pytest.raises(ConfigError, match=key):
