@@ -30,5 +30,5 @@ for b, result in enumerate(batches):
 
 from crnverify import pool_batches
 
-posterior = fit_posterior(pool_batches(batches, pcrn.params))
+posterior = fit_posterior(*pool_batches(batches))
 print(f"\nposterior: k = {posterior.mean[0]:.3f} +- {posterior.std()[0]:.3f}   (true value 1.0)")

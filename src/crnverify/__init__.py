@@ -9,7 +9,6 @@ system satisfies the property.
 
 from .abcsmc import (
     AbcConfig,
-    Particle,
     ParticleSet,
     Prior,
     abcseq,
@@ -47,7 +46,7 @@ from .simulate import (
     observe,
     save_dataset,
     simulate,
-    state_at,
+    states_at,
 )
 from .synthesis import (
     Box,

@@ -29,31 +29,32 @@ STATUS_CONVERGED_EARLY = "converged-early"
 STATUS_ABORTED = "aborted-max-attempts"
 
 _STALL_FRACTION = 0.01  # threshold must shrink by this fraction per round
-
-
-@dataclass(frozen=True)
-class Particle:
-    point: ParamPoint
-    weight: float
-    distance: float
+# new particles per block of the kernel mixture: bounds its (block, m, k)
+# temporaries to O(m) memory instead of O(m^2)
+_MIXTURE_BLOCK = 256
 
 
 @dataclass
 class ParticleSet:
-    """One round's weighted particles plus bookkeeping about how it was reached."""
+    """One round's weighted particles plus bookkeeping about how it was reached.
 
-    particles: list[Particle]
+    ``points`` holds one row per particle, columns in ``names`` order;
+    ``weights`` and ``distances`` hold one entry per row.
+    """
+
+    names: tuple[str, ...]
+    points: np.ndarray
+    weights: np.ndarray
+    distances: np.ndarray
     round: int
-    threshold: float
     attempts: int
     status: str = STATUS_OK
     thresholds: tuple[float, ...] = ()
 
-    def weights(self) -> np.ndarray:
-        return np.array([p.weight for p in self.particles])
-
-    def points_array(self, order: tuple[str, ...]) -> np.ndarray:
-        return np.array([p.point.array(order) for p in self.particles])
+    @property
+    def threshold(self) -> float:
+        """The threshold this round accepted against (infinity for prior draws)."""
+        return self.thresholds[-1] if self.thresholds else float("inf")
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,6 @@ class Prior:
         hi = self.space.upper
         values = lo + (hi - lo) * rng.random(len(lo))
         return ParamPoint(self.space.names, tuple(values))
-
-    def pdf(self, values: np.ndarray) -> float:
-        lo = self.space.lower
-        hi = self.space.upper
-        if np.all((lo <= values) & (values <= hi)):
-            return 1.0 / self.space.volume()
-        return 0.0
 
     def contains(self, values: np.ndarray) -> bool:
         return bool(np.all((self.space.lower <= values) & (values <= self.space.upper)))
@@ -119,11 +113,14 @@ def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_
     k = cov.shape[0]
     inv = np.linalg.inv(cov)
     _, logdet = np.linalg.slogdet(cov)
-    diff = new_points[:, None, :] - old_points[None, :, :]  # (m_new, m_old, k)
-    quad = np.einsum("noi,ij,noj->no", diff, inv, diff)
     log_norm = -0.5 * (k * np.log(2.0 * np.pi) + logdet)
-    dens = np.exp(log_norm - 0.5 * quad)
-    return dens @ old_weights
+    out = np.empty(len(new_points))
+    for start in range(0, len(new_points), _MIXTURE_BLOCK):
+        block = slice(start, start + _MIXTURE_BLOCK)
+        diff = new_points[block, None, :] - old_points[None, :, :]  # (block, m_old, k)
+        quad = np.einsum("noi,ij,noj->no", diff, inv, diff)
+        out[block] = np.exp(log_norm - 0.5 * quad) @ old_weights
+    return out
 
 
 def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> ParticleSet:
@@ -158,7 +155,7 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
         attempts_total += 1
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
-    current = _make_set(order, points, weights, distances, 0, thresholds, attempts_total)
+    current = ParticleSet(order, points, weights, distances, 0, attempts_total, thresholds=tuple(thresholds))
 
     stall_streak = 0
     for r in range(1, config.rounds):
@@ -173,7 +170,7 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
                     return current
             else:
                 stall_streak = 0
-        thresholds.append(eps)
+        thresholds.append(float(eps))
 
         cov = kernel_covariance(points, weights)
         chol = np.linalg.cholesky(cov)
@@ -202,52 +199,31 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
                 current.status = STATUS_ABORTED
                 return current
 
+        # every accepted proposal passed prior.contains, so the uniform
+        # prior density is the same constant for all of them
         mixture = _kernel_mixture_density(new_points, points, weights, cov)
-        prior_density = np.array([prior.pdf(p) for p in new_points])
-        new_weights = prior_density / mixture
+        new_weights = (1.0 / prior.space.volume()) / mixture
         new_weights /= new_weights.sum()
         points, weights, distances = new_points, new_weights, new_distances
-        current = _make_set(order, points, weights, distances, r, thresholds, attempts_total)
+        current = ParticleSet(order, points, weights, distances, r, attempts_total, thresholds=tuple(thresholds))
 
     return current
 
 
-def _make_set(order, points, weights, distances, round_index, thresholds, attempts) -> ParticleSet:
-    particles = [
-        Particle(
-            point=ParamPoint(order, tuple(points[i])),
-            weight=float(weights[i]),
-            distance=float(distances[i]),
-        )
-        for i in range(len(points))
-    ]
-    return ParticleSet(
-        particles=particles,
-        round=round_index,
-        threshold=float(thresholds[-1]),
-        attempts=attempts,
-        thresholds=tuple(float(t) for t in thresholds),
-    )
-
-
-def pool_batches(batch_sets: list[ParticleSet], space: ParameterSpace) -> list[tuple[int, Particle]]:
+def pool_batches(batch_sets: list[ParticleSet]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Concatenate batches with per-batch weights rescaled by 1/batches.
 
-    Returns (batch_index, particle) pairs whose weights sum to 1 overall.
+    Returns ``(names, points, weights)`` with weights summing to 1 overall.
     """
     if not batch_sets:
         raise ConfigError("need at least one batch")
-    names = space.names
-    for s in batch_sets:
-        for p in s.particles[:1]:
-            if p.point.names != names:
-                raise ConfigError("batches drawn over different parameter spaces")
+    names = batch_sets[0].names
+    if any(s.names != names for s in batch_sets):
+        raise ConfigError("batches drawn over different parameter spaces")
     scale = 1.0 / len(batch_sets)
-    pooled = []
-    for b, s in enumerate(batch_sets):
-        for p in s.particles:
-            pooled.append((b, Particle(point=p.point, weight=p.weight * scale, distance=p.distance)))
-    return pooled
+    points = np.concatenate([s.points for s in batch_sets])
+    weights = np.concatenate([s.weights * scale for s in batch_sets])
+    return names, points, weights
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +249,9 @@ def save_particles(
         "theta_hi": list(map(float, space.upper)),
     }
     rows = (
-        [str(b), str(s.round), repr(p.weight), *(repr(float(v)) for v in p.point.array(names)), repr(p.distance)]
+        [str(b), str(s.round), repr(weight), *map(repr, point), repr(distance)]
         for b, s in enumerate(batch_sets)
-        for p in s.particles
+        for point, weight, distance in zip(s.points.tolist(), s.weights.tolist(), s.distances.tolist())
     )
     write_csv(path, {"meta": meta}, ["batch", "round", "weight", *names, "distance"], rows)
 
@@ -291,35 +267,30 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
     if lo is None or hi is None:
         raise ParseError("particle file metadata missing the parameter space")
     space = ParameterSpace(tuple(zip(names, map(float, lo), map(float, hi))))
-    by_batch: dict[int, list[Particle]] = {}
-    round_by_batch: dict[int, int] = {}
-    for row in rows:
-        b = int(row[0])
-        round_by_batch[b] = int(row[1])
-        by_batch.setdefault(b, []).append(
-            Particle(
-                point=ParamPoint(names, tuple(float(v) for v in row[3:-1])),
-                weight=float(row[2]),
-                distance=float(row[-1]),
-            )
-        )
-    sets = []
+    try:
+        table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ParseError(f"particle file {path}: malformed rows ({exc})") from exc
+    batch = table[:, 0].astype(int)
     thresholds = [
         tuple(float("inf") if t is None else float(t) for t in ts)
         for ts in meta.get("thresholds", [])
     ]
     attempts = meta.get("attempts", [])
     statuses = meta.get("status", [])
-    for b in sorted(by_batch):
-        ts = thresholds[b] if b < len(thresholds) else ()
+    sets = []
+    for b in np.unique(batch).tolist():
+        block = table[batch == b]
         sets.append(
             ParticleSet(
-                particles=by_batch[b],
-                round=round_by_batch[b],
-                threshold=ts[-1] if ts else float("inf"),
+                names=names,
+                points=block[:, 3:-1],
+                weights=block[:, 2],
+                distances=block[:, -1],
+                round=int(block[-1, 1]),
                 attempts=attempts[b] if b < len(attempts) else 0,
                 status=statuses[b] if b < len(statuses) else STATUS_OK,
-                thresholds=ts,
+                thresholds=thresholds[b] if b < len(thresholds) else (),
             )
         )
     return sets, space, meta

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import rng as rngmod
@@ -44,18 +43,6 @@ from .verdict import (
     posterior_to_doc,
     save_report,
 )
-
-
-@dataclass
-class PipelineRun:
-    """Stage outputs and timings of one full pipeline invocation."""
-
-    config: ExperimentConfig
-    dataset_path: str = ""
-    partition_path: str = ""
-    particles_path: str = ""
-    verdict_path: str = ""
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def _model_with_bounds(config: ExperimentConfig) -> PCRN:
@@ -150,10 +137,9 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
         batch_sets = [_run_batch(job) for job in jobs]
     particles_path = out_dir / "particles.csv"
     save_particles(batch_sets, pcrn.params, particles_path, seed=config.seed)
-    pooled = pool_batches(batch_sets, pcrn.params)
     posterior_path = out_dir / "posterior.json"
     write_json(posterior_path, {
-        **posterior_to_doc(fit_posterior(pooled)),
+        **posterior_to_doc(fit_posterior(*pool_batches(batch_sets))),
         "particles": config.abc_particles,
         "batches": config.abc_batches,
         "rounds": config.abc_rounds,
@@ -173,8 +159,8 @@ def cmd_verify(
 ) -> Path:
     """Integrate the fitted posterior over the satisfying region."""
     partition = load_partition(partition_path)
-    batch_sets, space, _ = load_particles(particles_path)
-    posterior = fit_posterior(pool_batches(batch_sets, space))
+    batch_sets, _, _ = load_particles(particles_path)
+    posterior = fit_posterior(*pool_batches(batch_sets))
     report = probability(
         partition,
         posterior,
@@ -192,8 +178,8 @@ def cmd_verify(
 def _posterior_from_file(path: Path) -> Posterior:
     if path.suffix == ".json":
         return posterior_from_doc(read_json(path, "posterior", ConfigError))
-    batch_sets, space, _ = load_particles(path)
-    return fit_posterior(pool_batches(batch_sets, space))
+    batch_sets, _, _ = load_particles(path)
+    return fit_posterior(*pool_batches(batch_sets))
 
 
 def cmd_baseline(
@@ -226,18 +212,16 @@ def cmd_baseline(
     return path
 
 
-def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
+def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> None:
     """All stages in order; writes a run summary reconstructible from stage files."""
-    run = PipelineRun(config=config)
+    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     dataset_path = cmd_generate(config, out_dir)
-    run.dataset_path = str(dataset_path)
-    run.timings["generate"] = time.perf_counter() - t0
+    timings["generate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     partition_path, _, status = cmd_synth(config, out_dir)
-    run.partition_path = str(partition_path)
-    run.timings["synthesize"] = time.perf_counter() - t0
+    timings["synthesize"] = time.perf_counter() - t0
     if status != STATUS_OK:
         raise ToleranceUnmetError(
             f"synthesis stopped at status {status!r}; partition written to {partition_path}"
@@ -245,16 +229,14 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
 
     t0 = time.perf_counter()
     particles_path, posterior_path = cmd_infer(config, dataset_path, out_dir)
-    run.particles_path = str(particles_path)
-    run.timings["infer"] = time.perf_counter() - t0
+    timings["infer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     verdict_path = cmd_verify(
         partition_path, particles_path, out_dir, config.seed,
         n_samples=config.slice_samples, scale=config.slice_scale,
     )
-    run.verdict_path = str(verdict_path)
-    run.timings["verdict"] = time.perf_counter() - t0
+    timings["verdict"] = time.perf_counter() - t0
 
     posterior_doc = read_json(posterior_path, "posterior")
     verdict_doc = read_json(verdict_path, "verdict")
@@ -268,15 +250,15 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
         # stage files are recorded relative to the run directory so reruns
         # into any directory are byte-identical and the directory can move
         "stages": {
-            "dataset": Path(run.dataset_path).name,
-            "partition": Path(run.partition_path).name,
-            "particles": Path(run.particles_path).name,
-            "verdict": Path(run.verdict_path).name,
+            "dataset": dataset_path.name,
+            "partition": partition_path.name,
+            "particles": particles_path.name,
+            "verdict": verdict_path.name,
         },
     }
     write_json(out_dir / "run.json", summary)
 
-    total = sum(run.timings.values())
+    total = sum(timings.values())
     mu = ", ".join(f"{k}={v:.4g}" for k, v in posterior_doc["mu"].items())
     sd = ", ".join(f"{k}={v:.3g}" for k, v in posterior_doc["sigma"].items())
     print(f"scenario:    {summary['scenario']}")
@@ -284,8 +266,7 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> PipelineRun:
     print(f"mean:        {mu}")
     print(f"std dev:     {sd}")
     print(f"probability: {verdict_doc['C']:.4f}")
-    print(f"time:        {total:.1f} s " + " ".join(f"({k} {v:.1f}s)" for k, v in run.timings.items()))
-    return run
+    print(f"time:        {total:.1f} s " + " ".join(f"({k} {v:.1f}s)" for k, v in timings.items()))
 
 
 # ---------------------------------------------------------------------------

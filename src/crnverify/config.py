@@ -5,6 +5,7 @@ mandatory; every stage derives its substreams from it, so a config fully
 determines every output byte.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,8 +57,31 @@ class ExperimentConfig:
         ):
             if int(value) < 1:
                 raise ConfigError(f"{name} must be a positive count, got {value}")
+        reals = [
+            ("noise_sigma", self.noise_sigma),
+            ("slice_scale", self.slice_scale),
+            ("synth_volume_tolerance", self.synth_volume_tolerance),
+            ("synth_margin", self.synth_margin),
+            ("synth_transient_tol", self.synth_transient_tol),
+            *((f"true_point[{k!r}]", v) for k, v in self.true_point.items()),
+            *((f"param_bounds[{k!r}]", v) for k, pair in self.param_bounds.items() for v in pair),
+            *(("observation_times", v) for v in self.observation_times or ()),
+        ]
+        if self.observation_end is not None:
+            reals.append(("observation_end", self.observation_end))
+        for name, value in reals:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
+        if self.synth_margin < 0:
+            raise ConfigError("synth_margin must be nonnegative")
+        if not 0 < self.synth_transient_tol < 1:
+            raise ConfigError("synth_transient_tol must lie strictly between 0 and 1")
+        if self.observation_end is not None and self.observation_end <= 0:
+            raise ConfigError("observation_end must be positive")
+        if any(v < 0 for v in self.true_point.values()):
+            raise ConfigError(f"true_point rates must be nonnegative, got {self.true_point}")
         if self.slice_scale <= 0:
             raise ConfigError("slice_scale must be positive")
         if not 0 < self.synth_volume_tolerance < 1:

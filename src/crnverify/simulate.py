@@ -135,16 +135,8 @@ def simulate(pcrn: PCRN, point: ParamPoint, t_end: float, rng: np.random.Generat
     )
 
 
-def state_at(traj: Trajectory, t: float) -> np.ndarray:
-    """State occupied at time t (post-jump state at jump instants)."""
-    if t < 0 or t > traj.horizon:
-        raise ValueError(f"time {t} outside trajectory horizon [0, {traj.horizon}]")
-    i = int(np.searchsorted(traj.times, t, side="right")) - 1
-    return traj.states[i]
-
-
 def states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Vectorized ``state_at`` over many query times."""
+    """States occupied at many query times (post-jump state at jump instants)."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(times > traj.horizon):
         raise ValueError("observation times outside trajectory horizon")

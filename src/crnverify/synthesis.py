@@ -259,17 +259,6 @@ def synthesize(
     )
 
 
-def _box_arrays(partition: RegionPartition):
-    arrays = getattr(partition, "_box_arrays_cache", None)
-    if arrays is None or arrays[3] is not partition.boxes:
-        los = np.array([box.lo for box, _ in partition.boxes])
-        his = np.array([box.hi for box, _ in partition.boxes])
-        labels = [label for _, label in partition.boxes]
-        arrays = (los, his, labels, partition.boxes)
-        partition._box_arrays_cache = arrays
-    return arrays[:3]
-
-
 def classify_point(partition: RegionPartition, point: ParamPoint) -> str:
     """Label of the box containing the point (see ``classify_points``)."""
     label = classify_points(partition, point.array(partition.param_names)[None, :])[0]
@@ -286,7 +275,9 @@ def classify_points(partition: RegionPartition, values: np.ndarray) -> list[str 
     is lexicographically smallest, so classification is deterministic.
     ``values`` columns follow ``partition.param_names``.
     """
-    los, his, labels = _box_arrays(partition)
+    los = np.array([box.lo for box, _ in partition.boxes])
+    his = np.array([box.hi for box, _ in partition.boxes])
+    labels = [label for _, label in partition.boxes]
     lo = np.array(partition.theta.lo)
     hi = np.array(partition.theta.hi)
     inside = np.all((lo <= values) & (values <= hi), axis=1)

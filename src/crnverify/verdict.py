@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .abcsmc import Particle
 from .csl import CslFormula
 from .errors import ConfigError
 from .files import write_json
@@ -60,34 +59,26 @@ class VerdictReport:
     wall_time: float = 0.0
 
 
-def weighted_mean_variance(pooled) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Population-weighted mean and per-dimension variance of particles."""
-    particles = [p if isinstance(p, Particle) else p[1] for p in pooled]
-    if len(particles) < 2:
+def fit_posterior(names: tuple[str, ...], points: np.ndarray, weights: np.ndarray) -> Posterior:
+    """Independent Gaussian fitted to weighted particles: the weighted mean
+    and per-dimension population variance of ``points`` (one row per
+    particle, columns in ``names`` order), as ``pool_batches`` returns them.
+
+    A dimension with zero weighted variance means the particle cloud is
+    degenerate (all mass on one value) and is rejected: the posterior
+    could not be sampled from.
+    """
+    if len(points) < 2:
         raise ConfigError("need at least two particles to fit a posterior")
-    names = particles[0].point.names
-    points = np.array([p.point.array(names) for p in particles])
-    weights = np.array([p.weight for p in particles], dtype=float)
     total = weights.sum()
     if total <= 0:
         raise ConfigError("particle weights sum to zero")
     weights = weights / total
     mean = weights @ points
     variance = weights @ (points - mean) ** 2
-    return names, mean, variance
-
-
-def fit_posterior(pooled: list[tuple[int, Particle]] | list[Particle]) -> Posterior:
-    """Independent Gaussian fitted to pooled particles.
-
-    A dimension with zero weighted variance means the particle cloud is
-    degenerate (all mass on one value) and is rejected: the posterior
-    could not be sampled from.
-    """
-    names, mean, variance = weighted_mean_variance(pooled)
     if np.any(variance <= 0):
         raise ConfigError("degenerate posterior: zero variance in some dimension")
-    return Posterior(names=names, mean=mean, variance=variance)
+    return Posterior(names=tuple(names), mean=mean, variance=variance)
 
 
 def slice_sample(

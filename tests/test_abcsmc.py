@@ -8,12 +8,12 @@ from crnverify import (
     AbcConfig,
     ConfigError,
     ParamPoint,
-    Particle,
     ParticleSet,
     Prior,
     abcseq,
     adaptive_threshold,
     discrepancy,
+    fit_posterior,
     observe,
     parse_crn,
     perturb,
@@ -71,6 +71,34 @@ class TestPerturb:
         d_ba = _kernel_mixture_density(b, a, np.array([1.0]), cov)[0]
         assert d_ab == pytest.approx(d_ba, rel=1e-12)
 
+    def test_kernel_mixture_matches_per_pair_densities(self):
+        # 600 new points span three blocks of the mixture evaluation
+        from crnverify.abcsmc import _kernel_mixture_density
+
+        rng = stream(3, 0)
+        new, old = rng.normal(size=(600, 2)), rng.normal(size=(40, 2))
+        weights = rng.random(40)
+        cov = np.array([[0.5, 0.1], [0.1, 0.3]])
+        expected = sum(w * stats.multivariate_normal(o, cov).pdf(new) for o, w in zip(old, weights))
+        assert np.allclose(_kernel_mixture_density(new, old, weights, cov), expected, rtol=1e-12, atol=0)
+
+    def test_kernel_mixture_memory_is_linear_in_particles(self):
+        # an (m, m, k) difference array alone would take 64 MB at m = 2000
+        import tracemalloc
+
+        from crnverify.abcsmc import _kernel_mixture_density
+
+        rng = stream(4, 0)
+        pts = rng.normal(size=(2000, 2))
+        weights = np.full(2000, 1 / 2000)
+        tracemalloc.start()
+        try:
+            _kernel_mixture_density(pts, pts, weights, np.eye(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_perturbation_spread_matches_covariance(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         chol = np.linalg.cholesky(kernel_covariance(pts, np.full(4, 0.25)))
@@ -84,15 +112,15 @@ class TestAbcseq:
     def test_single_round_is_prior_sampling_with_uniform_weights(self, decay_data):
         res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=50, rounds=1, seed=5))
         assert res.round == 0
-        assert np.allclose(res.weights(), 1.0 / 50)
+        assert np.allclose(res.weights, 1.0 / 50)
         assert res.threshold == float("inf")
-        pts = res.points_array(("k",))
+        pts = res.points
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_posterior_mean_within_band_and_near_rejection_oracle(self, decay_data):
         res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=500, rounds=6, seed=42))
-        w = res.weights()
-        pts = res.points_array(("k",))[:, 0]
+        w = res.weights
+        pts = res.points[:, 0]
         mean = float(w @ pts)
         assert 0.5 <= mean <= 2.0
         # independent oracle: plain rejection ABC at the final adaptive threshold
@@ -113,7 +141,7 @@ class TestAbcseq:
     def test_weights_normalized_every_round(self, decay_data):
         for rounds in (1, 3, 6):
             res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=100, rounds=rounds, seed=9))
-            w = res.weights()
+            w = res.weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0)
 
@@ -124,13 +152,12 @@ class TestAbcseq:
 
     def test_all_particles_inside_parameter_space(self, decay_data):
         res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=200, rounds=5, seed=23))
-        pts = res.points_array(("k",))
+        pts = res.points
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_distances_within_final_threshold(self, decay_data):
         res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=100, rounds=4, seed=31))
-        distances = np.array([p.distance for p in res.particles])
-        assert np.all(distances <= res.threshold)
+        assert np.all(res.distances <= res.threshold)
 
     def test_abort_returns_previous_round_flagged(self, decay_data):
         # max_attempts=1 cannot satisfy round 1's median threshold
@@ -149,8 +176,8 @@ class TestAbcseq:
             DECAY, Prior(DECAY.params), decay_data,
             AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")),
         )
-        w = res.weights()
-        pts = res.points_array(("k",))[:, 0]
+        w = res.weights
+        pts = res.points[:, 0]
         rng = stream(1, 99)
         resampled = pts[rng.choice(len(pts), size=400, p=w)]
         prior_draws = 0.1 + 9.9 * rng.random(400)
@@ -166,10 +193,7 @@ class TestAbcseq:
                 abcseq(DECAY, Prior(DECAY.params), data, AbcConfig(particles=500, rounds=6, seed=11, batch=b))
                 for b in range(2)
             ]
-            w = np.concatenate([s.weights() / 2 for s in sets])
-            pts = np.concatenate([s.points_array(("k",))[:, 0] for s in sets])
-            mean = w @ pts
-            return float(np.sqrt(w @ (pts - mean) ** 2))
+            return float(fit_posterior(*pool_batches(sets)).std()[0])
 
         assert pooled_std(20) < pooled_std(5)
 
@@ -177,7 +201,9 @@ class TestAbcseq:
         cfg = AbcConfig(particles=60, rounds=3, seed=77)
         a = abcseq(DECAY, Prior(DECAY.params), decay_data, cfg)
         b = abcseq(DECAY, Prior(DECAY.params), decay_data, cfg)
-        assert a.particles == b.particles
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.distances, b.distances)
         assert a.thresholds == b.thresholds
 
     def test_config_validation(self, decay_data):
@@ -188,38 +214,41 @@ class TestAbcseq:
 
 
 class TestPooling:
-    def _batch(self, values, weights):
-        particles = [
-            Particle(ParamPoint(("k",), (v,)), w, 0.1) for v, w in zip(values, weights)
-        ]
-        return ParticleSet(particles=particles, round=2, threshold=1.0, attempts=9)
+    def _batch(self, values, weights, names=("k",)):
+        return ParticleSet(
+            names=names,
+            points=np.array(values, dtype=float)[:, None],
+            weights=np.array(weights, dtype=float),
+            distances=np.full(len(values), 0.1),
+            round=2,
+            attempts=9,
+            thresholds=(float("inf"), 1.0),
+        )
 
     def test_single_batch_identity(self):
         b = self._batch([1.0, 2.0], [0.5, 0.5])
-        pooled = pool_batches([b], DECAY.params)
-        assert [p.weight for _, p in pooled] == [0.5, 0.5]
+        names, points, weights = pool_batches([b])
+        assert names == ("k",)
+        assert weights.tolist() == [0.5, 0.5]
+        assert points[:, 0].tolist() == [1.0, 2.0]
 
     def test_two_identical_batches_same_mean(self):
         b = self._batch([1.0, 3.0], [0.5, 0.5])
-        pooled = pool_batches([b, b], DECAY.params)
-        weights = np.array([p.weight for _, p in pooled])
-        values = np.array([p.point["k"] for _, p in pooled])
+        _, points, weights = pool_batches([b, b])
         assert weights.sum() == pytest.approx(1.0)
-        assert weights @ values == pytest.approx(2.0)
+        assert weights @ points[:, 0] == pytest.approx(2.0)
 
     def test_disjoint_batches_average_of_means(self):
         b1 = self._batch([1.0, 2.0], [0.5, 0.5])  # mean 1.5
         b2 = self._batch([5.0, 7.0], [0.5, 0.5])  # mean 6.0
-        pooled = pool_batches([b1, b2], DECAY.params)
-        weights = np.array([p.weight for _, p in pooled])
-        values = np.array([p.point["k"] for _, p in pooled])
-        assert weights @ values == pytest.approx((1.5 + 6.0) / 2)
+        _, points, weights = pool_batches([b1, b2])
+        assert weights @ points[:, 0] == pytest.approx((1.5 + 6.0) / 2)
 
     def test_mismatched_spaces_rejected(self):
         b = self._batch([1.0, 2.0], [0.5, 0.5])
-        other = parse_crn("format=1; species A B; param q in [0, 1]; reaction r: A -> B @ q; init A=1;")
+        other = self._batch([0.2, 0.4], [0.5, 0.5], names=("q",))
         with pytest.raises(ConfigError):
-            pool_batches([b], other.params)
+            pool_batches([b, other])
 
 
 class TestParticleFiles:
@@ -237,8 +266,7 @@ class TestParticleFiles:
         for orig, back in zip(sets, loaded):
             assert back.round == orig.round
             assert back.thresholds == pytest.approx(orig.thresholds)
-            assert len(back.particles) == len(orig.particles)
-            for p, q in zip(orig.particles, back.particles):
-                assert p.point == q.point
-                assert p.weight == q.weight
-                assert p.distance == q.distance
+            assert back.names == orig.names
+            assert np.array_equal(back.points, orig.points)
+            assert np.array_equal(back.weights, orig.weights)
+            assert np.array_equal(back.distances, orig.distances)

@@ -235,7 +235,7 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
 
         # ABC weight normalization and strictly decreasing thresholds
         res = abcseq(decay, Prior(decay.params), data, AbcConfig(particles=200, rounds=5, seed=8))
-        assert abs(res.weights().sum() - 1.0) <= 1e-12
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
 
@@ -243,8 +243,8 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
         res = abcseq(decay, Prior(decay.params), data,
                      AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")))
         rng = stream(1, 99)
-        pts = res.points_array(("k",))[:, 0]
-        resampled = pts[rng.choice(len(pts), size=400, p=res.weights())]
+        pts = res.points[:, 0]
+        resampled = pts[rng.choice(len(pts), size=400, p=res.weights)]
         ks = stats.ks_2samp(resampled, 0.1 + 9.9 * rng.random(400))
         assert ks.pvalue > 0.01
 

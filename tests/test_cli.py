@@ -59,6 +59,13 @@ class TestStages:
         values = [float(v) for row in rows for v in row.split(",")[1:]]
         assert any(v != int(v) for v in values)
 
+    def test_generate_rejects_nan_noise(self, workspace):
+        doc = json.loads((workspace / "smoke.json").read_text())
+        doc["noise_sigma"] = float("nan")
+        (workspace / "nan.json").write_text(json.dumps(doc))
+        assert run("generate", "--config", "nan.json", "--out-dir", "out") == 2
+        assert not (workspace / "out" / "dataset.csv").exists()
+
     def test_synth_then_verify_chain(self, workspace):
         assert run("synth", "--config", "smoke.json", "--out-dir", "out") == 0
         assert (workspace / "out" / "partition.json").exists()

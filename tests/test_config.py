@@ -97,3 +97,31 @@ def test_scenario_name_derived(tmp_path):
     assert cfg.scenario_name() == "10 obs with noise"
     cfg = load_config(write(tmp_path, {**BASE, "scenario": "custom"}))
     assert cfg.scenario_name() == "custom"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise_sigma", NAN),
+        ("noise_sigma", INF),
+        ("true_point", {"ki": NAN, "kr": 0.05}),
+        ("true_point", {"ki": 0.002, "kr": -0.05}),
+        ("slice_scale", INF),
+        ("synth_transient_tol", 0.0),
+        ("synth_transient_tol", -1e-8),
+        ("synth_transient_tol", 1.0),
+        ("synth_margin", -0.5),
+        ("synth_margin", NAN),
+        ("observation_end", INF),
+        ("observation_end", 0.0),
+        ("observation_times", [1.0, NAN]),
+        ("param_bounds", {"ki": [5e-5, INF]}),
+    ],
+)
+def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):
+    # json writes NaN and Infinity literals, which the loader accepts
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, {**BASE, key: value}))

@@ -14,7 +14,7 @@ from crnverify import (
     parse_crn,
     save_dataset,
     simulate,
-    state_at,
+    states_at,
 )
 from crnverify.rng import stream
 
@@ -58,7 +58,7 @@ class TestSimulate:
         traj = simulate(net, ParamPoint(("k",), (0.5,)), 10.0, stream(1, 2))
         assert len(traj.times) == 1
         assert traj.horizon == 10.0
-        assert tuple(state_at(traj, 10.0)) == (3,)
+        assert tuple(states_at(traj, [10.0])[0]) == (3,)
 
     def test_sir_case_study_satisfaction_rate_exceeds_bound(self):
         from crnverify import check_until, parse_csl
@@ -105,19 +105,19 @@ class TestStateAt:
         )
 
     def test_time_zero_is_initial_state(self, hand_path):
-        assert tuple(state_at(hand_path, 0.0)) == (5, 0)
+        assert tuple(states_at(hand_path, [0.0])[0]) == (5, 0)
 
     def test_jump_instant_is_post_jump(self, hand_path):
-        assert tuple(state_at(hand_path, 1.5)) == (4, 1)
+        assert tuple(states_at(hand_path, [1.5])[0]) == (4, 1)
 
     def test_between_jumps_is_pre_jump(self, hand_path):
-        assert tuple(state_at(hand_path, 3.9)) == (4, 1)
+        assert tuple(states_at(hand_path, [3.9])[0]) == (4, 1)
 
     def test_outside_horizon_raises(self, hand_path):
         with pytest.raises(ValueError):
-            state_at(hand_path, 10.1)
+            states_at(hand_path, [10.1])
         with pytest.raises(ValueError):
-            state_at(hand_path, -0.1)
+            states_at(hand_path, [-0.1])
 
 
 class TestObserve:
@@ -126,14 +126,14 @@ class TestObserve:
         times = np.linspace(7.5, 150.0, 20)
         data = observe(traj, times, 0.0, stream(11, 1), species=SIR.species_names())
         for t, row in zip(data.times, data.observations):
-            assert np.array_equal(row, state_at(traj, t).astype(float))
+            assert np.array_equal(row, states_at(traj, [t])[0].astype(float))
 
     def test_noise_standard_deviation(self):
         # 10000 repeated observations of a single fixed time point
         traj = simulate(SIR, THETA_PHI, 150.0, stream(12, 0))
         rng = stream(12, 1)
         diffs = []
-        x = state_at(traj, 50.0).astype(float)
+        x = states_at(traj, [50.0])[0].astype(float)
         for _ in range(10000):
             data = observe(traj, [50.0], 2.0, rng, species=SIR.species_names())
             diffs.extend((data.observations[0] - x).tolist())

@@ -7,7 +7,6 @@ from crnverify import (
     Box,
     ConfigError,
     ParamPoint,
-    Particle,
     Posterior,
     bayes_smc,
     check_threshold,
@@ -22,43 +21,32 @@ from crnverify.rng import stream
 from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL, RegionPartition
 
 
-def particle(values, weight):
-    names = tuple(f"p{i}" for i in range(len(values)))
-    return Particle(ParamPoint(names, tuple(values)), weight, 0.0)
+def fit(values, weights):
+    """Fit to 1-d particles at ``values`` with ``weights``."""
+    return fit_posterior(("p0",), np.array(values, dtype=float)[:, None], np.array(weights, dtype=float))
 
 
 class TestFitPosterior:
     def test_two_equal_weight_particles_population_variance(self):
-        post = fit_posterior([particle((0.0,), 0.5), particle((2.0,), 0.5)])
+        post = fit([0.0, 2.0], [0.5, 0.5])
         assert post.mean[0] == pytest.approx(1.0)
         assert post.variance[0] == pytest.approx(1.0)
 
     def test_identical_particles_degenerate(self):
         with pytest.raises(ConfigError, match="degenerate"):
-            fit_posterior([particle((1.0,), 0.5), particle((1.0,), 0.5)])
+            fit([1.0, 1.0], [0.5, 0.5])
 
     def test_degenerate_weights_yield_that_mean_then_reject(self):
-        # all mass on one particle: the weighted mean is that particle, and
-        # the zero-variance fit is refused
-        from crnverify.verdict import weighted_mean_variance
-
-        pooled = [particle((3.0,), 1.0), particle((9.0,), 0.0)]
-        _, mean, variance = weighted_mean_variance(pooled)
-        assert mean[0] == pytest.approx(3.0)
-        assert variance[0] == 0.0
+        # (almost) all mass on one particle: the weighted mean is that
+        # particle, and the zero-variance fit of all mass is refused
+        assert fit([3.0, 9.0], [1.0, 1e-300]).mean[0] == 3.0
         with pytest.raises(ConfigError, match="degenerate"):
-            fit_posterior(pooled)
-
-    def test_accepts_batch_tagged_pairs(self):
-        pooled = [(0, particle((0.0,), 0.5)), (1, particle((2.0,), 0.5))]
-        post = fit_posterior(pooled)
-        assert post.mean[0] == pytest.approx(1.0)
+            fit([3.0, 9.0], [1.0, 0.0])
 
     def test_covariance_is_diagonal_by_construction(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(50, 2))
-        particles = [particle(tuple(p), 1 / 50) for p in pts]
-        post = fit_posterior(particles)
+        post = fit_posterior(("p0", "p1"), pts, np.full(50, 1 / 50))
         assert post.variance.shape == (2,)
 
 
