@@ -6,7 +6,7 @@ Markov chain, and samples a few trajectories.
 
 import numpy as np
 
-from crnverify import ParamPoint, enumerate_states, load_crn, propensity, rate_matrix_row, simulate
+from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate
 from crnverify.rng import stream
 
 pcrn = load_crn("models/sir.crn")
@@ -14,8 +14,9 @@ print("species:", pcrn.species_names())
 print("parameters:", [f"{n} in [{lo}, {hi}]" for n, lo, hi in pcrn.params.dims])
 print("initial state:", pcrn.initial_state)
 
-# the case-study ground-truth rates: infection 0.002, recovery 0.05
-theta = ParamPoint(("ki", "kr"), (0.002, 0.05))
+# the case-study ground-truth rates, in the order the model declares them
+# (pcrn.params.names): infection ki = 0.002, recovery kr = 0.05
+theta = (0.002, 0.05)
 
 # every state is a molecule-count vector; the conserved total keeps the
 # reachable set finite

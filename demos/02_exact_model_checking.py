@@ -7,7 +7,7 @@ window [100, 150] with probability above 0.1.
 
 import numpy as np
 
-from crnverify import ParamPoint, check_threshold, estimate_lambda, load_crn, parse_csl
+from crnverify import check_threshold, estimate_lambda, load_crn, parse_csl
 from crnverify.transient import UniformizedChain, evaluator_for, transient
 from crnverify.rng import stream
 
@@ -20,14 +20,15 @@ pcrn = load_crn("models/sir.crn")
 prop = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
 evaluator = evaluator_for(pcrn, prop)
 
-theta_sat = ParamPoint(("ki", "kr"), (0.002, 0.05))
-theta_viol = ParamPoint(("ki", "kr"), (0.002, 0.18))
+# points are rates in pcrn.params.names order: (ki, kr)
+theta_sat = (0.002, 0.05)
+theta_viol = (0.002, 0.18)
 
 for name, theta in [("satisfying", theta_sat), ("violating", theta_viol)]:
     exact = evaluator.probability(theta)
     est = estimate_lambda(pcrn, theta, prop, 1000, stream(7, 0))
     decided = check_threshold(pcrn, theta, prop)
     print(
-        f"{name:10s} rates {theta.as_dict()}: exact {exact:.4f}, "
+        f"{name:10s} rates {dict(zip(pcrn.params.names, theta))}: exact {exact:.4f}, "
         f"simulated {est.mean:.3f} +- {est.ci_halfwidth:.3f}, property holds: {decided}"
     )

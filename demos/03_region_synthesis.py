@@ -9,7 +9,7 @@ this demo uses the small network; run the CLI for the full study:
     crnverify synth --config configs/sir_phi_20obs_noiseless.json --out-dir out
 """
 
-from crnverify import ParamPoint, classify_point, feasible_volume_fraction, load_crn, parse_csl, synthesize
+from crnverify import classify_point, feasible_volume_fraction, load_crn, parse_csl, synthesize
 from crnverify.synthesis import save_heatmap_grid
 
 pcrn = load_crn("models/decay.crn")
@@ -24,7 +24,7 @@ print(f"feasible volume fraction: {feasible_volume_fraction(partition):.4f}")
 
 # the conversion-time band sits around k ~ ln(2)/1.0
 for k in (0.2, 0.9, 3.0):
-    print(f"k = {k}: {classify_point(partition, ParamPoint(('k',), (k,)))}")
+    print(f"k = {k}: {classify_point(partition, (k,))}")
 
 save_heatmap_grid(partition, "decay_heatmap.csv", resolution=200)
 print("wrote decay_heatmap.csv (k,label rows, ready for external plotting)")

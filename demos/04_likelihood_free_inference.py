@@ -7,12 +7,12 @@ over rounds to the median of the previous round's accepted distances.
 
 import numpy as np
 
-from crnverify import AbcConfig, ParamPoint, Prior, abcseq, load_crn, observe, simulate
+from crnverify import AbcConfig, abcseq, load_crn, observe, simulate
 from crnverify.rng import stream
 from crnverify.verdict import fit_posterior
 
 pcrn = load_crn("models/decay.crn")
-true_rate = ParamPoint(("k",), (1.0,))
+true_rate = (1.0,)  # one rate per parameter, in pcrn.params.names order
 
 # early observation times matter: past t ~ 1 every fast rate looks alike
 trajectory = simulate(pcrn, true_rate, 10.0, stream(42, 0))
@@ -20,7 +20,7 @@ data = observe(trajectory, np.linspace(0.5, 10.0, 10), 2.0, stream(42, 1), speci
 print("observed A counts:", np.round(data.observations[:, 0], 1))
 
 batches = [
-    abcseq(pcrn, Prior(pcrn.params), data, AbcConfig(particles=400, rounds=6, seed=42, batch=b))
+    abcseq(pcrn, data, AbcConfig(particles=400, rounds=6, seed=42, batch=b))
     for b in range(3)
 ]
 print("\nannealed thresholds per batch:")

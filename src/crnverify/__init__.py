@@ -10,7 +10,6 @@ system satisfies the property.
 from .abcsmc import (
     AbcConfig,
     ParticleSet,
-    Prior,
     abcseq,
     adaptive_threshold,
     perturb,
@@ -29,7 +28,6 @@ from .errors import (
 from .model import (
     PCRN,
     ParameterSpace,
-    ParamPoint,
     Reaction,
     Species,
     StateSpace,

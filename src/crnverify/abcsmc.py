@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
-from .model import PCRN, ParamPoint, ParameterSpace
+from .model import PCRN, ParameterSpace
 from .simulate import Dataset, discrepancy, simulate
 
 STATUS_OK = "ok"
@@ -55,22 +55,6 @@ class ParticleSet:
     def threshold(self) -> float:
         """The threshold this round accepted against (infinity for prior draws)."""
         return self.thresholds[-1] if self.thresholds else float("inf")
-
-
-@dataclass(frozen=True)
-class Prior:
-    """Uniform prior over the parameter hyperrectangle."""
-
-    space: ParameterSpace
-
-    def sample(self, rng: np.random.Generator) -> ParamPoint:
-        lo = self.space.lower
-        hi = self.space.upper
-        values = lo + (hi - lo) * rng.random(len(lo))
-        return ParamPoint(self.space.names, tuple(values))
-
-    def contains(self, values: np.ndarray) -> bool:
-        return bool(np.all((self.space.lower <= values) & (values <= self.space.upper)))
 
 
 @dataclass
@@ -123,22 +107,25 @@ def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_
     return out
 
 
-def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> ParticleSet:
+def abcseq(pcrn: PCRN, data: Dataset, config: AbcConfig) -> ParticleSet:
     """Run the sequential ABC sampler and return the final particle set.
 
-    ``config.rounds`` counts particle populations including the initial
-    prior-sampled one, so rounds=1 degenerates to prior sampling with
-    uniform weights.  If any slot exhausts ``max_attempts`` the round is
-    abandoned and the previous round's set is returned with an "aborted"
-    status; if the threshold stalls for two consecutive rounds the current
-    set is returned flagged "converged-early".
+    The prior is uniform over ``pcrn.params``, and particles are rows in
+    its ``names`` order.  ``config.rounds`` counts particle populations
+    including the initial prior-sampled one, so rounds=1 degenerates to
+    prior sampling with uniform weights.  If any slot exhausts
+    ``max_attempts`` the round is abandoned and the previous round's set is
+    returned with an "aborted" status; if the threshold stalls for two
+    consecutive rounds the current set is returned flagged
+    "converged-early".
     """
     m = config.particles
     if m < 2:
         raise ConfigError("need at least 2 particles")
     if config.rounds < 1:
         raise ConfigError("need at least 1 round")
-    order = prior.space.names
+    space = pcrn.params
+    order, lo, hi = space.names, space.lower, space.upper
     t_end = float(data.times[-1])
     seed, batch = config.seed, config.batch
 
@@ -148,10 +135,8 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
     attempts_total = 0
     for i in range(m):
         stream = rngmod.stream(seed, batch, 0, i)
-        theta = prior.sample(stream)
-        traj = simulate(pcrn, theta, t_end, stream)
-        points[i] = theta.array(order)
-        distances[i] = discrepancy(data, traj)
+        points[i] = lo + (hi - lo) * stream.random(len(lo))
+        distances[i] = discrepancy(data, simulate(pcrn, points[i], t_end, stream))
         attempts_total += 1
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
@@ -185,11 +170,9 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
                 attempts_total += 1
                 ancestor = points[np.searchsorted(cum_weights, stream.random())]
                 proposal = perturb(ancestor, chol, stream)
-                if not prior.contains(proposal):
+                if not np.all((lo <= proposal) & (proposal <= hi)):
                     continue
-                theta = ParamPoint(order, tuple(proposal))
-                traj = simulate(pcrn, theta, t_end, stream)
-                rho = discrepancy(data, traj)
+                rho = discrepancy(data, simulate(pcrn, proposal, t_end, stream))
                 if rho <= eps:
                     new_points[i] = proposal
                     new_distances[i] = rho
@@ -199,10 +182,10 @@ def abcseq(pcrn: PCRN, prior: Prior, data: Dataset, config: AbcConfig) -> Partic
                 current.status = STATUS_ABORTED
                 return current
 
-        # every accepted proposal passed prior.contains, so the uniform
-        # prior density is the same constant for all of them
+        # every accepted proposal lies inside the box, so the uniform prior
+        # density is the same constant for all of them
         mixture = _kernel_mixture_density(new_points, points, weights, cov)
-        new_weights = (1.0 / prior.space.volume()) / mixture
+        new_weights = (1.0 / space.volume()) / mixture
         new_weights /= new_weights.sum()
         points, weights, distances = new_points, new_weights, new_distances
         current = ParticleSet(order, points, weights, distances, r, attempts_total, thresholds=tuple(thresholds))

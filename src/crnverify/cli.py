@@ -17,13 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import rng as rngmod
-from .abcsmc import AbcConfig, ParticleSet, Prior, abcseq, load_particles, pool_batches, save_particles
+from .abcsmc import AbcConfig, ParticleSet, abcseq, load_particles, pool_batches, save_particles
 from .config import ExperimentConfig, load_config
 from .crn_text import load_crn
 from .csl import parse_csl
 from .errors import ConfigError, CrnVerifyError, ParseError, ToleranceUnmetError
 from .files import read_json, write_json
-from .model import PCRN, ParamPoint
+from .model import PCRN
 from .simulate import observe, save_dataset, simulate, load_dataset
 from .synthesis import (
     STATUS_OK,
@@ -58,7 +58,7 @@ def _model_with_bounds(config: ExperimentConfig) -> PCRN:
     return pcrn
 
 
-def _true_point(config: ExperimentConfig, pcrn: PCRN) -> ParamPoint:
+def _true_point(config: ExperimentConfig, pcrn: PCRN) -> list[float]:
     if not config.true_point:
         raise ConfigError("config needs a true_point to generate data")
     unknown = set(config.true_point) - set(pcrn.params.names)
@@ -67,7 +67,7 @@ def _true_point(config: ExperimentConfig, pcrn: PCRN) -> ParamPoint:
     missing = set(pcrn.params.names) - set(config.true_point)
     if missing:
         raise ConfigError(f"true_point missing parameters {sorted(missing)}")
-    return ParamPoint(pcrn.params.names, tuple(config.true_point[n] for n in pcrn.params.names))
+    return [config.true_point[n] for n in pcrn.params.names]
 
 
 def cmd_generate(config: ExperimentConfig, out_dir: Path) -> Path:
@@ -107,8 +107,8 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
 
 
 def _run_batch(args) -> ParticleSet:
-    pcrn, prior, data, abc_config = args
-    return abcseq(pcrn, prior, data, abc_config)
+    pcrn, data, abc_config = args
+    return abcseq(pcrn, data, abc_config)
 
 
 def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tuple[Path, Path]:
@@ -119,9 +119,8 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
         raise ConfigError(
             f"dataset species {data.species} do not match model species {pcrn.species_names()}"
         )
-    prior = Prior(pcrn.params)
     jobs = [
-        (pcrn, prior, data, AbcConfig(
+        (pcrn, data, AbcConfig(
             particles=config.abc_particles,
             rounds=config.abc_rounds,
             max_attempts=config.abc_max_attempts,
@@ -205,7 +204,7 @@ def cmd_baseline(
         "majority_verdict": majority_verdict(results),
         "satisfied_fraction": sum(v for _, _, v in results) / len(results),
         "points": [
-            {"point": point.as_dict(), "estimate": estimate, "verdict": verdict}
+            {"point": dict(zip(pcrn.params.names, point.tolist())), "estimate": estimate, "verdict": verdict}
             for point, estimate, verdict in results
         ],
     })

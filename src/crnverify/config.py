@@ -35,7 +35,6 @@ class ExperimentConfig:
     synth_volume_tolerance: float = 0.1
     synth_margin: float = 0.02
     synth_max_depth: int = 12
-    synth_backend: str = "uniformization"
     synth_transient_tol: float = 1e-8
     grid_resolution: int = 100
     slice_samples: int = 10000
@@ -44,6 +43,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("a seed is mandatory (reproducibility)")
+        # type(...) is int, not isinstance: JSON true/false arrive as bool,
+        # a subclass of int
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, value in (
             ("observation_count", self.observation_count),
             ("abc_particles", self.abc_particles),
@@ -55,8 +58,12 @@ class ExperimentConfig:
             ("synth_max_depth", self.synth_max_depth),
             ("workers", self.workers),
         ):
-            if int(value) < 1:
-                raise ConfigError(f"{name} must be a positive count, got {value}")
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be a positive integer count, got {value!r}")
+        for k, pair in self.param_bounds.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and {type(v) for v in pair} <= {int, float}):
+                raise ConfigError(f"param_bounds[{k!r}] must be a [lower, upper] pair of numbers, got {pair!r}")
+        self.param_bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in self.param_bounds.items()}
         reals = [
             ("noise_sigma", self.noise_sigma),
             ("slice_scale", self.slice_scale),
@@ -86,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError("slice_scale must be positive")
         if not 0 < self.synth_volume_tolerance < 1:
             raise ConfigError("synth_volume_tolerance must lie strictly between 0 and 1")
-        if self.synth_backend != "uniformization":
-            raise ConfigError(f"unknown synthesis backend {self.synth_backend!r}")
         if self.observation_times is not None:
             times = list(map(float, self.observation_times))
             if not times or any(b <= a for a, b in zip(times, times[1:])):
@@ -123,10 +128,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     for key in ("model", "property", "seed"):
         if key not in merged:
             raise ConfigError(f"config {path}: missing required key {key!r}")
-    if "param_bounds" in merged:
-        merged["param_bounds"] = {
-            k: (float(v[0]), float(v[1])) for k, v in merged["param_bounds"].items()
-        }
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

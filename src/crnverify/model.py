@@ -5,7 +5,8 @@ are free parameters confined to a hyperrectangle, and an initial molecule
 count vector.  States of the induced continuous-time Markov chain are
 molecule-count vectors; reaction j fires in state x at propensity
 ``theta_j * g_j(x)`` where ``g_j`` counts distinct reactant combinations
-(product of falling factorials).  One kernel computes ``g_j`` for the
+(product of falling factorials).  A parameter point is a 1-D sequence of
+rates in ``params.names`` order.  One kernel computes ``g_j`` for the
 simulator, the state enumeration and the chain builder alike.  Enumerated
 states are keyed by mixed-radix integers, so looking many of them up is
 one binary search over a sorted array.
@@ -16,6 +17,7 @@ concurrent tasks.
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -107,26 +109,6 @@ class ParameterSpace:
             for name, lo, hi in self.dims
         )
         return ParameterSpace(dims)
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """One valuation of the rate parameters (per-second rate constants)."""
-
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __getitem__(self, name: str) -> float:
-        try:
-            return self.values[self.names.index(name)]
-        except ValueError:
-            raise ConfigError(f"unknown parameter {name!r}") from None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-    def array(self, order: tuple[str, ...]) -> np.ndarray:
-        return np.array([self[name] for name in order])
 
 
 @dataclass(frozen=True)
@@ -236,11 +218,13 @@ def _falling_product(reactants, x):
     return g
 
 
-# Per-network compiled reaction structure: index-based reactant lists and
-# sparse stoichiometric deltas, shared by the simulator and the chain builder.
+# Per-network compiled reaction structure: index-based reactant lists,
+# sparse stoichiometric deltas and the index of each reaction's rate in
+# ``params.names``, shared by the simulator and the chain builder.
 @cache
 def compiled_reactions(pcrn: PCRN):
     idx = pcrn.species_index()
+    names = pcrn.params.names
     compiled = []
     for r in pcrn.reactions:
         reactants: dict[int, int] = {}
@@ -248,16 +232,25 @@ def compiled_reactions(pcrn: PCRN):
             if count:
                 reactants[idx[species]] = reactants.get(idx[species], 0) + count
         delta = tuple(sorted((idx[s], d) for s, d in r.net_change().items()))
-        compiled.append((tuple(sorted(reactants.items())), delta, r.rate_parameter))
+        compiled.append((tuple(sorted(reactants.items())), delta, names.index(r.rate_parameter)))
     return tuple(compiled)
 
 
-def propensity(pcrn: PCRN, state, reaction_index: int, point: ParamPoint) -> float:
+def point_values(names: tuple[str, ...], point: Sequence[float]) -> list[float]:
+    """A point's rates, one per name in ``names`` order, as Python floats;
+    a ``ConfigError`` for a point of any other shape."""
+    values = np.asarray(point, dtype=float)
+    if values.shape != (len(names),):
+        raise ConfigError(f"parameter point of shape {values.shape} does not match parameters {list(names)}")
+    return values.tolist()
+
+
+def propensity(pcrn: PCRN, state, reaction_index: int, point: Sequence[float]) -> float:
     """Mass-action propensity of ``pcrn.reactions[reaction_index]`` at ``state``:
     its rate times the falling-factorial reactant count, zero whenever a
     reactant count is below its required multiplicity."""
-    reactants, _, param = compiled_reactions(pcrn)[reaction_index]
-    return point[param] * _falling_product(reactants, state)
+    reactants, _, k = compiled_reactions(pcrn)[reaction_index]
+    return point_values(pcrn.params.names, point)[k] * _falling_product(reactants, state)
 
 
 def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSpace:
@@ -305,7 +298,7 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
     return StateSpace(states=states, radices=radices, keys=keys)
 
 
-def rate_matrix_row(state, pcrn: PCRN, point: ParamPoint, space: StateSpace) -> dict[tuple[int, ...], float]:
+def rate_matrix_row(state, pcrn: PCRN, point: Sequence[float], space: StateSpace) -> dict[tuple[int, ...], float]:
     """Outgoing transition rates from ``state`` as a map target -> rate.
 
     Reactions with the same net effect are summed.  A positive-propensity

@@ -7,12 +7,13 @@ discretization error.  At a jump instant the post-jump state governs,
 matching the simulator's right-continuous convention.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csl import CslFormula, StateFormula
-from .model import PCRN, ParamPoint
+from .model import PCRN
 from .simulate import Trajectory, simulate
 
 
@@ -78,7 +79,7 @@ def check_formula(traj: Trajectory, formula: CslFormula, index: dict[str, int]) 
 
 def estimate_lambda(
     pcrn: PCRN,
-    point: ParamPoint,
+    point: Sequence[float],
     formula: CslFormula,
     n_sims: int,
     rng: np.random.Generator,

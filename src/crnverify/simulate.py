@@ -8,6 +8,7 @@ inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
-from .model import PCRN, ParamPoint, _falling_product, compiled_reactions
+from .model import PCRN, _falling_product, compiled_reactions, point_values
 
 _BLOCK = 256  # RNG draws consumed in blocks to cut per-call overhead
 
@@ -87,8 +88,9 @@ class _DrawBuffer:
         return v
 
 
-def simulate(pcrn: PCRN, point: ParamPoint, t_end: float, rng: np.random.Generator) -> Trajectory:
-    """Sample one exact path of the instantiated chain on [0, t_end].
+def simulate(pcrn: PCRN, point: Sequence[float], t_end: float, rng: np.random.Generator) -> Trajectory:
+    """Sample one exact path of the chain instantiated at ``point`` (rates in
+    ``pcrn.params.names`` order) on [0, t_end].
 
     Absorbing states simply hold to the horizon.  Identical generator state
     and inputs reproduce the trajectory bit-exactly.
@@ -96,7 +98,8 @@ def simulate(pcrn: PCRN, point: ParamPoint, t_end: float, rng: np.random.Generat
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
     compiled = compiled_reactions(pcrn)
-    rates = [point[param] for _, _, param in compiled]
+    values = point_values(pcrn.params.names, point)
+    rates = [values[k] for _, _, k in compiled]
     reactants = [r for r, _, _ in compiled]
     n_reactions = len(compiled)
     state = list(pcrn.initial_state)

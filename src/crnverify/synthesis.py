@@ -5,7 +5,7 @@ The refinement scheme evaluates the exact satisfaction probability on the
 3^k lattice of each box (corners, the center, and face/edge midpoints; the
 midpoints are exactly the corner set one refinement level deeper).  A box
 is labeled only when every lattice value clears the threshold with a
-decision margin AND the box sits at least ``min_label_depth`` splits deep;
+decision margin AND the box sits at least ``MIN_LABEL_DEPTH`` splits deep;
 shallow agreement is never trusted, because a coarse lattice can miss a
 narrow satisfying band outright.  Boxes whose values disagree are always
 split, along the longest normalized side.  Refinement proceeds level by
@@ -21,6 +21,7 @@ quantifies that gap rather than certifying it away.
 """
 
 import itertools
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 from .csl import CslFormula, format_csl, parse_csl
 from .errors import ConfigError
 from .files import read_json, write_csv, write_json
-from .model import PCRN, ParamPoint
+from .model import PCRN, point_values
 from .transient import UntilEvaluator, evaluator_for
 
 LABEL_SAT = "T"
@@ -39,6 +40,11 @@ LABEL_UNDECIDED = "U"
 
 STATUS_OK = "ok"
 STATUS_TOLERANCE_UNMET = "tolerance-unmet"
+
+# boxes are never labeled before this many splits: a coarse lattice can
+# miss a narrow satisfying band entirely, so agreement at shallow depth is
+# not trusted
+MIN_LABEL_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,6 @@ class Box:
 class SynthesisConfig:
     margin: float = 0.02
     max_depth: int = 12
-    # boxes are never labeled before this many splits: a coarse lattice can
-    # miss a narrow satisfying band entirely, so agreement at shallow depth
-    # is not trusted
-    min_label_depth: int = 4
     transient_tol: float = 1e-8
     workers: int = 1
 
@@ -130,9 +132,8 @@ def _worker_init(pcrn, formula_text, tol):
     _WORKER_TOL = tol
 
 
-def _worker_eval(args):
-    names, values = args
-    return _WORKER_EVALUATOR.probability(ParamPoint(names, values), _WORKER_TOL)
+def _worker_eval(point):
+    return _WORKER_EVALUATOR.probability(point, _WORKER_TOL)
 
 
 def synthesize(
@@ -189,11 +190,9 @@ def synthesize(
         if not todo:
             return
         if pool is not None:
-            results = list(pool.map(_worker_eval, [(names, p) for p in todo], chunksize=4))
+            results = list(pool.map(_worker_eval, todo, chunksize=4))
         else:
-            results = [
-                evaluator.probability(ParamPoint(names, p), config.transient_tol) for p in todo
-            ]
+            results = [evaluator.probability(p, config.transient_tol) for p in todo]
         cache.update(zip(todo, results))
 
     labeled: list[tuple[Box, str]] = []
@@ -202,7 +201,7 @@ def synthesize(
     status = STATUS_OK
     try:
         while pending:
-            deep_enough = depth >= config.min_label_depth
+            deep_enough = depth >= MIN_LABEL_DEPTH
             if deep_enough:
                 evaluate_all([pt for box in pending for pt in box.lattice()])
             still_undecided: list[Box] = []
@@ -251,7 +250,7 @@ def synthesize(
             "tol": config.transient_tol,
             "margin": config.margin,
             "max_depth": config.max_depth,
-            "min_label_depth": config.min_label_depth,
+            "min_label_depth": MIN_LABEL_DEPTH,
             "evaluations": len(cache),
         },
         status=status,
@@ -259,11 +258,13 @@ def synthesize(
     )
 
 
-def classify_point(partition: RegionPartition, point: ParamPoint) -> str:
-    """Label of the box containing the point (see ``classify_points``)."""
-    label = classify_points(partition, point.array(partition.param_names)[None, :])[0]
+def classify_point(partition: RegionPartition, point: Sequence[float]) -> str:
+    """Label of the box containing the point, given in ``param_names``
+    order (see ``classify_points``)."""
+    values = point_values(partition.param_names, point)
+    label = classify_points(partition, np.array([values]))[0]
     if label is None:
-        raise ValueError(f"point {point.as_dict()} outside the parameter space")
+        raise ValueError(f"point {dict(zip(partition.param_names, values))} outside the parameter space")
     return label
 
 

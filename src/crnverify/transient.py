@@ -19,6 +19,7 @@ reaction), so repeated evaluations at different points reuse one sparse
 matrix per parameter.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -27,7 +28,7 @@ from scipy import sparse, special
 
 from .csl import CslFormula, StateFormula
 from .errors import ConfigError, CrnVerifyError
-from .model import PCRN, ParamPoint, StateSpace, _falling_product, compiled_reactions, enumerate_states
+from .model import PCRN, StateSpace, _falling_product, compiled_reactions, enumerate_states, point_values
 
 DEFAULT_TOL = 1e-10
 RATE_MARGIN = 1.02  # uniformization rate = margin * max exit rate
@@ -115,14 +116,14 @@ def transient(
 
 @cache
 def _chain_basis(pcrn: PCRN):
-    """State space and per-parameter sparse rate matrices:
-    R(theta) = sum_k theta_k * basis_k."""
+    """State space and per-parameter sparse rate matrices, in
+    ``params.names`` order: R(theta) = sum_k theta_k * basis[k]."""
     space = enumerate_states(pcrn)
     n = len(space)
-    by_param: dict[str, list] = {name: [[], [], []] for name in pcrn.params.names}
+    by_param = [([], [], []) for _ in pcrn.params.names]
     states = space.states
     columns = states.T.astype(float)
-    for reactants, delta, param in compiled_reactions(pcrn):
+    for reactants, delta, k in compiled_reactions(pcrn):
         g = np.ones(n) * _falling_product(reactants, columns)
         active = np.nonzero(g > 0)[0]
         if active.size == 0:
@@ -132,29 +133,29 @@ def _chain_basis(pcrn: PCRN):
             targets[:, i] += d
         tgt_idx = space.ordinals(targets)
         keep = tgt_idx >= 0
-        rows, cols, vals = by_param[param]
+        rows, cols, vals = by_param[k]
         rows.extend(active[keep].tolist())
         cols.extend(tgt_idx[keep].tolist())
         vals.extend(g[active][keep].tolist())
-    basis = {}
-    for name, (rows, cols, vals) in by_param.items():
+    basis = []
+    for rows, cols, vals in by_param:
         B = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         B.sum_duplicates()
-        basis[name] = B
-    return space, basis
+        basis.append(B)
+    return space, tuple(basis)
 
 
-def build_chain(pcrn: PCRN, point: ParamPoint) -> tuple[UniformizedChain, StateSpace]:
+def build_chain(pcrn: PCRN, point: Sequence[float]) -> tuple[UniformizedChain, StateSpace]:
     """Uniformized chain of the network instantiated at one parameter point."""
     space, basis = _chain_basis(pcrn)
-    R = _combine(basis, pcrn.params.names, point)
+    R = _combine(basis, point_values(pcrn.params.names, point))
     return UniformizedChain.from_rate_matrix(R), space
 
 
-def _combine(basis: dict, names: tuple[str, ...], point: ParamPoint) -> sparse.csr_matrix:
+def _combine(basis: tuple, rates: list[float]) -> sparse.csr_matrix:
     acc = None
-    for name in names:
-        term = basis[name] * point[name]
+    for B, value in zip(basis, rates):
+        term = B * value
         acc = term if acc is None else acc + term
     return acc
 
@@ -180,16 +181,17 @@ class UntilEvaluator:
         self.mask1 = phi1.mask(space.states, index)
         self.mask2 = phi2.mask(space.states, index)
         self.init_idx = space.ordinal(pcrn.initial_state)
-        names = pcrn.params.names
         # phase 1: non-phi1 states absorb; phase 2: phi2 and (!phi1 & !phi2) absorb
         keep1 = sparse.diags(self.mask1.astype(float))
         keep2 = sparse.diags((self.mask1 & ~self.mask2).astype(float))
-        self._basis1 = {name: (keep1 @ basis[name]).tocsr() for name in names}
-        self._basis2 = {name: (keep2 @ basis[name]).tocsr() for name in names}
-        self._names = names
+        self._basis1 = tuple((keep1 @ B).tocsr() for B in basis)
+        self._basis2 = tuple((keep2 @ B).tocsr() for B in basis)
 
-    def probability(self, point: ParamPoint, tol: float = DEFAULT_TOL) -> float:
-        chain2 = UniformizedChain.from_rate_matrix(_combine(self._basis2, self._names, point))
+    def probability(self, point: Sequence[float], tol: float = DEFAULT_TOL) -> float:
+        """Until probability from the initial state at ``point`` (rates in
+        ``pcrn.params.names`` order)."""
+        rates = point_values(self.pcrn.params.names, point)
+        chain2 = UniformizedChain.from_rate_matrix(_combine(self._basis2, rates))
         values = _poisson_series(
             chain2.P, self.mask2.astype(float), chain2.q * (self.t_hi - self.t_lo), tol
         )
@@ -200,13 +202,13 @@ class UntilEvaluator:
             elif not self.mask1[self.init_idx]:
                 result = 0.0
         else:
-            chain1 = UniformizedChain.from_rate_matrix(_combine(self._basis1, self._names, point))
+            chain1 = UniformizedChain.from_rate_matrix(_combine(self._basis1, rates))
             result = _poisson_series(chain1.P, self.mask1 * values, chain1.q * self.t_lo, tol)[self.init_idx]
         # truncation and rounding may move the value past [0, 1] by at most
         # tol; anything beyond that is a numerical defect, not noise
         if not -tol <= result <= 1.0 + tol:
             raise CrnVerifyError(
-                f"until probability {float(result)!r} at {point.as_dict()} lies outside "
+                f"until probability {float(result)!r} at {dict(zip(self.pcrn.params.names, rates))} lies outside "
                 f"[0, 1] by more than the truncation tolerance {tol}"
             )
         return float(min(max(result, 0.0), 1.0))
@@ -214,7 +216,7 @@ class UntilEvaluator:
 
 def bounded_until_prob(
     pcrn: PCRN,
-    point: ParamPoint,
+    point: Sequence[float],
     phi1: StateFormula,
     phi2: StateFormula,
     t_lo: float,
@@ -231,7 +233,7 @@ def evaluator_for(pcrn: PCRN, formula: CslFormula) -> UntilEvaluator:
     return UntilEvaluator(pcrn, path.phi1, path.phi2, path.t_lo, path.t_hi)
 
 
-def check_threshold(pcrn: PCRN, point: ParamPoint, formula: CslFormula, tol: float = DEFAULT_TOL) -> bool:
+def check_threshold(pcrn: PCRN, point: Sequence[float], formula: CslFormula, tol: float = DEFAULT_TOL) -> bool:
     """Exactly decide the top-level probability comparison at one point."""
     value = evaluator_for(pcrn, formula).probability(point, tol)
     return formula.compare(value)

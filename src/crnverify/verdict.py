@@ -17,7 +17,7 @@ import numpy as np
 from .csl import CslFormula
 from .errors import ConfigError
 from .files import write_json
-from .model import PCRN, ParamPoint
+from .model import PCRN
 from .monitor import estimate_lambda
 from .synthesis import LABEL_SAT, LABEL_UNDECIDED, RegionPartition, classify_points
 
@@ -140,7 +140,6 @@ def probability(
     rng: np.random.Generator,
     n_samples: int = 10000,
     scale: float = 2.0,
-    init: np.ndarray | None = None,
     seed: int | None = None,
     partition_file: str | None = None,
 ) -> VerdictReport:
@@ -152,7 +151,7 @@ def probability(
     """
     if tuple(partition.param_names) != tuple(posterior.names):
         raise ConfigError("partition and posterior cover different parameters")
-    samples = slice_sample(posterior, n_samples, scale, rng, init=init)
+    samples = slice_sample(posterior, n_samples, scale, rng)
     labels = classify_points(partition, samples)
     n = len(labels)
     n_outside = sum(1 for lab in labels if lab is None)
@@ -181,16 +180,24 @@ def bayes_smc(
     n_params: int,
     n_sims: int,
     rng: np.random.Generator,
-) -> list[tuple[ParamPoint, float, bool]]:
+) -> list[tuple[np.ndarray, float, bool]]:
     """Statistical model-checking baseline over posterior parameter draws.
 
     Samples parameter points from the fitted Gaussian (redrawing the rare
     draw with a negative rate, which the simulator cannot run), estimates
     the satisfaction probability of each by simulation, and compares the
-    plain frequency estimate against the property threshold.
+    plain frequency estimate against the property threshold.  The
+    posterior must cover exactly the network's parameters; each point is
+    returned in ``pcrn.params.names`` order, whatever the posterior's order.
     """
     if n_params < 1 or n_sims < 1:
         raise ConfigError("n_params and n_sims must be positive")
+    names = pcrn.params.names
+    if sorted(posterior.names) != sorted(names):
+        raise ConfigError(
+            f"posterior parameters {list(posterior.names)} are not the network's {list(names)}"
+        )
+    order = [posterior.names.index(name) for name in names]
     std = posterior.std()
     results = []
     for i, child in enumerate(rng.spawn(n_params)):
@@ -200,13 +207,13 @@ def bayes_smc(
                 break
         else:
             raise ConfigError("posterior mass is almost entirely negative")
-        point = ParamPoint(posterior.names, tuple(values))
+        point = values[order]
         estimate = estimate_lambda(pcrn, point, formula, n_sims, child)
         results.append((point, estimate.mean, formula.compare(estimate.mean)))
     return results
 
 
-def majority_verdict(results: list[tuple[ParamPoint, float, bool]]) -> bool:
+def majority_verdict(results: list[tuple[np.ndarray, float, bool]]) -> bool:
     verdicts = [v for _, _, v in results]
     return sum(verdicts) * 2 > len(verdicts)
 

@@ -7,9 +7,7 @@ from scipy import stats
 from crnverify import (
     AbcConfig,
     ConfigError,
-    ParamPoint,
     ParticleSet,
-    Prior,
     abcseq,
     adaptive_threshold,
     discrepancy,
@@ -27,7 +25,7 @@ DECAY = parse_crn(
     "format=1; species A B; param k in [0.1, 10];"
     "reaction decay: A -> B @ k; init A=50; conserve 50;"
 )
-K_TRUE = ParamPoint(("k",), (1.0,))
+K_TRUE = (1.0,)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +108,7 @@ class TestPerturb:
 
 class TestAbcseq:
     def test_single_round_is_prior_sampling_with_uniform_weights(self, decay_data):
-        res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=50, rounds=1, seed=5))
+        res = abcseq(DECAY, decay_data, AbcConfig(particles=50, rounds=1, seed=5))
         assert res.round == 0
         assert np.allclose(res.weights, 1.0 / 50)
         assert res.threshold == float("inf")
@@ -118,7 +116,7 @@ class TestAbcseq:
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_posterior_mean_within_band_and_near_rejection_oracle(self, decay_data):
-        res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=500, rounds=6, seed=42))
+        res = abcseq(DECAY, decay_data, AbcConfig(particles=500, rounds=6, seed=42))
         w = res.weights
         pts = res.points[:, 0]
         mean = float(w @ pts)
@@ -129,7 +127,7 @@ class TestAbcseq:
         accepted = []
         for _ in range(40000):
             k = 0.1 + 9.9 * rng.random()
-            traj = simulate(DECAY, ParamPoint(("k",), (k,)), 10.0, rng)
+            traj = simulate(DECAY, (k,), 10.0, rng)
             if discrepancy(decay_data, traj) <= eps:
                 accepted.append(k)
             if len(accepted) >= 1000:
@@ -140,29 +138,29 @@ class TestAbcseq:
 
     def test_weights_normalized_every_round(self, decay_data):
         for rounds in (1, 3, 6):
-            res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=100, rounds=rounds, seed=9))
+            res = abcseq(DECAY, decay_data, AbcConfig(particles=100, rounds=rounds, seed=9))
             w = res.weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0)
 
     def test_thresholds_strictly_decreasing(self, decay_data):
-        res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=200, rounds=6, seed=17))
+        res = abcseq(DECAY, decay_data, AbcConfig(particles=200, rounds=6, seed=17))
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
 
     def test_all_particles_inside_parameter_space(self, decay_data):
-        res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=200, rounds=5, seed=23))
+        res = abcseq(DECAY, decay_data, AbcConfig(particles=200, rounds=5, seed=23))
         pts = res.points
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_distances_within_final_threshold(self, decay_data):
-        res = abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=100, rounds=4, seed=31))
+        res = abcseq(DECAY, decay_data, AbcConfig(particles=100, rounds=4, seed=31))
         assert np.all(res.distances <= res.threshold)
 
     def test_abort_returns_previous_round_flagged(self, decay_data):
         # max_attempts=1 cannot satisfy round 1's median threshold
         res = abcseq(
-            DECAY, Prior(DECAY.params), decay_data,
+            DECAY, decay_data,
             AbcConfig(particles=50, rounds=4, seed=3, max_attempts=1),
         )
         assert res.status == STATUS_ABORTED
@@ -173,7 +171,7 @@ class TestAbcseq:
         # prior-distributed; the standard kernel-mixture weights leave a
         # small boundary bias, so this is a fixed-seed regression guard
         res = abcseq(
-            DECAY, Prior(DECAY.params), decay_data,
+            DECAY, decay_data,
             AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")),
         )
         w = res.weights
@@ -190,7 +188,7 @@ class TestAbcseq:
         def pooled_std(q):
             data = observe(traj, np.linspace(10.0 / q, 10.0, q), 0.0, stream(100, 1), species=DECAY.species_names())
             sets = [
-                abcseq(DECAY, Prior(DECAY.params), data, AbcConfig(particles=500, rounds=6, seed=11, batch=b))
+                abcseq(DECAY, data, AbcConfig(particles=500, rounds=6, seed=11, batch=b))
                 for b in range(2)
             ]
             return float(fit_posterior(*pool_batches(sets)).std()[0])
@@ -199,8 +197,8 @@ class TestAbcseq:
 
     def test_determinism(self, decay_data):
         cfg = AbcConfig(particles=60, rounds=3, seed=77)
-        a = abcseq(DECAY, Prior(DECAY.params), decay_data, cfg)
-        b = abcseq(DECAY, Prior(DECAY.params), decay_data, cfg)
+        a = abcseq(DECAY, decay_data, cfg)
+        b = abcseq(DECAY, decay_data, cfg)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.distances, b.distances)
@@ -208,9 +206,9 @@ class TestAbcseq:
 
     def test_config_validation(self, decay_data):
         with pytest.raises(ConfigError):
-            abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=1, rounds=2, seed=1))
+            abcseq(DECAY, decay_data, AbcConfig(particles=1, rounds=2, seed=1))
         with pytest.raises(ConfigError):
-            abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=10, rounds=0, seed=1))
+            abcseq(DECAY, decay_data, AbcConfig(particles=10, rounds=0, seed=1))
 
 
 class TestPooling:
@@ -254,7 +252,7 @@ class TestPooling:
 class TestParticleFiles:
     def test_round_trip(self, decay_data, tmp_path):
         sets = [
-            abcseq(DECAY, Prior(DECAY.params), decay_data, AbcConfig(particles=40, rounds=3, seed=5, batch=b))
+            abcseq(DECAY, decay_data, AbcConfig(particles=40, rounds=3, seed=5, batch=b))
             for b in range(2)
         ]
         path = tmp_path / "particles.csv"

@@ -19,9 +19,7 @@ from scipy.linalg import expm
 
 from crnverify import (
     AbcConfig,
-    ParamPoint,
     Posterior,
-    Prior,
     UniformizedChain,
     abcseq,
     bounded_until_prob,
@@ -43,8 +41,8 @@ from crnverify.transient import evaluator_for
 
 REPO = Path(__file__).resolve().parents[1]
 
-THETA_PHI = ParamPoint(("ki", "kr"), (0.002, 0.05))
-THETA_NOTPHI = ParamPoint(("ki", "kr"), (0.002, 0.18))
+THETA_PHI = (0.002, 0.05)
+THETA_NOTPHI = (0.002, 0.18)
 
 
 @contextmanager
@@ -131,7 +129,7 @@ def test_criterion_2_closed_forms():
         net = parse_crn(single)
         f = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
         got = bounded_until_prob(
-            net, ParamPoint(("k",), (1.0,)), f.path.phi1, f.path.phi2, 1.0, 2.0, tol=1e-12
+            net, (1.0,), f.path.phi1, f.path.phi2, 1.0, 2.0, tol=1e-12
         )
         assert got == pytest.approx(1.0 - np.exp(-2.0), abs=1e-9)
 
@@ -172,11 +170,8 @@ def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
             pick = vols / vols.sum()
             for _ in range(50):
                 box = boxes[int(rng.choice(len(boxes), p=pick))]
-                point = ParamPoint(
-                    partition.param_names,
-                    tuple(
-                        lo + (hi - lo) * rng.random() for lo, hi in zip(box.lo, box.hi)
-                    ),
+                point = tuple(
+                    lo + (hi - lo) * rng.random() for lo, hi in zip(box.lo, box.hi)
                 )
                 value = evaluator.probability(point, tol=1e-8)
                 holds = case_formula.compare(value)
@@ -229,18 +224,18 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
             "format=1; species A B; param k in [0.1, 10];"
             "reaction decay: A -> B @ k; init A=50; conserve 50;"
         )
-        traj = simulate(decay, ParamPoint(("k",), (1.0,)), 10.0, stream(100, 0))
+        traj = simulate(decay, (1.0,), 10.0, stream(100, 0))
         data = observe(traj, np.linspace(0.5, 10.0, 20), 0.0, stream(100, 1),
                        species=decay.species_names())
 
         # ABC weight normalization and strictly decreasing thresholds
-        res = abcseq(decay, Prior(decay.params), data, AbcConfig(particles=200, rounds=5, seed=8))
+        res = abcseq(decay, data, AbcConfig(particles=200, rounds=5, seed=8))
         assert abs(res.weights.sum() - 1.0) <= 1e-12
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
 
         # prior recovery under a threshold pinned at infinity
-        res = abcseq(decay, Prior(decay.params), data,
+        res = abcseq(decay, data,
                      AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")))
         rng = stream(1, 99)
         pts = res.points[:, 0]

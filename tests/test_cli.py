@@ -66,6 +66,10 @@ class TestStages:
         assert run("generate", "--config", "nan.json", "--out-dir", "out") == 2
         assert not (workspace / "out" / "dataset.csv").exists()
 
+    def test_generate_rejects_negative_seed(self, workspace):
+        assert run("generate", "--config", "smoke.json", "--seed", "-1", "--out-dir", "out") == 2
+        assert not (workspace / "out" / "dataset.csv").exists()
+
     def test_synth_then_verify_chain(self, workspace):
         assert run("synth", "--config", "smoke.json", "--out-dir", "out") == 0
         assert (workspace / "out" / "partition.json").exists()

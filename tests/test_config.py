@@ -119,6 +119,15 @@ NAN, INF = float("nan"), float("inf")
         ("observation_end", 0.0),
         ("observation_times", [1.0, NAN]),
         ("param_bounds", {"ki": [5e-5, INF]}),
+        ("seed", 20240901.7),
+        ("seed", -1),
+        ("seed", True),
+        ("observation_count", 3.5),
+        ("abc_particles", 20.5),
+        ("workers", True),
+        ("param_bounds", {"k": 5}),
+        ("param_bounds", {"k": [0.1, 5, 9]}),
+        ("param_bounds", {"k": [0.1, "5"]}),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

@@ -5,7 +5,6 @@ import pytest
 
 from crnverify import (
     ConfigError,
-    ParamPoint,
     ParameterSpace,
     PCRN,
     Reaction,
@@ -37,7 +36,7 @@ reaction decay: A -> B @ k;
 init A=1, B=0;
 """
 
-THETA_PHI = ParamPoint(("ki", "kr"), (0.002, 0.05))
+THETA_PHI = (0.002, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +100,15 @@ class TestPropensity:
             "format=1; species A B; param k in [0.1, 10];"
             "reaction dimerize: A + A -> B @ k; init A=4;"
         )
-        a = propensity(net, (4, 0), 0, ParamPoint(("k",), (1.0,)))
+        a = propensity(net, (4, 0), 0, (1.0,))
         assert a == pytest.approx(4 * 3)
         # fewer molecules than the reaction's order: no combination exists
-        assert propensity(net, (1, 0), 0, ParamPoint(("k",), (1.0,))) == 0.0
-        assert propensity(net, (0, 0), 0, ParamPoint(("k",), (1.0,))) == 0.0
+        assert propensity(net, (1, 0), 0, (1.0,)) == 0.0
+        assert propensity(net, (0, 0), 0, (1.0,)) == 0.0
 
     def test_unknown_parameter_is_config_error(self, sir):
         with pytest.raises(ConfigError):
-            propensity(sir, (95, 5, 0), 0, ParamPoint(("zz",), (1.0,)))
+            propensity(sir, (95, 5, 0), 0, (1.0,))
 
 
 class TestExitRate:
@@ -121,12 +120,12 @@ class TestExitRate:
 
     def test_single_reaction_identity_case(self):
         net = parse_crn(AB_SOURCE)
-        assert exit_rate((1, 0), net, ParamPoint(("k",), (1.0,))) == pytest.approx(1.0)
+        assert exit_rate((1, 0), net, (1.0,)) == pytest.approx(1.0)
 
     def test_exit_rate_equals_row_sum(self, sir):
         # the scalar kernel against the row map and the vectorized rate basis
         space, basis = _chain_basis(sir)
-        R = sum(basis[name] * THETA_PHI[name] for name in sir.params.names)
+        R = sum(B * value for B, value in zip(basis, THETA_PHI))
         rng = np.random.default_rng(5)
         for i in rng.choice(len(space), size=40, replace=False):
             state = tuple(int(c) for c in space.states[i])
@@ -222,7 +221,7 @@ class TestRateMatrixRow:
             "reaction r1: A -> B @ k1; reaction r2: A -> B @ k2; init A=1;"
         )
         space = enumerate_states(net)
-        point = ParamPoint(("k1", "k2"), (0.3, 0.4))
+        point = (0.3, 0.4)
         row = rate_matrix_row((1, 0), net, point, space)
         assert row == {(0, 1): pytest.approx(0.7)}
 

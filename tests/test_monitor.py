@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crnverify import ParamPoint, Trajectory, check_until, estimate_lambda, parse_crn, parse_csl
+from crnverify import Trajectory, check_until, estimate_lambda, parse_crn, parse_csl
 from crnverify.rng import stream
 
 SIR = parse_crn(
@@ -99,23 +99,23 @@ class TestCheckUntil:
 class TestEstimateLambda:
     def test_trivially_true_formula(self):
         f = parse_csl("P>=0 [ true U[0,1] true ]")
-        est = estimate_lambda(SIR, ParamPoint(("ki", "kr"), (0.002, 0.05)), f, 50, stream(1, 1))
+        est = estimate_lambda(SIR, (0.002, 0.05), f, 50, stream(1, 1))
         assert est.mean == 1.0
         assert est.ci_halfwidth == 0.0
 
     def test_unsatisfiable_target(self):
         f = parse_csl("P>0 [ true U[0,5] (I>1000) ]")
-        est = estimate_lambda(SIR, ParamPoint(("ki", "kr"), (0.002, 0.05)), f, 50, stream(2, 1))
+        est = estimate_lambda(SIR, (0.002, 0.05), f, 50, stream(2, 1))
         assert est.mean == 0.0
 
     def test_reproducible_under_fixed_seed(self):
-        point = ParamPoint(("ki", "kr"), (0.002, 0.05))
+        point = (0.002, 0.05)
         a = estimate_lambda(SIR, point, CASE, 200, stream(3, 9))
         b = estimate_lambda(SIR, point, CASE, 200, stream(3, 9))
         assert a == b
 
     def test_mean_in_unit_interval(self):
-        point = ParamPoint(("ki", "kr"), (0.001, 0.1))
+        point = (0.001, 0.1)
         est = estimate_lambda(SIR, point, CASE, 100, stream(4, 1))
         assert 0.0 <= est.mean <= 1.0
         assert est.n == 100
@@ -124,7 +124,7 @@ class TestEstimateLambda:
         # the two backends implement the same satisfaction probability
         from crnverify.transient import evaluator_for
 
-        point = ParamPoint(("ki", "kr"), (0.002, 0.05))
+        point = (0.002, 0.05)
         exact = evaluator_for(SIR, CASE).probability(point, tol=1e-8)
         est = estimate_lambda(SIR, point, CASE, 1000, stream(6, 2))
         assert abs(exact - est.mean) <= est.ci_halfwidth + 0.02

@@ -6,7 +6,6 @@ from scipy import stats
 
 from crnverify import (
     Dataset,
-    ParamPoint,
     Trajectory,
     discrepancy,
     load_dataset,
@@ -25,12 +24,12 @@ SIR = parse_crn(
     "reaction infect: S + I -> I + I @ ki; reaction recover: I -> R @ kr;"
     "init S=95, I=5, R=0; conserve 100;"
 )
-THETA_PHI = ParamPoint(("ki", "kr"), (0.002, 0.05))
-K_ONE = ParamPoint(("k",), (1.0,))
+THETA_PHI = (0.002, 0.05)
+K_ONE = (1.0,)
 
 
 def firing_times(n, k=1.0, seed=0):
-    point = ParamPoint(("k",), (k,))
+    point = (k,)
     rng = stream(seed, 11)
     out = np.empty(n)
     for i, child in enumerate(rng.spawn(n)):
@@ -55,7 +54,7 @@ class TestSimulate:
 
     def test_no_reaction_net_holds_to_horizon(self):
         net = parse_crn("format=1; species A; param k in [0, 1]; init A=3;")
-        traj = simulate(net, ParamPoint(("k",), (0.5,)), 10.0, stream(1, 2))
+        traj = simulate(net, (0.5,), 10.0, stream(1, 2))
         assert len(traj.times) == 1
         assert traj.horizon == 10.0
         assert tuple(states_at(traj, [10.0])[0]) == (3,)

@@ -8,7 +8,6 @@ import pytest
 from crnverify import (
     Box,
     ConfigError,
-    ParamPoint,
     classify_point,
     feasible_volume_fraction,
     load_partition,
@@ -46,9 +45,9 @@ class TestSynthesize:
             "reaction decay: A -> B @ k; init A=50; conserve 50;"
         )
         part = synthesize(net, band, 0.05)
-        assert classify_point(part, ParamPoint(("k",), (0.9,))) == LABEL_SAT
-        assert classify_point(part, ParamPoint(("k",), (5.0,))) == LABEL_VIOL
-        assert classify_point(part, ParamPoint(("k",), (0.15,))) == LABEL_VIOL
+        assert classify_point(part, (0.9,)) == LABEL_SAT
+        assert classify_point(part, (5.0,)) == LABEL_VIOL
+        assert classify_point(part, (0.15,)) == LABEL_VIOL
 
     def test_decay_bound_is_bracketed(self, ab_partition):
         # every T box lies right of the crossing, every F box left of it
@@ -103,25 +102,25 @@ class TestSynthesize:
 
 class TestClassifyPoint:
     def test_known_sides_of_the_crossing(self, ab_partition):
-        assert classify_point(ab_partition, ParamPoint(("k",), (5.0,))) == LABEL_SAT
-        assert classify_point(ab_partition, ParamPoint(("k",), (0.15,))) == LABEL_VIOL
+        assert classify_point(ab_partition, (5.0,)) == LABEL_SAT
+        assert classify_point(ab_partition, (0.15,)) == LABEL_VIOL
 
     def test_single_box_partition_classifies_everything(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
         part = synthesize(AB, trivial, 0.1)
         for k in (0.1, 1.0, 10.0):
-            assert classify_point(part, ParamPoint(("k",), (k,))) == LABEL_SAT
+            assert classify_point(part, (k,)) == LABEL_SAT
 
     def test_outside_theta_raises(self, ab_partition):
         with pytest.raises(ValueError):
-            classify_point(ab_partition, ParamPoint(("k",), (11.0,)))
+            classify_point(ab_partition, (11.0,))
 
     def test_boundary_tie_break_is_deterministic(self, ab_partition):
         # a shared face between two boxes: lexicographically smaller corner wins
         corner_key = lambda box: (box.lo, box.hi)
         boxes = sorted((box for box, _ in ab_partition.boxes), key=corner_key)
         face = boxes[0].hi[0]
-        label = classify_point(ab_partition, ParamPoint(("k",), (face,)))
+        label = classify_point(ab_partition, (face,))
         containing = [(box, lab) for box, lab in ab_partition.boxes if box.lo[0] <= face <= box.hi[0]]
         assert len(containing) == 2
         want = min(containing, key=lambda pair: corner_key(pair[0]))[1]

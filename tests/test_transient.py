@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from crnverify import (
     CrnVerifyError,
-    ParamPoint,
     UniformizedChain,
     bounded_until_prob,
     build_chain,
@@ -28,7 +27,7 @@ REPO = Path(__file__).resolve().parents[1]
 TRANSIENT = sys.modules["crnverify.transient"]
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
-K_ONE = ParamPoint(("k",), (1.0,))
+K_ONE = (1.0,)
 
 
 def random_generator_matrix(rng, n):
@@ -178,10 +177,10 @@ class TestBoundedUntil:
         ]
         for src in nets:
             pcrn = parse_crn(src)
-            chain, space = build_chain(pcrn, ParamPoint(("k1", "k2"), (1.0, 1.0)))
+            chain, space = build_chain(pcrn, (1.0, 1.0))
             n = len(space)
             for _ in range(25):
-                point = ParamPoint(("k1", "k2"), tuple(rng.uniform(0.1, 5.0, size=2)))
+                point = tuple(rng.uniform(0.1, 5.0, size=2))
                 R = np.zeros((n, n))
                 for i in range(n):
                     row = rate_matrix_row(tuple(space.states[i]), pcrn, point, space)
@@ -203,10 +202,10 @@ class TestBoundedUntil:
             "reaction r1: A -> B @ k1; reaction r2: B -> A @ k2;"
             "init A=2, B=0; conserve 2;"
         )
-        space = build_chain(pcrn, ParamPoint(("k1", "k2"), (1.0, 1.0)))[1]
+        space = build_chain(pcrn, (1.0, 1.0))[1]
         n = len(space)
         for _ in range(20):
-            point = ParamPoint(("k1", "k2"), tuple(rng.uniform(0.1, 5.0, size=2)))
+            point = tuple(rng.uniform(0.1, 5.0, size=2))
             phi1_mask = rng.random(n) < 0.8
             phi2_mask = rng.random(n) < 0.4
             t_lo = float(rng.uniform(0, 1.0))
@@ -227,7 +226,7 @@ class TestBoundedUntil:
         )
         ev = evaluator_for(sir, f)
         for vals in [(5e-5, 0.005), (0.003, 0.2), (0.003, 0.005), (5e-5, 0.2)]:
-            v = ev.probability(ParamPoint(("ki", "kr"), vals), tol=1e-8)
+            v = ev.probability(vals, tol=1e-8)
             assert 0.0 <= v <= 1.0
 
 
@@ -281,8 +280,8 @@ class TestCheckThreshold:
             "init S=95, I=5, R=0; conserve 100;"
         )
         f = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
-        assert check_threshold(sir, ParamPoint(("ki", "kr"), (0.002, 0.05)), f, tol=1e-8)
-        assert not check_threshold(sir, ParamPoint(("ki", "kr"), (0.002, 0.18)), f, tol=1e-8)
+        assert check_threshold(sir, (0.002, 0.05), f, tol=1e-8)
+        assert not check_threshold(sir, (0.002, 0.18), f, tol=1e-8)
 
     def test_zero_bound_with_geq_always_true(self):
         f = parse_csl("P>=0 [ (B=1) U[0,1] (A=1) ]")

@@ -6,7 +6,6 @@ import pytest
 from crnverify import (
     Box,
     ConfigError,
-    ParamPoint,
     Posterior,
     bayes_smc,
     check_threshold,
@@ -164,7 +163,7 @@ class TestBayesSmc:
         results = bayes_smc(post, SIR, CASE, n_params=1, n_sims=400, rng=stream(8, 0))
         assert len(results) == 1
         point, estimate, verdict = results[0]
-        assert verdict == check_threshold(SIR, ParamPoint(("ki", "kr"), (0.002, 0.05)), CASE, tol=1e-8)
+        assert verdict == check_threshold(SIR, (0.002, 0.05), CASE, tol=1e-8)
 
     def test_majority_verdicts_at_ground_truth_points(self):
         sat = Posterior(names=("ki", "kr"), mean=np.array([0.002, 0.05]), variance=np.array([1e-10, 1e-8]))
@@ -176,6 +175,6 @@ class TestBayesSmc:
         assert sum(v for _, _, v in results) <= 1
 
     def test_majority_helper(self):
-        point = ParamPoint(("k",), (1.0,))
+        point = (1.0,)
         assert majority_verdict([(point, 0.5, True), (point, 0.5, True), (point, 0.1, False)])
         assert not majority_verdict([(point, 0.5, True), (point, 0.1, False)])
