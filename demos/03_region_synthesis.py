@@ -16,9 +16,9 @@ pcrn = load_crn("models/decay.crn")
 prop = parse_csl("P>0.5 [ (B<25) U[0.5,1.5] (B>=25) ]")
 
 partition = synthesize(pcrn, prop, volume_tolerance=0.05)
-print(f"boxes: {len(partition.boxes)}  (backend evaluations: {partition.backend['evaluations']})")
+print(f"boxes: {len(partition.labels)}  (backend evaluations: {partition.backend['evaluations']})")
 for label, meaning in [("T", "satisfying"), ("F", "violating"), ("U", "undecided")]:
-    frac = partition.volume(label) / partition.theta.volume()
+    frac = partition.volume(label) / partition.theta_volume()
     print(f"  {label} ({meaning:10s}): {100 * frac:5.1f}% of the space")
 print(f"feasible volume fraction: {feasible_volume_fraction(partition):.4f}")
 

@@ -47,7 +47,6 @@ from .simulate import (
     states_at,
 )
 from .synthesis import (
-    Box,
     RegionPartition,
     SynthesisConfig,
     classify_point,

@@ -60,6 +60,9 @@ class ExperimentConfig:
         ):
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer count, got {value!r}")
+        for name, value in (("param_bounds", self.param_bounds), ("true_point", self.true_point)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
         for k, pair in self.param_bounds.items():
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and {type(v) for v in pair} <= {int, float}):
                 raise ConfigError(f"param_bounds[{k!r}] must be a [lower, upper] pair of numbers, got {pair!r}")

@@ -1,17 +1,21 @@
 """Threshold synthesis: partition the parameter hyperrectangle into boxes
 labeled satisfying (T), violating (F), or undecided (U).
 
-The refinement scheme evaluates the exact satisfaction probability on the
-3^k lattice of each box (corners, the center, and face/edge midpoints; the
-midpoints are exactly the corner set one refinement level deeper).  A box
-is labeled only when every lattice value clears the threshold with a
-decision margin AND the box sits at least ``MIN_LABEL_DEPTH`` splits deep;
-shallow agreement is never trusted, because a coarse lattice can miss a
-narrow satisfying band outright.  Boxes whose values disagree are always
-split, along the longest normalized side.  Refinement proceeds level by
-level and stops as soon as the undecided volume fits the tolerance or the
-depth cap is reached.  Thresholds that hold vacuously (such as "at least
-probability zero") label the whole space in one step with no evaluations.
+A partition is three arrays in box order: ``lo`` and ``hi`` (one row of
+corner coordinates per box) and ``labels``.  Refinement works level by
+level on all pending boxes at once, evaluating the exact satisfaction
+probability on the 3^k lattice of each box (corners, the center, and
+face/edge midpoints; the midpoints are exactly the corner set one level
+deeper).  A box is labeled only when every lattice value clears the
+threshold with a decision margin AND the box sits at least
+``MIN_LABEL_DEPTH`` splits deep; shallow agreement is never trusted,
+because a coarse lattice can miss a narrow satisfying band outright.
+Other boxes are split in two along the longest normalized side (the lowest
+index on ties), the lower half first, until the undecided volume fits the
+tolerance or the depth cap is reached.  The boxes come out as each level's
+decided boxes in pending order, then the last level's undecided ones.
+Thresholds that hold vacuously (such as "at least probability zero") label
+the whole space in one step with no evaluations.
 
 Labels are decided purely by evaluations at lattice points, so the result
 is identical however box evaluations are scheduled.  The margin scheme is
@@ -29,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .csl import CslFormula, format_csl, parse_csl
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .files import read_json, write_csv, write_json
 from .model import PCRN, point_values
 from .transient import UntilEvaluator, evaluator_for
@@ -37,6 +41,7 @@ from .transient import UntilEvaluator, evaluator_for
 LABEL_SAT = "T"
 LABEL_VIOL = "F"
 LABEL_UNDECIDED = "U"
+LABELS = (LABEL_SAT, LABEL_VIOL, LABEL_UNDECIDED)
 
 STATUS_OK = "ok"
 STATUS_TOLERANCE_UNMET = "tolerance-unmet"
@@ -46,33 +51,9 @@ STATUS_TOLERANCE_UNMET = "tolerance-unmet"
 # not trusted
 MIN_LABEL_DEPTH = 4
 
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned closed box inside the parameter space."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise ConfigError("box needs lo < hi in every dimension")
-
-    def volume(self) -> float:
-        return float(np.prod(np.array(self.hi) - np.array(self.lo)))
-
-    def split(self, dim: int) -> tuple["Box", "Box"]:
-        mid = (self.lo[dim] + self.hi[dim]) / 2.0
-        lo2 = list(self.lo)
-        hi1 = list(self.hi)
-        lo2[dim] = mid
-        hi1[dim] = mid
-        return Box(self.lo, tuple(hi1)), Box(tuple(lo2), self.hi)
-
-    def lattice(self) -> list[tuple[float, ...]]:
-        """The 3^k grid: corners, face/edge midpoints, and the center."""
-        axes = [(l, (l + h) / 2.0, h) for l, h in zip(self.lo, self.hi)]
-        return [tuple(p) for p in itertools.product(*axes)]
+# points classified per block: the containment test holds one
+# (block, boxes) array at a time
+CLASSIFY_BLOCK = 256
 
 
 @dataclass
@@ -83,13 +64,18 @@ class SynthesisConfig:
     workers: int = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionPartition:
-    """Labeled boxes covering the parameter space."""
+    """Labeled boxes covering the parameter box ``theta_lo``..``theta_hi``:
+    box ``i`` spans ``lo[i]``..``hi[i]`` (each (n, k) floats, columns in
+    ``param_names`` order) and carries ``labels[i]``."""
 
     param_names: tuple[str, ...]
-    theta: Box
-    boxes: list[tuple[Box, str]]
+    theta_lo: np.ndarray
+    theta_hi: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    labels: np.ndarray
     threshold: float
     relation: str
     volume_tolerance: float
@@ -98,7 +84,10 @@ class RegionPartition:
     property_text: str = ""
 
     def volume(self, label: str) -> float:
-        return sum(b.volume() for b, lab in self.boxes if lab == label)
+        return float(np.prod(self.hi - self.lo, axis=1)[self.labels == label].sum())
+
+    def theta_volume(self) -> float:
+        return float(np.prod(self.theta_hi - self.theta_lo))
 
 
 def _vacuous_label(relation: str, p: float) -> str | None:
@@ -108,18 +97,6 @@ def _vacuous_label(relation: str, p: float) -> str | None:
     if (relation == ">" and p == 1.0) or (relation == "<" and p == 0.0):
         return LABEL_VIOL
     return None
-
-
-def _satisfies_with_margin(value: float, relation: str, p: float, margin: float) -> bool:
-    if relation in (">", ">="):
-        return value - p >= margin
-    return p - value >= margin
-
-
-def _violates_with_margin(value: float, relation: str, p: float, margin: float) -> bool:
-    if relation in (">", ">="):
-        return p - value >= margin
-    return value - p >= margin
 
 
 _WORKER_EVALUATOR: UntilEvaluator | None = None
@@ -134,6 +111,76 @@ def _worker_init(pcrn, formula_text, tol):
 
 def _worker_eval(point):
     return _WORKER_EVALUATOR.probability(point, _WORKER_TOL)
+
+
+def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 3^k grid of every box, shape (n, 3^k, k): corners, face/edge
+    midpoints and the center, in ``itertools.product`` order."""
+    k = lo.shape[1]
+    axes = np.stack([lo, (lo + hi) / 2.0, hi], axis=2)
+    pick = np.array(list(itertools.product(range(3), repeat=k)))
+    return axes[:, np.arange(k), pick]
+
+
+def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
+    """Boxes, labels, status and evaluation count of the refinement."""
+    evaluator = evaluator_for(pcrn, formula)
+    widths = theta_hi - theta_lo
+    total_volume = float(np.prod(widths))
+    # gap >= margin satisfies, gap <= -margin violates
+    sign = 1.0 if formula.relation in (">", ">=") else -1.0
+
+    cache: dict[tuple[float, ...], float] = {}
+    pool = None
+    if config.workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_worker_init,
+            initargs=(pcrn, format_csl(formula), config.transient_tol),
+        )
+
+    def evaluate_all(points: list[tuple[float, ...]]):
+        todo = sorted(set(points) - cache.keys())
+        if pool is not None:
+            results = pool.map(_worker_eval, todo, chunksize=4)
+        else:
+            results = (evaluator.probability(p, config.transient_tol) for p in todo)
+        cache.update(zip(todo, results))
+
+    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level
+    lo, hi = theta_lo[None, :], theta_hi[None, :]
+    try:
+        for depth in itertools.count():
+            if depth >= MIN_LABEL_DEPTH:
+                points = list(map(tuple, _lattices(lo, hi).reshape(-1, lo.shape[1]).tolist()))
+                evaluate_all(points)
+                values = np.array([cache[p] for p in points]).reshape(len(lo), -1)
+                gap = sign * (values - formula.bound)
+                sat = np.all(gap >= config.margin, axis=1)
+                viol = np.all(gap <= -config.margin, axis=1) & ~sat
+                decided = sat | viol
+                out.append((lo[decided], hi[decided], np.where(sat, LABEL_SAT, LABEL_VIOL)[decided]))
+                lo, hi = lo[~decided], hi[~decided]
+            # sequential sum in box order (not NumPy's pairwise): the stop level never moves
+            undecided_volume = sum(np.prod(hi - lo, axis=1).tolist())
+            met = undecided_volume <= volume_tolerance * total_volume
+            if met or depth >= config.max_depth:
+                status = STATUS_OK if met else STATUS_TOLERANCE_UNMET
+                out.append((lo, hi, np.full(len(lo), LABEL_UNDECIDED)))
+                break
+            # split along the longest normalized side (argmax takes the
+            # lowest index on ties), the lower half before the upper half
+            rows = np.arange(len(lo))
+            dims = np.argmax((hi - lo) / widths, axis=1)
+            mid = (lo[rows, dims] + hi[rows, dims]) / 2.0
+            lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+            hi[2 * rows, dims] = mid
+            lo[2 * rows + 1, dims] = mid
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    lo, hi, labels = (np.concatenate(parts) for parts in zip(*out))
+    return lo, hi, labels, status, len(cache)
 
 
 def synthesize(
@@ -151,108 +198,29 @@ def synthesize(
     if not 0 < volume_tolerance < 1:
         raise ConfigError("volume tolerance must lie strictly between 0 and 1")
     config = config or SynthesisConfig()
-    space = pcrn.params
-    theta = Box(lo=tuple(space.lower), hi=tuple(space.upper))
-    total_volume = theta.volume()
-    names = space.names
+    theta_lo = np.asarray(pcrn.params.lower, dtype=float)
+    theta_hi = np.asarray(pcrn.params.upper, dtype=float)
 
     # a vacuous threshold holds (or fails) whatever the satisfaction
     # probability is: no evaluation, no refinement
     vacuous = _vacuous_label(formula.relation, formula.bound)
-    if vacuous is not None:
-        return RegionPartition(
-            param_names=names,
-            theta=theta,
-            boxes=[(theta, vacuous)],
-            threshold=formula.bound,
-            relation=formula.relation,
-            volume_tolerance=volume_tolerance,
-            backend={"backend": "uniformization", "tol": config.transient_tol,
-                     "margin": config.margin, "max_depth": config.max_depth,
-                     "evaluations": 0},
-            status=STATUS_OK,
-            property_text=format_csl(formula),
-        )
-
-    evaluator = evaluator_for(pcrn, formula)
-
-    cache: dict[tuple[float, ...], float] = {}
-    pool = None
-    if config.workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_worker_init,
-            initargs=(pcrn, format_csl(formula), config.transient_tol),
-        )
-
-    def evaluate_all(points: list[tuple[float, ...]]):
-        todo = sorted({p for p in points if p not in cache})
-        if not todo:
-            return
-        if pool is not None:
-            results = list(pool.map(_worker_eval, todo, chunksize=4))
-        else:
-            results = [evaluator.probability(p, config.transient_tol) for p in todo]
-        cache.update(zip(todo, results))
-
-    labeled: list[tuple[Box, str]] = []
-    pending = [theta]
-    depth = 0
-    status = STATUS_OK
-    try:
-        while pending:
-            deep_enough = depth >= MIN_LABEL_DEPTH
-            if deep_enough:
-                evaluate_all([pt for box in pending for pt in box.lattice()])
-            still_undecided: list[Box] = []
-            for box in pending:
-                values = [cache[pt] for pt in box.lattice()] if deep_enough else []
-                if deep_enough and all(
-                    _satisfies_with_margin(v, formula.relation, formula.bound, config.margin)
-                    for v in values
-                ):
-                    labeled.append((box, LABEL_SAT))
-                elif deep_enough and all(
-                    _violates_with_margin(v, formula.relation, formula.bound, config.margin)
-                    for v in values
-                ):
-                    labeled.append((box, LABEL_VIOL))
-                else:
-                    still_undecided.append(box)
-            undecided_volume = sum(b.volume() for b in still_undecided)
-            if undecided_volume <= volume_tolerance * total_volume:
-                labeled.extend((b, LABEL_UNDECIDED) for b in still_undecided)
-                break
-            if depth >= config.max_depth:
-                labeled.extend((b, LABEL_UNDECIDED) for b in still_undecided)
-                status = STATUS_TOLERANCE_UNMET
-                break
-            widths_norm = np.array(space.upper) - np.array(space.lower)
-            pending = []
-            for box in still_undecided:
-                sides = (np.array(box.hi) - np.array(box.lo)) / widths_norm
-                dim = int(np.argmax(sides))  # argmax takes the lowest index on ties
-                pending.extend(box.split(dim))
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    if vacuous is None:
+        lo, hi, labels, status, evaluations = _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi)
+    else:
+        lo, hi, labels = theta_lo[None, :], theta_hi[None, :], np.array([vacuous])
+        status, evaluations = STATUS_OK, 0
     return RegionPartition(
-        param_names=names,
-        theta=theta,
-        boxes=labeled,
+        param_names=pcrn.params.names,
+        theta_lo=theta_lo,
+        theta_hi=theta_hi,
+        lo=lo,
+        hi=hi,
+        labels=labels,
         threshold=formula.bound,
         relation=formula.relation,
         volume_tolerance=volume_tolerance,
-        backend={
-            "backend": "uniformization",
-            "tol": config.transient_tol,
-            "margin": config.margin,
-            "max_depth": config.max_depth,
-            "min_label_depth": MIN_LABEL_DEPTH,
-            "evaluations": len(cache),
-        },
+        backend={"backend": "uniformization", "tol": config.transient_tol, "margin": config.margin,
+                 "max_depth": config.max_depth, "min_label_depth": MIN_LABEL_DEPTH, "evaluations": evaluations},
         status=status,
         property_text=format_csl(formula),
     )
@@ -268,34 +236,36 @@ def classify_point(partition: RegionPartition, point: Sequence[float]) -> str:
     return label
 
 
-def classify_points(partition: RegionPartition, values: np.ndarray) -> list[str | None]:
-    """Labels of the boxes containing many points; None for points outside
-    the space.
+def classify_points(partition: RegionPartition, values: np.ndarray) -> np.ndarray:
+    """Labels of the boxes containing many points (an object array), None
+    for points outside the parameter box.
 
-    Points on shared box faces resolve to the containing box whose corner
-    is lexicographically smallest, so classification is deterministic.
-    ``values`` columns follow ``partition.param_names``.
+    A point on faces shared by several boxes takes the label of the one
+    that sorts first by ``(lo, hi)`` compared lexicographically, so
+    classification does not depend on box order.  ``values`` columns
+    follow ``partition.param_names``.
     """
-    los = np.array([box.lo for box, _ in partition.boxes])
-    his = np.array([box.hi for box, _ in partition.boxes])
-    labels = [label for _, label in partition.boxes]
-    lo = np.array(partition.theta.lo)
-    hi = np.array(partition.theta.hi)
-    inside = np.all((lo <= values) & (values <= hi), axis=1)
-    out: list[str | None] = [None] * len(values)
-    for j in np.nonzero(inside)[0]:
-        v = values[j]
-        hits = np.nonzero(np.all((los <= v) & (v <= his), axis=1))[0]
-        if hits.size == 0:
-            raise ValueError(f"partition does not cover point {dict(zip(partition.param_names, v.tolist()))}")
-        best = min(hits, key=lambda i: (tuple(los[i]), tuple(his[i])))
-        out[j] = labels[best]
+    values = np.asarray(values, dtype=float)
+    rank = np.lexsort(np.hstack([partition.lo, partition.hi]).T[::-1])
+    lo, hi, labels = partition.lo[rank], partition.hi[rank], partition.labels[rank]
+    out = np.full(len(values), None, dtype=object)
+    for start in range(0, len(values), CLASSIFY_BLOCK):
+        block = values[start:start + CLASSIFY_BLOCK]
+        hits = np.ones((len(block), len(lo)), dtype=bool)
+        for d in range(lo.shape[1]):
+            hits &= (lo[:, d] <= block[:, d, None]) & (block[:, d, None] <= hi[:, d])
+        inside = np.all((partition.theta_lo <= block) & (block <= partition.theta_hi), axis=1)
+        missed = inside & ~hits.any(axis=1)
+        if missed.any():
+            point = dict(zip(partition.param_names, block[missed][0].tolist()))
+            raise ValueError(f"partition does not cover point {point}")
+        out[start:start + CLASSIFY_BLOCK][inside] = labels[np.argmax(hits[inside], axis=1)]
     return out
 
 
 def feasible_volume_fraction(partition: RegionPartition) -> float:
     """Fraction of the parameter-space volume labeled satisfying."""
-    return partition.volume(LABEL_SAT) / partition.theta.volume()
+    return partition.volume(LABEL_SAT) / partition.theta_volume()
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +280,62 @@ def save_partition(partition: RegionPartition, path: str | Path, seed: int | Non
             "tolerance": partition.volume_tolerance,
             "seed": seed,
             "params": list(partition.param_names),
-            "theta_lo": list(partition.theta.lo),
-            "theta_hi": list(partition.theta.hi),
+            "theta_lo": partition.theta_lo.tolist(),
+            "theta_hi": partition.theta_hi.tolist(),
             "property": partition.property_text,
             "status": partition.status,
             "backend": partition.backend,
         },
         "boxes": [
-            {"lo": list(box.lo), "hi": list(box.hi), "label": label}
-            for box, label in partition.boxes
+            {"lo": lo, "hi": hi, "label": label}
+            for lo, hi, label in zip(partition.lo.tolist(), partition.hi.tolist(), partition.labels.tolist())
         ],
     })
 
 
+def _finite_rows(rows, k: int, what: str, path) -> np.ndarray:
+    """``rows`` as an (n, k) array of finite floats, or a ``ParseError``."""
+    try:
+        array = np.array(rows)
+        if array.ndim == 2 and array.shape[1] == k and array.dtype.kind in "iuf" and np.isfinite(array).all():
+            return array.astype(float)
+    except ValueError:  # ragged
+        pass
+    raise ParseError(f"partition {path}: {what} must be lists of {k} finite numbers")
+
+
 def load_partition(path: str | Path) -> RegionPartition:
+    """Read a partition file; a ``ParseError`` unless it holds a nonempty
+    list of boxes with ``lo < hi`` inside ``theta``, each labeled T, F or U."""
     doc = read_json(path, "partition")
-    header = doc["header"]
+    try:
+        header, boxes = doc["header"], doc["boxes"]
+        names = tuple(header["params"])
+        theta = [header["theta_lo"], header["theta_hi"]]
+        lo, hi, labels = [b["lo"] for b in boxes], [b["hi"] for b in boxes], [b["label"] for b in boxes]
+        settings = {
+            "threshold": header["p"],
+            "relation": header["relation"],
+            "volume_tolerance": header["tolerance"],
+            "backend": header.get("backend", {}),
+            "status": header.get("status", STATUS_OK),
+            "property_text": header.get("property", ""),
+        }
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"partition {path}: missing or malformed {exc}") from exc
+    if not labels:
+        raise ParseError(f"partition {path}: no boxes")
+    if any(label not in LABELS for label in labels):
+        raise ParseError(f"partition {path}: every label must be one of {list(LABELS)}")
+    theta_lo, theta_hi = _finite_rows(theta, len(names), "theta_lo and theta_hi", path)
+    lo = _finite_rows(lo, len(names), "box corners", path)
+    hi = _finite_rows(hi, len(names), "box corners", path)
+    if not (np.all(theta_lo < theta_hi) and np.all(lo < hi)):
+        raise ParseError(f"partition {path}: theta and every box need lo < hi in every dimension")
+    if not (np.all(theta_lo <= lo) and np.all(hi <= theta_hi)):
+        raise ParseError(f"partition {path}: a box lies outside theta")
     return RegionPartition(
-        param_names=tuple(header["params"]),
-        theta=Box(lo=tuple(header["theta_lo"]), hi=tuple(header["theta_hi"])),
-        boxes=[
-            (Box(lo=tuple(b["lo"]), hi=tuple(b["hi"])), b["label"]) for b in doc["boxes"]
-        ],
-        threshold=header["p"],
-        relation=header["relation"],
-        volume_tolerance=header["tolerance"],
-        backend=header.get("backend", {}),
-        status=header.get("status", STATUS_OK),
-        property_text=header.get("property", ""),
+        param_names=names, theta_lo=theta_lo, theta_hi=theta_hi, lo=lo, hi=hi, labels=np.array(labels), **settings
     )
 
 
@@ -347,8 +345,7 @@ def save_heatmap_grid(
     """Rasterize box labels onto a cell-center grid as CSV for external plotting."""
     if resolution < 1:
         raise ConfigError("grid resolution must be positive")
-    lo = np.array(partition.theta.lo)
-    hi = np.array(partition.theta.hi)
+    lo, hi = partition.theta_lo, partition.theta_hi
     k = len(lo)
     axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(resolution) + 0.5) / resolution for d in range(k)]
     grid = np.array(list(itertools.product(*axes)))

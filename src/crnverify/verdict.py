@@ -56,7 +56,6 @@ class VerdictReport:
     seed: int | None
     partition_file: str | None
     posterior: Posterior
-    wall_time: float = 0.0
 
 
 def fit_posterior(names: tuple[str, ...], points: np.ndarray, weights: np.ndarray) -> Posterior:
@@ -154,9 +153,9 @@ def probability(
     samples = slice_sample(posterior, n_samples, scale, rng)
     labels = classify_points(partition, samples)
     n = len(labels)
-    n_outside = sum(1 for lab in labels if lab is None)
-    n_sat = sum(1 for lab in labels if lab == LABEL_SAT)
-    n_und = sum(1 for lab in labels if lab == LABEL_UNDECIDED)
+    n_outside, n_sat, n_und = (
+        int(np.count_nonzero(labels == lab)) for lab in (None, LABEL_SAT, LABEL_UNDECIDED)
+    )
     n_viol = n - n_outside - n_sat - n_und
     c = n_sat / n
     return VerdictReport(

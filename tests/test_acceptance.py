@@ -146,9 +146,9 @@ def test_criterion_3_ground_truth_classification(sir, case_formula):
 def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
     with criterion(4, "SIR partition: coverage, tolerance, labels, statistical audit"):
         partition = load_partition(phi_run["out"] / phi_run["run"]["stages"]["partition"])
-        theta_vol = partition.theta.volume()
+        theta_vol = partition.theta_volume()
 
-        box_vol = sum(box.volume() for box, _ in partition.boxes)
+        box_vol = sum(float(np.prod(hi - lo)) for lo, hi in zip(partition.lo, partition.hi))
         assert box_vol == pytest.approx(theta_vol, rel=1e-9)
         assert partition.volume(LABEL_UNDECIDED) / theta_vol <= 0.1
         assert partition.status == "ok"
@@ -165,13 +165,13 @@ def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
         rng = stream(424242, 4)
         agree = total = 0
         for label in (LABEL_SAT, LABEL_VIOL):
-            boxes = [box for box, lab in partition.boxes if lab == label]
-            vols = np.array([b.volume() for b in boxes])
+            boxes = list(zip(partition.lo[partition.labels == label], partition.hi[partition.labels == label]))
+            vols = np.array([float(np.prod(box_hi - box_lo)) for box_lo, box_hi in boxes])
             pick = vols / vols.sum()
             for _ in range(50):
-                box = boxes[int(rng.choice(len(boxes), p=pick))]
+                box_lo, box_hi = boxes[int(rng.choice(len(boxes), p=pick))]
                 point = tuple(
-                    lo + (hi - lo) * rng.random() for lo, hi in zip(box.lo, box.hi)
+                    lo + (hi - lo) * rng.random() for lo, hi in zip(box_lo, box_hi)
                 )
                 value = evaluator.probability(point, tol=1e-8)
                 holds = case_formula.compare(value)
@@ -251,14 +251,14 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
 
         # partition disjoint cover on the synthesized SIR partition
         partition = load_partition(phi_run["out"] / phi_run["run"]["stages"]["partition"])
-        boxes = [box for box, _ in partition.boxes]
+        boxes = list(zip(partition.lo, partition.hi))
         rng2 = np.random.default_rng(2)
         idx = rng2.choice(len(boxes), size=min(400, len(boxes)), replace=False)
         for ii, i in enumerate(idx):
             for j in idx[ii + 1:]:
-                a, b = boxes[i], boxes[j]
+                (a_lo, a_hi), (b_lo, b_hi) = boxes[i], boxes[j]
                 assert not all(
-                    min(a.hi[d], b.hi[d]) > max(a.lo[d], b.lo[d]) for d in range(2)
+                    min(a_hi[d], b_hi[d]) > max(a_lo[d], b_lo[d]) for d in range(2)
                 )
 
         # slice-sampler moment checks against its target

@@ -192,3 +192,45 @@ class TestExitCodes:
 
     def test_missing_required_flags_without_config(self, workspace):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
+
+
+@pytest.fixture(scope="module")
+def smoke_stages(tmp_path_factory):
+    """A smoke-config partition and particle file, built once."""
+    root = tmp_path_factory.mktemp("smoke")
+    doc = json.loads((REPO / "configs" / "smoke.json").read_text())
+    (root / "smoke.json").write_text(json.dumps({**doc, "model": str(REPO / "models" / "decay.crn")}))
+    config, out = str(root / "smoke.json"), str(root / "out")
+    assert run("synth", "--config", config, "--out-dir", out) == 0
+    assert run("generate", "--config", config, "--out-dir", out) == 0
+    assert run("infer", "--config", config, "--dataset", f"{out}/dataset.csv", "--out-dir", out) == 0
+    return root / "out"
+
+
+# each edits the first box or the document, with the reason verify gives
+# for exiting 2
+CORRUPTIONS = {
+    "label-X": (lambda doc: doc["boxes"][0].update(label="X"), "label must be one of"),
+    "no-header": (lambda doc: doc.pop("header"), "'header'"),
+    "no-boxes": (lambda doc: doc.pop("boxes"), "'boxes'"),
+    "empty-boxes": (lambda doc: doc.update(boxes=[]), "no boxes"),
+    "ragged": (lambda doc: doc["boxes"][0]["lo"].append(0.5), "lists of 1 finite numbers"),
+    "non-numeric": (lambda doc: doc["boxes"][0].update(hi=["1.0"]), "lists of 1 finite numbers"),
+    "lo-ge-hi": (
+        lambda doc: doc["boxes"][0].update(lo=doc["boxes"][0]["hi"], hi=doc["boxes"][0]["lo"]),
+        "lo < hi",
+    ),
+    "outside-theta": (lambda doc: doc["boxes"][0].update(hi=[1e6]), "outside theta"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_verify_rejects_corrupt_partition(smoke_stages, tmp_path, capsys, case):
+    edit, reason = CORRUPTIONS[case]
+    doc = json.loads((smoke_stages / "partition.json").read_text())
+    edit(doc)
+    (tmp_path / "partition.json").write_text(json.dumps(doc))
+    assert run("verify", str(tmp_path / "partition.json"), str(smoke_stages / "particles.csv"),
+               "--seed", "1", "--samples", "200", "--out-dir", str(tmp_path / "out")) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verdict.json").exists()

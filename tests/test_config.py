@@ -128,6 +128,8 @@ NAN, INF = float("nan"), float("inf")
         ("param_bounds", {"k": 5}),
         ("param_bounds", {"k": [0.1, 5, 9]}),
         ("param_bounds", {"k": [0.1, "5"]}),
+        ("param_bounds", [0.1, 5]),
+        ("true_point", [1.0]),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from crnverify import (
-    Box,
     ConfigError,
     classify_point,
     feasible_volume_fraction,
@@ -16,7 +15,15 @@ from crnverify import (
     save_partition,
     synthesize,
 )
-from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL, SynthesisConfig, save_heatmap_grid
+from crnverify.synthesis import (
+    LABEL_SAT,
+    LABEL_UNDECIDED,
+    LABEL_VIOL,
+    RegionPartition,
+    SynthesisConfig,
+    classify_points,
+    save_heatmap_grid,
+)
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
 # P(B by t=1) = 1 - exp(-k): crosses 0.5 at k = ln 2
@@ -32,8 +39,8 @@ class TestSynthesize:
     def test_parameter_independent_property_single_box(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
         part = synthesize(AB, trivial, 0.1)
-        assert len(part.boxes) == 1
-        assert part.boxes[0][1] == LABEL_SAT
+        assert len(part.labels) == 1
+        assert part.labels[0] == LABEL_SAT
         assert part.backend["evaluations"] == 0
 
     def test_narrow_satisfying_band_is_found(self):
@@ -52,28 +59,35 @@ class TestSynthesize:
     def test_decay_bound_is_bracketed(self, ab_partition):
         # every T box lies right of the crossing, every F box left of it
         crossing = np.log(2.0)
-        for box, label in ab_partition.boxes:
+        for lo, hi, label in zip(ab_partition.lo, ab_partition.hi, ab_partition.labels):
             if label == LABEL_SAT:
-                assert box.hi[0] > crossing
+                assert hi[0] > crossing
             elif label == LABEL_VIOL:
-                assert box.lo[0] < crossing
+                assert lo[0] < crossing
+
+    def test_upper_bound_swaps_labels(self, ab_partition):
+        # P<0.5 decides the same boxes as P>0.5 with T and F exchanged
+        below = synthesize(AB, parse_csl("P<0.5 [ true U[0,1] (B=1) ]"), 0.05, SynthesisConfig(max_depth=14))
+        swap = {LABEL_SAT: LABEL_VIOL, LABEL_VIOL: LABEL_SAT, LABEL_UNDECIDED: LABEL_UNDECIDED}
+        assert np.array_equal(below.lo, ab_partition.lo) and np.array_equal(below.hi, ab_partition.hi)
+        assert below.labels.tolist() == [swap[label] for label in ab_partition.labels.tolist()]
 
     def test_undecided_volume_within_tolerance(self, ab_partition):
-        theta_vol = ab_partition.theta.volume()
+        theta_vol = ab_partition.theta_volume()
         assert ab_partition.volume(LABEL_UNDECIDED) / theta_vol <= 0.05
         assert ab_partition.status == "ok"
 
     def test_partition_covers_theta_exactly(self, ab_partition):
-        total = sum(box.volume() for box, _ in ab_partition.boxes)
-        assert total == pytest.approx(ab_partition.theta.volume(), rel=1e-9)
+        total = sum(float(np.prod(hi - lo)) for lo, hi in zip(ab_partition.lo, ab_partition.hi))
+        assert total == pytest.approx(ab_partition.theta_volume(), rel=1e-9)
 
     def test_boxes_pairwise_interior_disjoint(self, ab_partition):
-        boxes = [box for box, _ in ab_partition.boxes]
+        boxes = list(zip(ab_partition.lo, ab_partition.hi))
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                a, b = boxes[i], boxes[j]
+                (a_lo, a_hi), (b_lo, b_hi) = boxes[i], boxes[j]
                 overlap = all(
-                    min(a.hi[d], b.hi[d]) > max(a.lo[d], b.lo[d]) for d in range(len(a.lo))
+                    min(a_hi[d], b_hi[d]) > max(a_lo[d], b_lo[d]) for d in range(len(a_lo))
                 )
                 assert not overlap
 
@@ -81,23 +95,51 @@ class TestSynthesize:
         coarse = synthesize(AB, REACH, 0.5)
         fine = synthesize(AB, REACH, 0.05)
         assert coarse.backend["evaluations"] < fine.backend["evaluations"]
-        assert coarse.volume(LABEL_UNDECIDED) / coarse.theta.volume() <= 0.5
+        assert coarse.volume(LABEL_UNDECIDED) / coarse.theta_volume() <= 0.5
 
     def test_determinism(self):
         a = synthesize(AB, REACH, 0.2)
         b = synthesize(AB, REACH, 0.2)
-        assert a.boxes == b.boxes
+        for field in ("lo", "hi", "labels"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_tolerance_unmet_is_flagged_not_silent(self):
         part = synthesize(AB, REACH, 0.001, SynthesisConfig(max_depth=2))
         assert part.status == "tolerance-unmet"
-        assert part.volume(LABEL_UNDECIDED) / part.theta.volume() > 0.001
+        assert part.volume(LABEL_UNDECIDED) / part.theta_volume() > 0.001
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             synthesize(AB, REACH, 0.0)
         with pytest.raises(ConfigError):
             synthesize(AB, REACH, 1.0)
+
+    def test_process_pool_matches_serial(self, ab_partition, tmp_path):
+        pooled = synthesize(AB, REACH, 0.05, SynthesisConfig(margin=0.02, max_depth=14, workers=2))
+        save_partition(ab_partition, tmp_path / "serial.json")
+        save_partition(pooled, tmp_path / "pooled.json")
+        assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+def _shuffled_grid_partition(rng):
+    """A 3x3 grid on a 2-D theta with its center cell split 2x2, labels
+    drawn at random and the box list shuffled."""
+    xs, ys = np.array([0.0, 1.0, 2.0, 4.0]), np.array([1.0, 1.5, 2.5, 3.0])
+    cells = [((xs[i], ys[j]), (xs[i + 1], ys[j + 1])) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+    cx, cy = [1.0, 1.5, 2.0], [1.5, 2.0, 2.5]
+    cells += [((cx[i], cy[j]), (cx[i + 1], cy[j + 1])) for i in range(2) for j in range(2)]
+    order = rng.permutation(len(cells))
+    return RegionPartition(
+        param_names=("a", "b"),
+        theta_lo=np.array([0.0, 1.0]),
+        theta_hi=np.array([4.0, 3.0]),
+        lo=np.array([cells[i][0] for i in order]),
+        hi=np.array([cells[i][1] for i in order]),
+        labels=rng.choice([LABEL_SAT, LABEL_VIOL, LABEL_UNDECIDED], size=len(cells)),
+        threshold=0.5,
+        relation=">",
+        volume_tolerance=0.1,
+    )
 
 
 class TestClassifyPoint:
@@ -117,14 +159,45 @@ class TestClassifyPoint:
 
     def test_boundary_tie_break_is_deterministic(self, ab_partition):
         # a shared face between two boxes: lexicographically smaller corner wins
-        corner_key = lambda box: (box.lo, box.hi)
-        boxes = sorted((box for box, _ in ab_partition.boxes), key=corner_key)
-        face = boxes[0].hi[0]
+        corner_key = lambda box: (tuple(box[0]), tuple(box[1]))
+        boxes = list(zip(ab_partition.lo, ab_partition.hi, ab_partition.labels))
+        face = min(boxes, key=corner_key)[1][0]
         label = classify_point(ab_partition, (face,))
-        containing = [(box, lab) for box, lab in ab_partition.boxes if box.lo[0] <= face <= box.hi[0]]
+        containing = [box for box in boxes if box[0][0] <= face <= box[1][0]]
         assert len(containing) == 2
-        want = min(containing, key=lambda pair: corner_key(pair[0]))[1]
+        want = min(containing, key=corner_key)[2]
         assert label == want
+
+    def test_tie_break_matches_brute_force_reference(self):
+        rng = np.random.default_rng(11)
+        part = _shuffled_grid_partition(rng)
+        boxes = list(zip(part.lo.tolist(), part.hi.tolist(), part.labels.tolist()))
+        corners = [(x, y) for lo, hi, _ in boxes for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+        faces = [
+            point
+            for lo, hi, _ in boxes
+            for point in (
+                (lo[0], (lo[1] + hi[1]) / 2), (hi[0], (lo[1] + hi[1]) / 2),
+                ((lo[0] + hi[0]) / 2, lo[1]), ((lo[0] + hi[0]) / 2, hi[1]),
+            )
+        ]
+        interior = rng.uniform(part.theta_lo, part.theta_hi, size=(200, 2)).tolist()
+        outside = [(-0.5, 2.0), (4.5, 2.0), (2.0, 0.5), (2.0, 3.5), (-1.0, -1.0), (5.0, 4.0)]
+        points = corners + faces + interior + outside
+
+        def containing(p):
+            return [box for box in boxes if all(box[0][d] <= p[d] <= box[1][d] for d in range(2))]
+
+        def reference(p):
+            hits = containing(p)
+            return min(hits, key=lambda box: (tuple(box[0]), tuple(box[1])))[2] if hits else None
+
+        want = [reference(p) for p in points]
+        assert want[-len(outside):] == [None] * len(outside)
+        # the first containing box in list order differs at some shared face,
+        # so the test tells the lexicographic rule from list order
+        assert any(hits and hits[0][2] != w for hits, w in zip(map(containing, points), want))
+        assert list(classify_points(part, np.array(points))) == want
 
 
 class TestVolumes:
@@ -137,19 +210,16 @@ class TestVolumes:
         impossible = parse_csl("P>1 [ true U[0,1] (A=5) ]")
         part = synthesize(AB, impossible, 0.1)
         assert feasible_volume_fraction(part) == pytest.approx(0.0)
-        assert all(label == LABEL_VIOL for _, label in part.boxes)
+        assert all(label == LABEL_VIOL for label in part.labels)
 
     def test_half_split_partition(self):
-        part_boxes = [
-            (Box((0.0,), (1.0,)), LABEL_SAT),
-            (Box((1.0,), (2.0,)), LABEL_VIOL),
-        ]
-        from crnverify.synthesis import RegionPartition
-
         part = RegionPartition(
             param_names=("k",),
-            theta=Box((0.0,), (2.0,)),
-            boxes=part_boxes,
+            theta_lo=np.array([0.0]),
+            theta_hi=np.array([2.0]),
+            lo=np.array([[0.0], [1.0]]),
+            hi=np.array([[1.0], [2.0]]),
+            labels=np.array([LABEL_SAT, LABEL_VIOL]),
             threshold=0.5,
             relation=">",
             volume_tolerance=0.1,
@@ -162,7 +232,8 @@ class TestFiles:
         path = tmp_path / "p.json"
         save_partition(ab_partition, path, seed=7)
         loaded = load_partition(path)
-        assert loaded.boxes == ab_partition.boxes
+        for field in ("theta_lo", "theta_hi", "lo", "hi", "labels"):
+            assert np.array_equal(getattr(loaded, field), getattr(ab_partition, field))
         assert loaded.threshold == ab_partition.threshold
         assert loaded.relation == ab_partition.relation
         doc = json.loads(path.read_text())

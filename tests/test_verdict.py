@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crnverify import (
-    Box,
     ConfigError,
     Posterior,
     bayes_smc,
@@ -84,11 +83,11 @@ class TestSliceSample:
 def two_box_partition(split=0.002, labels=(LABEL_SAT, LABEL_VIOL)):
     return RegionPartition(
         param_names=("a", "b"),
-        theta=Box((0.0, 0.0), (0.004, 0.1)),
-        boxes=[
-            (Box((0.0, 0.0), (split, 0.1)), labels[0]),
-            (Box((split, 0.0), (0.004, 0.1)), labels[1]),
-        ],
+        theta_lo=np.array([0.0, 0.0]),
+        theta_hi=np.array([0.004, 0.1]),
+        lo=np.array([[0.0, 0.0], [split, 0.0]]),
+        hi=np.array([[split, 0.1], [0.004, 0.1]]),
+        labels=np.array(labels),
         threshold=0.1,
         relation=">",
         volume_tolerance=0.1,
