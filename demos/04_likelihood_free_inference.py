@@ -7,7 +7,7 @@ over rounds to the median of the previous round's accepted distances.
 
 import numpy as np
 
-from crnverify import AbcConfig, abcseq, load_crn, observe, simulate
+from crnverify import ExperimentConfig, abcseq, load_crn, observe, simulate
 from crnverify.rng import stream
 from crnverify.verdict import fit_posterior
 
@@ -19,10 +19,8 @@ trajectory = simulate(pcrn, true_rate, 10.0, stream(42, 0))
 data = observe(trajectory, np.linspace(0.5, 10.0, 10), 2.0, stream(42, 1), species=pcrn.species_names())
 print("observed A counts:", np.round(data.observations[:, 0], 1))
 
-batches = [
-    abcseq(pcrn, data, AbcConfig(particles=400, rounds=6, seed=42, batch=b))
-    for b in range(3)
-]
+config = ExperimentConfig(seed=42, abc_particles=400, abc_rounds=6)
+batches = [abcseq(pcrn, data, config, batch=b) for b in range(3)]
 print("\nannealed thresholds per batch:")
 for b, result in enumerate(batches):
     finite = [f"{t:.1f}" for t in result.thresholds if np.isfinite(t)]

@@ -30,8 +30,7 @@ particles_path, posterior_path = cmd_infer(config, dataset, out)
 posterior = json.loads(Path(posterior_path).read_text())
 print(f"posterior: k = {posterior['mu']['k']:.3f} +- {posterior['sigma']['k']:.3f}")
 
-verdict_path = cmd_verify(partition_path, particles_path, out, seed=config.seed,
-                          n_samples=config.slice_samples, scale=config.slice_scale)
+verdict_path = cmd_verify(config, partition_path, particles_path, out)
 verdict = json.loads(Path(verdict_path).read_text())
 print(
     f"\nP(system satisfies the property | data) = {verdict['C']:.3f}"

@@ -8,7 +8,6 @@ system satisfies the property.
 """
 
 from .abcsmc import (
-    AbcConfig,
     ParticleSet,
     abcseq,
     adaptive_threshold,
@@ -48,7 +47,6 @@ from .simulate import (
 )
 from .synthesis import (
     RegionPartition,
-    SynthesisConfig,
     classify_point,
     feasible_volume_fraction,
     load_partition,

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
+from .config import ExperimentConfig
 from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
 from .model import PCRN, ParameterSpace
@@ -55,18 +56,6 @@ class ParticleSet:
     def threshold(self) -> float:
         """The threshold this round accepted against (infinity for prior draws)."""
         return self.thresholds[-1] if self.thresholds else float("inf")
-
-
-@dataclass
-class AbcConfig:
-    particles: int = 1000
-    rounds: int = 8
-    max_attempts: int = 5000
-    seed: int = 0
-    batch: int = 0
-    # testing hook: pin every round's threshold instead of annealing to the
-    # median (disables stall detection)
-    force_threshold: float | None = None
 
 
 def adaptive_threshold(accepted_distances) -> float:
@@ -107,34 +96,31 @@ def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_
     return out
 
 
-def abcseq(pcrn: PCRN, data: Dataset, config: AbcConfig) -> ParticleSet:
-    """Run the sequential ABC sampler and return the final particle set.
+def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) -> ParticleSet:
+    """Run one batch of the sequential ABC sampler and return its final
+    particle set.
 
-    The prior is uniform over ``pcrn.params``, and particles are rows in
-    its ``names`` order.  ``config.rounds`` counts particle populations
-    including the initial prior-sampled one, so rounds=1 degenerates to
-    prior sampling with uniform weights.  If any slot exhausts
-    ``max_attempts`` the round is abandoned and the previous round's set is
-    returned with an "aborted" status; if the threshold stalls for two
-    consecutive rounds the current set is returned flagged
+    Reads ``abc_particles``, ``abc_rounds``, ``abc_max_attempts`` and
+    ``seed`` of ``config``.  The prior is uniform over ``pcrn.params``, and
+    particles are rows in its ``names`` order.  ``abc_rounds`` counts
+    particle populations including the initial prior-sampled one, so one
+    round degenerates to prior sampling with uniform weights.  If any slot
+    exhausts ``abc_max_attempts`` the round is abandoned and the previous
+    round's set is returned with an "aborted" status; if the threshold
+    stalls for two consecutive rounds the current set is returned flagged
     "converged-early".
     """
-    m = config.particles
-    if m < 2:
-        raise ConfigError("need at least 2 particles")
-    if config.rounds < 1:
-        raise ConfigError("need at least 1 round")
+    m = config.abc_particles
     space = pcrn.params
     order, lo, hi = space.names, space.lower, space.upper
     t_end = float(data.times[-1])
-    seed, batch = config.seed, config.batch
 
     # round 0: prior draws, one simulation each, all accepted
     points = np.empty((m, len(order)))
     distances = np.empty(m)
     attempts_total = 0
     for i in range(m):
-        stream = rngmod.stream(seed, batch, 0, i)
+        stream = rngmod.stream(config.seed, batch, 0, i)
         points[i] = lo + (hi - lo) * stream.random(len(lo))
         distances[i] = discrepancy(data, simulate(pcrn, points[i], t_end, stream))
         attempts_total += 1
@@ -143,18 +129,15 @@ def abcseq(pcrn: PCRN, data: Dataset, config: AbcConfig) -> ParticleSet:
     current = ParticleSet(order, points, weights, distances, 0, attempts_total, thresholds=tuple(thresholds))
 
     stall_streak = 0
-    for r in range(1, config.rounds):
-        if config.force_threshold is not None:
-            eps = config.force_threshold
+    for r in range(1, config.abc_rounds):
+        eps = adaptive_threshold(distances)
+        if np.isfinite(thresholds[-1]) and eps >= thresholds[-1] * (1.0 - _STALL_FRACTION):
+            stall_streak += 1
+            if stall_streak >= 2:
+                current.status = STATUS_CONVERGED_EARLY
+                return current
         else:
-            eps = adaptive_threshold(distances)
-            if np.isfinite(thresholds[-1]) and eps >= thresholds[-1] * (1.0 - _STALL_FRACTION):
-                stall_streak += 1
-                if stall_streak >= 2:
-                    current.status = STATUS_CONVERGED_EARLY
-                    return current
-            else:
-                stall_streak = 0
+            stall_streak = 0
         thresholds.append(float(eps))
 
         cov = kernel_covariance(points, weights)
@@ -164,9 +147,9 @@ def abcseq(pcrn: PCRN, data: Dataset, config: AbcConfig) -> ParticleSet:
         new_points = np.empty_like(points)
         new_distances = np.empty(m)
         for i in range(m):
-            stream = rngmod.stream(seed, batch, r, i)
+            stream = rngmod.stream(config.seed, batch, r, i)
             accepted = False
-            for _ in range(config.max_attempts):
+            for _ in range(config.abc_max_attempts):
                 attempts_total += 1
                 ancestor = points[np.searchsorted(cum_weights, stream.random())]
                 proposal = perturb(ancestor, chol, stream)

@@ -14,10 +14,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from . import rng as rngmod
-from .abcsmc import AbcConfig, ParticleSet, abcseq, load_particles, pool_batches, save_particles
+from .abcsmc import ParticleSet, abcseq, load_particles, pool_batches, save_particles
 from .config import ExperimentConfig, load_config
 from .crn_text import load_crn
 from .csl import parse_csl
@@ -27,7 +28,6 @@ from .model import PCRN
 from .simulate import observe, save_dataset, simulate, load_dataset
 from .synthesis import (
     STATUS_OK,
-    SynthesisConfig,
     save_heatmap_grid,
     save_partition,
     load_partition,
@@ -91,14 +91,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> Path:
 def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]:
     """Partition the parameter space and export it plus a plotting grid."""
     pcrn = _model_with_bounds(config)
-    formula = parse_csl(config.property)
-    synth_config = SynthesisConfig(
-        margin=config.synth_margin,
-        max_depth=config.synth_max_depth,
-        transient_tol=config.synth_transient_tol,
-        workers=config.workers,
-    )
-    partition = synthesize(pcrn, formula, config.synth_volume_tolerance, synth_config)
+    partition = synthesize(pcrn, parse_csl(config.property), config)
     partition_path = out_dir / "partition.json"
     heatmap_path = out_dir / "heatmap.csv"
     save_partition(partition, partition_path, seed=config.seed)
@@ -107,8 +100,7 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
 
 
 def _run_batch(args) -> ParticleSet:
-    pcrn, data, abc_config = args
-    return abcseq(pcrn, data, abc_config)
+    return abcseq(*args)
 
 
 def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tuple[Path, Path]:
@@ -119,16 +111,7 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
         raise ConfigError(
             f"dataset species {data.species} do not match model species {pcrn.species_names()}"
         )
-    jobs = [
-        (pcrn, data, AbcConfig(
-            particles=config.abc_particles,
-            rounds=config.abc_rounds,
-            max_attempts=config.abc_max_attempts,
-            seed=config.seed,
-            batch=b,
-        ))
-        for b in range(config.abc_batches)
-    ]
+    jobs = [(pcrn, data, config, b) for b in range(config.abc_batches)]
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             batch_sets = list(pool.map(_run_batch, jobs))
@@ -148,14 +131,7 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
     return particles_path, posterior_path
 
 
-def cmd_verify(
-    partition_path: Path,
-    particles_path: Path,
-    out_dir: Path,
-    seed: int,
-    n_samples: int,
-    scale: float,
-) -> Path:
+def cmd_verify(config: ExperimentConfig, partition_path: Path, particles_path: Path, out_dir: Path) -> Path:
     """Integrate the fitted posterior over the satisfying region."""
     partition = load_partition(partition_path)
     batch_sets, _, _ = load_particles(particles_path)
@@ -163,10 +139,10 @@ def cmd_verify(
     report = probability(
         partition,
         posterior,
-        rngmod.stream(seed, rngmod.STAGE_VERIFY),
-        n_samples=n_samples,
-        scale=scale,
-        seed=seed,
+        rngmod.stream(config.seed, rngmod.STAGE_VERIFY),
+        n_samples=config.slice_samples,
+        scale=config.slice_scale,
+        seed=config.seed,
         partition_file=os.path.relpath(partition_path, out_dir),
     )
     path = out_dir / "verdict.json"
@@ -176,18 +152,12 @@ def cmd_verify(
 
 def _posterior_from_file(path: Path) -> Posterior:
     if path.suffix == ".json":
-        return posterior_from_doc(read_json(path, "posterior", ConfigError))
+        return posterior_from_doc(read_json(path, "posterior"), path)
     batch_sets, _, _ = load_particles(path)
     return fit_posterior(*pool_batches(batch_sets))
 
 
-def cmd_baseline(
-    source_path: Path,
-    config: ExperimentConfig,
-    out_dir: Path,
-    n_params: int = 100,
-    n_sims: int = 1000,
-) -> Path:
+def cmd_baseline(source_path: Path, config: ExperimentConfig, out_dir: Path, n_params: int, n_sims: int) -> Path:
     """Bayesian statistical model checking over posterior parameter draws."""
     pcrn = _model_with_bounds(config)
     formula = parse_csl(config.property)
@@ -231,10 +201,7 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> None:
     timings["infer"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    verdict_path = cmd_verify(
-        partition_path, particles_path, out_dir, config.seed,
-        n_samples=config.slice_samples, scale=config.slice_scale,
-    )
+    verdict_path = cmd_verify(config, partition_path, particles_path, out_dir)
     timings["verdict"] = time.perf_counter() - t0
 
     posterior_doc = read_json(posterior_path, "posterior")
@@ -280,6 +247,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  A flag that sets an experiment setting has
+    the ``ExperimentConfig`` field as its ``dest`` and overrides the config."""
     parser = argparse.ArgumentParser(
         prog="crnverify",
         description="Verify a partially known reaction network against a "
@@ -294,22 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", help="network .crn file (overrides config)")
     p.add_argument("--property", help="property string (overrides config)")
-    p.add_argument("--tolerance", type=float, help="undecided-volume tolerance")
+    p.add_argument("--tolerance", dest="synth_volume_tolerance", type=float, help="undecided-volume tolerance")
 
     p = sub.add_parser("infer", help="sequential ABC over observed data")
     _add_common(p)
     p.add_argument("--model", help="network .crn file (overrides config)")
     p.add_argument("--dataset", required=True, help="observations CSV from 'generate'")
-    p.add_argument("--particles", type=int, help="particles per batch")
-    p.add_argument("--batches", type=int, help="independent batches")
-    p.add_argument("--rounds", type=int, help="ABC rounds (including the prior round)")
+    p.add_argument("--particles", dest="abc_particles", type=int, help="particles per batch")
+    p.add_argument("--batches", dest="abc_batches", type=int, help="independent batches")
+    p.add_argument("--rounds", dest="abc_rounds", type=int, help="ABC rounds (including the prior round)")
 
     p = sub.add_parser("verify", help="integrate the posterior over the satisfying region")
     p.add_argument("partition", help="partition JSON from 'synth'")
     p.add_argument("particles", help="particle CSV from 'infer'")
     _add_common(p)
-    p.add_argument("--samples", type=int, help="slice-sampler draws")
-    p.add_argument("--scale", type=float, help="slice-sampler step scale")
+    p.add_argument("--samples", dest="slice_samples", type=int, help="slice-sampler draws")
+    p.add_argument("--scale", dest="slice_scale", type=float, help="slice-sampler step scale")
 
     p = sub.add_parser("baseline", help="Bayesian statistical model checking comparison")
     p.add_argument("particles", help="particle CSV or posterior JSON")
@@ -325,30 +294,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, require_config: bool = False) -> ExperimentConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "workers": getattr(args, "workers", None),
-        "model": getattr(args, "model", None),
-        "property": getattr(args, "property", None),
-        "synth_volume_tolerance": getattr(args, "tolerance", None),
-        "abc_particles": getattr(args, "particles", None) if args.command == "infer" else None,
-        "abc_batches": getattr(args, "batches", None),
-        "abc_rounds": getattr(args, "rounds", None),
-        "slice_samples": getattr(args, "samples", None),
-        "slice_scale": getattr(args, "scale", None),
-    }
+# the flags besides --seed that a command needs when it runs without
+# --config (None: it needs --config); other settings keep their defaults
+_FLAGS_NEEDED = {
+    "generate": None,
+    "synth": ("model", "property"),
+    "infer": ("model",),
+    "verify": (),
+    "baseline": ("model", "property"),
+    "pipeline": None,
+}
+
+
+def _config_from_args(args) -> ExperimentConfig:
+    """The command's settings: the config file with the flags' values on
+    top, or the flags alone."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if args.config:
         return load_config(args.config, overrides)
-    if require_config:
-        raise ConfigError("this command needs --config")
-    merged = {k: v for k, v in overrides.items() if v is not None}
-    if args.command == "verify":  # integration reads neither the model nor the property
-        merged = {"model": "", "property": "", **merged}
-    for key in ("model", "property", "seed"):
-        if key not in merged:
+    needed = _FLAGS_NEEDED[args.command]
+    if needed is None:
+        raise ConfigError(f"{args.command} needs --config")
+    for key in ("seed", *needed):
+        if key not in overrides:
             raise ConfigError(f"missing --{key} (or provide --config)")
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,41 +328,26 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
+        config = _config_from_args(args)
         if args.command == "generate":
-            config = _config_from_args(args, require_config=True)
             path = cmd_generate(config, out_dir)
             print(f"wrote {path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "synth":
-            config = _config_from_args(args)
             partition_path, heatmap_path, status = cmd_synth(config, out_dir)
             print(f"wrote {partition_path} and {heatmap_path} ({time.perf_counter() - t0:.2f} s)")
             if status != STATUS_OK:
                 print(f"synthesis status: {status}", file=sys.stderr)
                 return 3
         elif args.command == "infer":
-            config = _config_from_args(args)
             particles_path, posterior_path = cmd_infer(config, Path(args.dataset), out_dir)
             print(f"wrote {particles_path} and {posterior_path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "verify":
-            config = _config_from_args(args)
-            path = cmd_verify(
-                Path(args.partition),
-                Path(args.particles),
-                out_dir,
-                seed=config.seed,
-                n_samples=config.slice_samples,
-                scale=config.slice_scale,
-            )
+            path = cmd_verify(config, Path(args.partition), Path(args.particles), out_dir)
             print(f"wrote {path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "baseline":
-            config = _config_from_args(args)
-            path = cmd_baseline(
-                Path(args.particles), config, out_dir,
-                n_params=args.n_params, n_sims=args.n_sims,
-            )
+            path = cmd_baseline(Path(args.particles), config, out_dir, args.n_params, args.n_sims)
             print(f"wrote {path} ({time.perf_counter() - t0:.2f} s)")
         elif args.command == "pipeline":
-            config = _config_from_args(args, require_config=True)
             cmd_pipeline(config, out_dir)
         return 0
     except (ParseError, ConfigError) as exc:

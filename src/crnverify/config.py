@@ -17,9 +17,15 @@ from .files import read_json
 
 @dataclass
 class ExperimentConfig:
-    model: str
-    property: str
-    seed: int
+    """Every setting of every stage; a stage reads the fields it needs.
+
+    ``model`` and ``property`` may stay empty for a command that reads
+    neither (``load_config`` still requires both keys in a file).
+    """
+
+    model: str = ""
+    property: str = ""
+    seed: int | None = None
     scenario: str = ""
     workers: int = 1
     param_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -49,7 +55,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, value in (
             ("observation_count", self.observation_count),
-            ("abc_particles", self.abc_particles),
             ("abc_batches", self.abc_batches),
             ("abc_rounds", self.abc_rounds),
             ("abc_max_attempts", self.abc_max_attempts),
@@ -60,6 +65,8 @@ class ExperimentConfig:
         ):
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer count, got {value!r}")
+        if type(self.abc_particles) is not int or self.abc_particles < 2:
+            raise ConfigError(f"abc_particles must be an integer of at least 2, got {self.abc_particles!r}")
         for name, value in (("param_bounds", self.param_bounds), ("true_point", self.true_point)):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a JSON object, got {value!r}")

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .csl import CslFormula, format_csl, parse_csl
 from .errors import ConfigError, ParseError
 from .files import read_json, write_csv, write_json
@@ -54,14 +55,6 @@ MIN_LABEL_DEPTH = 4
 # points classified per block: the containment test holds one
 # (block, boxes) array at a time
 CLASSIFY_BLOCK = 256
-
-
-@dataclass
-class SynthesisConfig:
-    margin: float = 0.02
-    max_depth: int = 12
-    transient_tol: float = 1e-8
-    workers: int = 1
 
 
 @dataclass(eq=False)
@@ -122,7 +115,7 @@ def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return axes[:, np.arange(k), pick]
 
 
-def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
+def _refine(pcrn, formula, config, theta_lo, theta_hi):
     """Boxes, labels, status and evaluation count of the refinement."""
     evaluator = evaluator_for(pcrn, formula)
     widths = theta_hi - theta_lo
@@ -136,7 +129,7 @@ def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
         pool = ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_worker_init,
-            initargs=(pcrn, format_csl(formula), config.transient_tol),
+            initargs=(pcrn, format_csl(formula), config.synth_transient_tol),
         )
 
     def evaluate_all(points: list[tuple[float, ...]]):
@@ -144,7 +137,7 @@ def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
         if pool is not None:
             results = pool.map(_worker_eval, todo, chunksize=4)
         else:
-            results = (evaluator.probability(p, config.transient_tol) for p in todo)
+            results = (evaluator.probability(p, config.synth_transient_tol) for p in todo)
         cache.update(zip(todo, results))
 
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level
@@ -156,15 +149,15 @@ def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
                 evaluate_all(points)
                 values = np.array([cache[p] for p in points]).reshape(len(lo), -1)
                 gap = sign * (values - formula.bound)
-                sat = np.all(gap >= config.margin, axis=1)
-                viol = np.all(gap <= -config.margin, axis=1) & ~sat
+                sat = np.all(gap >= config.synth_margin, axis=1)
+                viol = np.all(gap <= -config.synth_margin, axis=1) & ~sat
                 decided = sat | viol
                 out.append((lo[decided], hi[decided], np.where(sat, LABEL_SAT, LABEL_VIOL)[decided]))
                 lo, hi = lo[~decided], hi[~decided]
             # sequential sum in box order (not NumPy's pairwise): the stop level never moves
             undecided_volume = sum(np.prod(hi - lo, axis=1).tolist())
-            met = undecided_volume <= volume_tolerance * total_volume
-            if met or depth >= config.max_depth:
+            met = undecided_volume <= config.synth_volume_tolerance * total_volume
+            if met or depth >= config.synth_max_depth:
                 status = STATUS_OK if met else STATUS_TOLERANCE_UNMET
                 out.append((lo, hi, np.full(len(lo), LABEL_UNDECIDED)))
                 break
@@ -183,21 +176,14 @@ def _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi):
     return lo, hi, labels, status, len(cache)
 
 
-def synthesize(
-    pcrn: PCRN,
-    formula: CslFormula,
-    volume_tolerance: float,
-    config: SynthesisConfig | None = None,
-) -> RegionPartition:
+def synthesize(pcrn: PCRN, formula: CslFormula, config: ExperimentConfig) -> RegionPartition:
     """Partition the parameter space for the given threshold property.
 
-    Returns a partition whose undecided volume fraction meets the tolerance
-    when possible; otherwise the partition is still returned complete, with
+    Reads the ``synth_*`` settings and ``workers`` of ``config``.  Returns a
+    partition whose undecided volume fraction meets the tolerance when
+    possible; otherwise the partition is still returned complete, with
     status "tolerance-unmet".
     """
-    if not 0 < volume_tolerance < 1:
-        raise ConfigError("volume tolerance must lie strictly between 0 and 1")
-    config = config or SynthesisConfig()
     theta_lo = np.asarray(pcrn.params.lower, dtype=float)
     theta_hi = np.asarray(pcrn.params.upper, dtype=float)
 
@@ -205,7 +191,7 @@ def synthesize(
     # probability is: no evaluation, no refinement
     vacuous = _vacuous_label(formula.relation, formula.bound)
     if vacuous is None:
-        lo, hi, labels, status, evaluations = _refine(pcrn, formula, volume_tolerance, config, theta_lo, theta_hi)
+        lo, hi, labels, status, evaluations = _refine(pcrn, formula, config, theta_lo, theta_hi)
     else:
         lo, hi, labels = theta_lo[None, :], theta_hi[None, :], np.array([vacuous])
         status, evaluations = STATUS_OK, 0
@@ -218,9 +204,9 @@ def synthesize(
         labels=labels,
         threshold=formula.bound,
         relation=formula.relation,
-        volume_tolerance=volume_tolerance,
-        backend={"backend": "uniformization", "tol": config.transient_tol, "margin": config.margin,
-                 "max_depth": config.max_depth, "min_label_depth": MIN_LABEL_DEPTH, "evaluations": evaluations},
+        volume_tolerance=config.synth_volume_tolerance,
+        backend={"backend": "uniformization", "tol": config.synth_transient_tol, "margin": config.synth_margin,
+                 "max_depth": config.synth_max_depth, "min_label_depth": MIN_LABEL_DEPTH, "evaluations": evaluations},
         status=status,
         property_text=format_csl(formula),
     )
@@ -306,7 +292,8 @@ def _finite_rows(rows, k: int, what: str, path) -> np.ndarray:
 
 def load_partition(path: str | Path) -> RegionPartition:
     """Read a partition file; a ``ParseError`` unless it holds a nonempty
-    list of boxes with ``lo < hi`` inside ``theta``, each labeled T, F or U."""
+    list of boxes with ``lo < hi`` that tile ``theta``, each labeled T, F
+    or U."""
     doc = read_json(path, "partition")
     try:
         header, boxes = doc["header"], doc["boxes"]
@@ -334,9 +321,34 @@ def load_partition(path: str | Path) -> RegionPartition:
         raise ParseError(f"partition {path}: theta and every box need lo < hi in every dimension")
     if not (np.all(theta_lo <= lo) and np.all(hi <= theta_hi)):
         raise ParseError(f"partition {path}: a box lies outside theta")
-    return RegionPartition(
+    partition = RegionPartition(
         param_names=names, theta_lo=theta_lo, theta_hi=theta_hi, lo=lo, hi=hi, labels=np.array(labels), **settings
     )
+    _check_tiling(partition, path)
+    return partition
+
+
+def _check_tiling(partition: RegionPartition, path) -> None:
+    """A ``ParseError`` unless the boxes tile theta: no two overlap by more
+    than 1e-12 of its volume, and their volumes sum to it within 1e-9
+    relative.  Overlaps are computed for ``CLASSIFY_BLOCK`` boxes at a time
+    against all of them, so temporaries stay O(block x boxes)."""
+    lo, hi = partition.lo, partition.hi
+    theta_volume = partition.theta_volume()
+    for start in range(0, len(lo), CLASSIFY_BLOCK):
+        block = slice(start, start + CLASSIFY_BLOCK)
+        overlap = np.ones((len(lo[block]), len(lo)))
+        for d in range(lo.shape[1]):
+            side = np.minimum(hi[block, d, None], hi[:, d]) - np.maximum(lo[block, d, None], lo[:, d])
+            overlap *= np.maximum(side, 0.0)
+        rows = np.arange(len(overlap))
+        overlap[rows, start + rows] = 0.0  # a box with itself
+        if overlap.max() > 1e-12 * theta_volume:
+            i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
+            raise ParseError(f"partition {path}: boxes {start + i} and {j} overlap")
+    covered = float(np.prod(hi - lo, axis=1).sum())
+    if abs(covered - theta_volume) > 1e-9 * theta_volume:
+        raise ParseError(f"partition {path}: the boxes cover volume {covered!r} of theta's {theta_volume!r}")
 
 
 def save_heatmap_grid(

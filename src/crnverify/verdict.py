@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .csl import CslFormula
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .files import write_json
 from .model import PCRN
 from .monitor import estimate_lambda
@@ -230,12 +230,19 @@ def posterior_to_doc(posterior: Posterior) -> dict:
     }
 
 
-def posterior_from_doc(doc: dict) -> Posterior:
-    """Inverse of ``posterior_to_doc``."""
-    names = tuple(doc["mu"])
-    mean = np.array([doc["mu"][n] for n in names])
-    std = np.array([doc["sigma"][n] for n in names])
-    return Posterior(names=names, mean=mean, variance=std**2)
+def posterior_from_doc(doc: dict, path: str | Path) -> Posterior:
+    """Inverse of ``posterior_to_doc``; a ``ParseError`` naming ``path``
+    unless ``mu`` and ``sigma`` are objects with the same keys, holding
+    finite numbers and a positive ``sigma``."""
+    mu, sigma = doc.get("mu"), doc.get("sigma")
+    if not (isinstance(mu, dict) and isinstance(sigma, dict) and mu.keys() == sigma.keys()):
+        raise ParseError(f"posterior {path}: 'mu' and 'sigma' must be objects over the same parameters")
+    names = tuple(mu)
+    values = [*mu.values(), *sigma.values()]
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in values) or min(sigma.values(), default=1) <= 0:
+        raise ParseError(f"posterior {path}: 'mu' and 'sigma' must hold finite numbers, every sigma positive")
+    std = np.array([sigma[n] for n in names])
+    return Posterior(names=names, mean=np.array([mu[n] for n in names]), variance=std**2)
 
 
 def save_report(report: VerdictReport, path: str | Path) -> None:

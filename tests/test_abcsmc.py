@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from crnverify import (
-    AbcConfig,
     ConfigError,
+    ExperimentConfig,
     ParticleSet,
     abcseq,
     adaptive_threshold,
@@ -18,6 +18,7 @@ from crnverify import (
     pool_batches,
     simulate,
 )
+from crnverify import abcsmc
 from crnverify.abcsmc import STATUS_ABORTED, kernel_covariance, save_particles, load_particles
 from crnverify.rng import stream
 
@@ -108,7 +109,7 @@ class TestPerturb:
 
 class TestAbcseq:
     def test_single_round_is_prior_sampling_with_uniform_weights(self, decay_data):
-        res = abcseq(DECAY, decay_data, AbcConfig(particles=50, rounds=1, seed=5))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=5, abc_particles=50, abc_rounds=1))
         assert res.round == 0
         assert np.allclose(res.weights, 1.0 / 50)
         assert res.threshold == float("inf")
@@ -116,7 +117,7 @@ class TestAbcseq:
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_posterior_mean_within_band_and_near_rejection_oracle(self, decay_data):
-        res = abcseq(DECAY, decay_data, AbcConfig(particles=500, rounds=6, seed=42))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=42, abc_particles=500, abc_rounds=6))
         w = res.weights
         pts = res.points[:, 0]
         mean = float(w @ pts)
@@ -138,42 +139,42 @@ class TestAbcseq:
 
     def test_weights_normalized_every_round(self, decay_data):
         for rounds in (1, 3, 6):
-            res = abcseq(DECAY, decay_data, AbcConfig(particles=100, rounds=rounds, seed=9))
+            res = abcseq(DECAY, decay_data, ExperimentConfig(seed=9, abc_particles=100, abc_rounds=rounds))
             w = res.weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0)
 
     def test_thresholds_strictly_decreasing(self, decay_data):
-        res = abcseq(DECAY, decay_data, AbcConfig(particles=200, rounds=6, seed=17))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=17, abc_particles=200, abc_rounds=6))
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
 
     def test_all_particles_inside_parameter_space(self, decay_data):
-        res = abcseq(DECAY, decay_data, AbcConfig(particles=200, rounds=5, seed=23))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=23, abc_particles=200, abc_rounds=5))
         pts = res.points
         assert np.all((0.1 <= pts) & (pts <= 10.0))
 
     def test_distances_within_final_threshold(self, decay_data):
-        res = abcseq(DECAY, decay_data, AbcConfig(particles=100, rounds=4, seed=31))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=31, abc_particles=100, abc_rounds=4))
         assert np.all(res.distances <= res.threshold)
 
     def test_abort_returns_previous_round_flagged(self, decay_data):
         # max_attempts=1 cannot satisfy round 1's median threshold
         res = abcseq(
             DECAY, decay_data,
-            AbcConfig(particles=50, rounds=4, seed=3, max_attempts=1),
+            ExperimentConfig(seed=3, abc_particles=50, abc_rounds=4, abc_max_attempts=1),
         )
         assert res.status == STATUS_ABORTED
         assert res.round < 3
 
-    def test_prior_recovery_under_infinite_threshold(self, decay_data):
-        # thresholds pinned to infinity: the final weighted sample must be
+    def test_prior_recovery_under_infinite_threshold(self, decay_data, monkeypatch):
+        # thresholds pinned to infinity (an infinite previous threshold also
+        # skips the stall check): the final weighted sample must be
         # prior-distributed; the standard kernel-mixture weights leave a
         # small boundary bias, so this is a fixed-seed regression guard
-        res = abcseq(
-            DECAY, decay_data,
-            AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")),
-        )
+        monkeypatch.setattr(abcsmc, "adaptive_threshold", lambda distances: float("inf"))
+        res = abcseq(DECAY, decay_data, ExperimentConfig(seed=1, abc_particles=400, abc_rounds=3))
+        assert res.thresholds == (float("inf"),) * 3
         w = res.weights
         pts = res.points[:, 0]
         rng = stream(1, 99)
@@ -188,7 +189,7 @@ class TestAbcseq:
         def pooled_std(q):
             data = observe(traj, np.linspace(10.0 / q, 10.0, q), 0.0, stream(100, 1), species=DECAY.species_names())
             sets = [
-                abcseq(DECAY, data, AbcConfig(particles=500, rounds=6, seed=11, batch=b))
+                abcseq(DECAY, data, ExperimentConfig(seed=11, abc_particles=500, abc_rounds=6), batch=b)
                 for b in range(2)
             ]
             return float(fit_posterior(*pool_batches(sets)).std()[0])
@@ -196,7 +197,7 @@ class TestAbcseq:
         assert pooled_std(20) < pooled_std(5)
 
     def test_determinism(self, decay_data):
-        cfg = AbcConfig(particles=60, rounds=3, seed=77)
+        cfg = ExperimentConfig(seed=77, abc_particles=60, abc_rounds=3)
         a = abcseq(DECAY, decay_data, cfg)
         b = abcseq(DECAY, decay_data, cfg)
         assert np.array_equal(a.points, b.points)
@@ -204,11 +205,11 @@ class TestAbcseq:
         assert np.array_equal(a.distances, b.distances)
         assert a.thresholds == b.thresholds
 
-    def test_config_validation(self, decay_data):
-        with pytest.raises(ConfigError):
-            abcseq(DECAY, decay_data, AbcConfig(particles=1, rounds=2, seed=1))
-        with pytest.raises(ConfigError):
-            abcseq(DECAY, decay_data, AbcConfig(particles=10, rounds=0, seed=1))
+    def test_config_validation(self):
+        with pytest.raises(ConfigError, match="abc_particles"):
+            ExperimentConfig(seed=1, abc_particles=1, abc_rounds=2)
+        with pytest.raises(ConfigError, match="abc_rounds"):
+            ExperimentConfig(seed=1, abc_particles=10, abc_rounds=0)
 
 
 class TestPooling:
@@ -252,7 +253,7 @@ class TestPooling:
 class TestParticleFiles:
     def test_round_trip(self, decay_data, tmp_path):
         sets = [
-            abcseq(DECAY, decay_data, AbcConfig(particles=40, rounds=3, seed=5, batch=b))
+            abcseq(DECAY, decay_data, ExperimentConfig(seed=5, abc_particles=40, abc_rounds=3), batch=b)
             for b in range(2)
         ]
         path = tmp_path / "particles.csv"

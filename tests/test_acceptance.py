@@ -18,7 +18,7 @@ from scipy import stats
 from scipy.linalg import expm
 
 from crnverify import (
-    AbcConfig,
+    ExperimentConfig,
     Posterior,
     UniformizedChain,
     abcseq,
@@ -33,6 +33,7 @@ from crnverify import (
     slice_sample,
     transient,
 )
+from crnverify import abcsmc
 from crnverify.cli import cmd_baseline, main
 from crnverify.config import load_config
 from crnverify.rng import stream
@@ -229,14 +230,15 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
                        species=decay.species_names())
 
         # ABC weight normalization and strictly decreasing thresholds
-        res = abcseq(decay, data, AbcConfig(particles=200, rounds=5, seed=8))
+        res = abcseq(decay, data, ExperimentConfig(seed=8, abc_particles=200, abc_rounds=5))
         assert abs(res.weights.sum() - 1.0) <= 1e-12
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
 
         # prior recovery under a threshold pinned at infinity
-        res = abcseq(decay, data,
-                     AbcConfig(particles=400, rounds=3, seed=1, force_threshold=float("inf")))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(abcsmc, "adaptive_threshold", lambda distances: float("inf"))
+            res = abcseq(decay, data, ExperimentConfig(seed=1, abc_particles=400, abc_rounds=3))
         rng = stream(1, 99)
         pts = res.points[:, 0]
         resampled = pts[rng.choice(len(pts), size=400, p=res.weights)]

@@ -5,13 +5,16 @@ command) live in the acceptance suite; here the fast decay network
 exercises the wiring.
 """
 
+import argparse
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from crnverify.cli import main
+from crnverify.cli import build_parser, main
+from crnverify.config import ExperimentConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -190,8 +193,30 @@ class TestExitCodes:
         # the partial partition is still written
         assert (workspace / "out" / "partition.json").exists()
 
-    def test_missing_required_flags_without_config(self, workspace):
+    def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
+        assert "missing --seed" in capsys.readouterr().err
+        assert run("synth", "--model", "models/decay.crn", "--seed", "1", "--out-dir", "out") == 2
+        assert "missing --property" in capsys.readouterr().err
+        assert run("infer", "--dataset", "out/dataset.csv", "--seed", "1", "--out-dir", "out") == 2
+        assert "missing --model" in capsys.readouterr().err
+        assert run("generate", "--seed", "1", "--out-dir", "out") == 2
+        assert "needs --config" in capsys.readouterr().err
+
+
+# flags that name no experiment setting: inputs, outputs and the
+# baseline's own budget
+COMMAND_ONLY = {"config", "out_dir", "dataset", "partition", "particles", "n_params", "n_sims"}
+
+
+def test_every_flag_sets_a_config_field_or_is_command_only():
+    settings = {f.name for f in fields(ExperimentConfig)}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"generate", "synth", "infer", "verify", "baseline", "pipeline"}
+    for name, parser in commands.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in settings | COMMAND_ONLY, f"{name}: {action.option_strings or action.dest}"
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +232,12 @@ def smoke_stages(tmp_path_factory):
     return root / "out"
 
 
-# each edits the first box or the document, with the reason verify gives
-# for exiting 2
+def _drop_boxes_at(k):
+    return lambda doc: doc.update(boxes=[b for b in doc["boxes"] if not b["lo"][0] <= k <= b["hi"][0]])
+
+
+# each edits the boxes or the document, with the reason verify gives for
+# exiting 2
 CORRUPTIONS = {
     "label-X": (lambda doc: doc["boxes"][0].update(label="X"), "label must be one of"),
     "no-header": (lambda doc: doc.pop("header"), "'header'"),
@@ -221,6 +250,10 @@ CORRUPTIONS = {
         "lo < hi",
     ),
     "outside-theta": (lambda doc: doc["boxes"][0].update(hi=[1e6]), "outside theta"),
+    # a hole where no slice draw lands (k = 9) and one where draws land (k = 1)
+    "hole-at-9": (_drop_boxes_at(9.0), "cover volume"),
+    "hole-at-1": (_drop_boxes_at(1.0), "cover volume"),
+    "duplicate-box": (lambda doc: doc["boxes"].append(dict(doc["boxes"][-1])), "overlap"),
 }
 
 
@@ -234,3 +267,34 @@ def test_verify_rejects_corrupt_partition(smoke_stages, tmp_path, capsys, case):
                "--seed", "1", "--samples", "200", "--out-dir", str(tmp_path / "out")) == 2
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_infer_from_flags_matches_config(smoke_stages, tmp_path):
+    doc = json.loads((REPO / "configs" / "smoke.json").read_text())
+    assert doc["abc_max_attempts"] == ExperimentConfig.abc_max_attempts and doc["workers"] == 1
+    assert run("infer", "--model", str(REPO / "models" / "decay.crn"), "--seed", str(doc["seed"]),
+               "--particles", str(doc["abc_particles"]), "--batches", str(doc["abc_batches"]),
+               "--rounds", str(doc["abc_rounds"]), "--dataset", str(smoke_stages / "dataset.csv"),
+               "--out-dir", str(tmp_path)) == 0
+    for name in ("particles.csv", "posterior.json"):
+        assert (tmp_path / name).read_bytes() == (smoke_stages / name).read_bytes()
+
+
+POSTERIOR_CORRUPTIONS = {
+    "no-sigma": lambda doc: doc.pop("sigma"),
+    "sigma-of-other-parameter": lambda doc: doc.update(sigma={"q": 0.1}),
+    "string-mean": lambda doc: doc["mu"].update(k="1.0"),
+    "nan-mean": lambda doc: doc["mu"].update(k=float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", list(POSTERIOR_CORRUPTIONS))
+def test_baseline_rejects_corrupt_posterior(smoke_stages, tmp_path, capsys, case):
+    doc = json.loads((smoke_stages / "posterior.json").read_text())
+    POSTERIOR_CORRUPTIONS[case](doc)
+    path = tmp_path / "posterior.json"
+    path.write_text(json.dumps(doc))
+    assert run("baseline", str(path), "--config", str(smoke_stages.parent / "smoke.json"),
+               "--n-params", "2", "--n-sims", "10", "--out-dir", str(tmp_path / "out")) == 2
+    assert f"posterior {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "baseline.json").exists()

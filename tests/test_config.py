@@ -43,6 +43,14 @@ def test_missing_seed_rejected(tmp_path):
         load_config(write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("key", ["model", "property"])
+def test_file_without_model_or_property_rejected(tmp_path, key):
+    # a config built from flags may leave both empty; a file may not
+    doc = {k: v for k, v in BASE.items() if k != key}
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, doc))
+
+
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config(write(tmp_path, {**BASE, "particle_count": 5}))
@@ -130,6 +138,10 @@ NAN, INF = float("nan"), float("inf")
         ("param_bounds", {"k": [0.1, "5"]}),
         ("param_bounds", [0.1, 5]),
         ("true_point", [1.0]),
+        ("abc_particles", 1),
+        ("abc_particles", True),
+        ("synth_volume_tolerance", 0.0),
+        ("synth_volume_tolerance", 1.0),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

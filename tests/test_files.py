@@ -79,7 +79,7 @@ def test_verdict_posterior_equals_posterior_file(smoke):
     posterior = read_json(smoke / "out" / "posterior.json", "posterior")
     verdict = read_json(smoke / "out" / "verdict.json", "verdict")
     assert verdict["posterior"] == {"mu": posterior["mu"], "sigma": posterior["sigma"]}
-    assert posterior_to_doc(posterior_from_doc(posterior)) == verdict["posterior"]
+    assert posterior_to_doc(posterior_from_doc(posterior, "posterior.json")) == verdict["posterior"]
 
 
 def test_csv_files_start_with_format_line(smoke):

@@ -7,6 +7,7 @@ import pytest
 
 from crnverify import (
     ConfigError,
+    ExperimentConfig,
     classify_point,
     feasible_volume_fraction,
     load_partition,
@@ -20,7 +21,6 @@ from crnverify.synthesis import (
     LABEL_UNDECIDED,
     LABEL_VIOL,
     RegionPartition,
-    SynthesisConfig,
     classify_points,
     save_heatmap_grid,
 )
@@ -30,15 +30,20 @@ AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -
 REACH = parse_csl("P>0.5 [ true U[0,1] (B=1) ]")
 
 
+def settings(volume_tolerance, **synth):
+    """Synthesis settings: the tolerance plus overrides (synthesis reads no seed)."""
+    return ExperimentConfig(seed=0, synth_volume_tolerance=volume_tolerance, **synth)
+
+
 @pytest.fixture(scope="module")
 def ab_partition():
-    return synthesize(AB, REACH, 0.05, SynthesisConfig(margin=0.02, max_depth=14))
+    return synthesize(AB, REACH, settings(0.05, synth_margin=0.02, synth_max_depth=14))
 
 
 class TestSynthesize:
     def test_parameter_independent_property_single_box(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
-        part = synthesize(AB, trivial, 0.1)
+        part = synthesize(AB, trivial, settings(0.1))
         assert len(part.labels) == 1
         assert part.labels[0] == LABEL_SAT
         assert part.backend["evaluations"] == 0
@@ -51,7 +56,7 @@ class TestSynthesize:
             "format=1; species A B; param k in [0.1, 10];"
             "reaction decay: A -> B @ k; init A=50; conserve 50;"
         )
-        part = synthesize(net, band, 0.05)
+        part = synthesize(net, band, settings(0.05))
         assert classify_point(part, (0.9,)) == LABEL_SAT
         assert classify_point(part, (5.0,)) == LABEL_VIOL
         assert classify_point(part, (0.15,)) == LABEL_VIOL
@@ -67,7 +72,7 @@ class TestSynthesize:
 
     def test_upper_bound_swaps_labels(self, ab_partition):
         # P<0.5 decides the same boxes as P>0.5 with T and F exchanged
-        below = synthesize(AB, parse_csl("P<0.5 [ true U[0,1] (B=1) ]"), 0.05, SynthesisConfig(max_depth=14))
+        below = synthesize(AB, parse_csl("P<0.5 [ true U[0,1] (B=1) ]"), settings(0.05, synth_max_depth=14))
         swap = {LABEL_SAT: LABEL_VIOL, LABEL_VIOL: LABEL_SAT, LABEL_UNDECIDED: LABEL_UNDECIDED}
         assert np.array_equal(below.lo, ab_partition.lo) and np.array_equal(below.hi, ab_partition.hi)
         assert below.labels.tolist() == [swap[label] for label in ab_partition.labels.tolist()]
@@ -92,30 +97,30 @@ class TestSynthesize:
                 assert not overlap
 
     def test_looser_tolerance_costs_fewer_evaluations(self):
-        coarse = synthesize(AB, REACH, 0.5)
-        fine = synthesize(AB, REACH, 0.05)
+        coarse = synthesize(AB, REACH, settings(0.5))
+        fine = synthesize(AB, REACH, settings(0.05))
         assert coarse.backend["evaluations"] < fine.backend["evaluations"]
         assert coarse.volume(LABEL_UNDECIDED) / coarse.theta_volume() <= 0.5
 
     def test_determinism(self):
-        a = synthesize(AB, REACH, 0.2)
-        b = synthesize(AB, REACH, 0.2)
+        a = synthesize(AB, REACH, settings(0.2))
+        b = synthesize(AB, REACH, settings(0.2))
         for field in ("lo", "hi", "labels"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_tolerance_unmet_is_flagged_not_silent(self):
-        part = synthesize(AB, REACH, 0.001, SynthesisConfig(max_depth=2))
+        part = synthesize(AB, REACH, settings(0.001, synth_max_depth=2))
         assert part.status == "tolerance-unmet"
         assert part.volume(LABEL_UNDECIDED) / part.theta_volume() > 0.001
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ConfigError):
-            synthesize(AB, REACH, 0.0)
+            settings(0.0)
         with pytest.raises(ConfigError):
-            synthesize(AB, REACH, 1.0)
+            settings(1.0)
 
     def test_process_pool_matches_serial(self, ab_partition, tmp_path):
-        pooled = synthesize(AB, REACH, 0.05, SynthesisConfig(margin=0.02, max_depth=14, workers=2))
+        pooled = synthesize(AB, REACH, settings(0.05, synth_margin=0.02, synth_max_depth=14, workers=2))
         save_partition(ab_partition, tmp_path / "serial.json")
         save_partition(pooled, tmp_path / "pooled.json")
         assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
@@ -149,7 +154,7 @@ class TestClassifyPoint:
 
     def test_single_box_partition_classifies_everything(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
-        part = synthesize(AB, trivial, 0.1)
+        part = synthesize(AB, trivial, settings(0.1))
         for k in (0.1, 1.0, 10.0):
             assert classify_point(part, (k,)) == LABEL_SAT
 
@@ -203,12 +208,12 @@ class TestClassifyPoint:
 class TestVolumes:
     def test_all_sat_partition(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
-        part = synthesize(AB, trivial, 0.1)
+        part = synthesize(AB, trivial, settings(0.1))
         assert feasible_volume_fraction(part) == pytest.approx(1.0)
 
     def test_all_violating_partition(self):
         impossible = parse_csl("P>1 [ true U[0,1] (A=5) ]")
-        part = synthesize(AB, impossible, 0.1)
+        part = synthesize(AB, impossible, settings(0.1))
         assert feasible_volume_fraction(part) == pytest.approx(0.0)
         assert all(label == LABEL_VIOL for label in part.labels)
 
