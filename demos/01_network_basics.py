@@ -6,7 +6,7 @@ Markov chain, and samples a few trajectories.
 
 import numpy as np
 
-from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate
+from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate, simulate_paths
 from crnverify.rng import stream
 
 pcrn = load_crn("models/sir.crn")
@@ -27,10 +27,11 @@ row = rate_matrix_row((95, 5, 0), pcrn, theta, space)
 print("outgoing transitions:", row)
 print("exit rate at (95,5,0):", sum(row.values()))
 
-# three independent sample paths; same seed + key = same path, always
+# three independent sample paths, run as three lanes of one lockstep call;
+# same seed + key = same path, always, whatever lanes share the call
 print("\nsampled epidemic end states (t = 150):")
-for i in range(3):
-    traj = simulate(pcrn, theta, 150.0, stream(2024, i))
+paths = simulate_paths(pcrn, [theta] * 3, 150.0, [stream(2024, i) for i in range(3)])
+for i, traj in enumerate(paths):
     s, infected, r = traj.states[-1]
     print(f"  run {i}: S={s:3d} I={infected:3d} R={r:3d}   ({len(traj.times) - 1} reactions fired)")
 

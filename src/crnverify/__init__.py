@@ -34,7 +34,7 @@ from .model import (
     propensity,
     rate_matrix_row,
 )
-from .monitor import LambdaEstimate, Verdict, check_until, estimate_lambda
+from .monitor import LambdaEstimate, Verdict, check_until, check_until_paths, estimate_lambda
 from .simulate import (
     Dataset,
     Trajectory,
@@ -43,6 +43,7 @@ from .simulate import (
     observe,
     save_dataset,
     simulate,
+    simulate_paths,
     states_at,
 )
 from .synthesis import (

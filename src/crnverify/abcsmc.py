@@ -10,7 +10,9 @@ standard sequential scheme: prior density over the kernel mixture of the
 previous round.
 
 Per-particle substreams are keyed by (seed, batch, round, slot), so runs
-are reproducible no matter how slots are scheduled.
+are reproducible no matter how slots are scheduled.  A round simulates its
+slots' proposals together, as lanes of one ``simulate_paths`` call per wave;
+each slot's stream serves its attempts in the order they would take alone.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,8 @@ from .config import ExperimentConfig
 from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
 from .model import PCRN, ParameterSpace
-from .simulate import Dataset, discrepancy, simulate
+# ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
+from .simulate import Dataset, discrepancy, simulate, simulate_paths  # noqa: F401
 
 STATUS_OK = "ok"
 STATUS_CONVERGED_EARLY = "converged-early"
@@ -115,15 +118,11 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
     order, lo, hi = space.names, space.lower, space.upper
     t_end = float(data.times[-1])
 
-    # round 0: prior draws, one simulation each, all accepted
-    points = np.empty((m, len(order)))
-    distances = np.empty(m)
-    attempts_total = 0
-    for i in range(m):
-        stream = rngmod.stream(config.seed, batch, 0, i)
-        points[i] = lo + (hi - lo) * stream.random(len(lo))
-        distances[i] = discrepancy(data, simulate(pcrn, points[i], t_end, stream))
-        attempts_total += 1
+    # round 0: prior draws, one path each, all accepted
+    streams = [rngmod.stream(config.seed, batch, 0, i) for i in range(m)]
+    points = np.array([lo + (hi - lo) * stream.random(len(lo)) for stream in streams])
+    distances = np.array([discrepancy(data, path) for path in simulate_paths(pcrn, points, t_end, streams)])
+    attempts_total = m
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
     current = ParticleSet(order, points, weights, distances, 0, attempts_total, thresholds=tuple(thresholds))
@@ -146,24 +145,36 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
         cum_weights[-1] = 1.0
         new_points = np.empty_like(points)
         new_distances = np.empty(m)
-        for i in range(m):
-            stream = rngmod.stream(config.seed, batch, r, i)
-            accepted = False
-            for _ in range(config.abc_max_attempts):
-                attempts_total += 1
-                ancestor = points[np.searchsorted(cum_weights, stream.random())]
-                proposal = perturb(ancestor, chol, stream)
-                if not np.all((lo <= proposal) & (proposal <= hi)):
-                    continue
-                rho = discrepancy(data, simulate(pcrn, proposal, t_end, stream))
+        streams = [rngmod.stream(config.seed, batch, r, i) for i in range(m)]
+        tries = [0] * m
+        pending = range(m)
+        # waves: every pending slot draws proposals from its own stream until
+        # one lies in the box, then the wave's proposals are simulated together
+        while pending:
+            wave, proposals = [], []
+            for i in pending:
+                stream = streams[i]
+                while tries[i] < config.abc_max_attempts:
+                    tries[i] += 1
+                    ancestor = points[np.searchsorted(cum_weights, stream.random())]
+                    proposal = perturb(ancestor, chol, stream)
+                    if np.all((lo <= proposal) & (proposal <= hi)):
+                        wave.append(i)
+                        proposals.append(proposal)
+                        break
+                else:
+                    current.status = STATUS_ABORTED
+                    return current
+            paths = simulate_paths(pcrn, proposals, t_end, [streams[i] for i in wave])
+            pending = []
+            for i, proposal, path in zip(wave, proposals, paths):
+                rho = discrepancy(data, path)
                 if rho <= eps:
                     new_points[i] = proposal
                     new_distances[i] = rho
-                    accepted = True
-                    break
-            if not accepted:
-                current.status = STATUS_ABORTED
-                return current
+                else:
+                    pending.append(i)  # aborts next wave if its attempts are spent
+        attempts_total += sum(tries)
 
         # every accepted proposal lies inside the box, so the uniform prior
         # density is the same constant for all of them
@@ -237,7 +248,16 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
         table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     except ValueError as exc:
         raise ParseError(f"particle file {path}: malformed rows ({exc})") from exc
+    if not np.isfinite(table).all():
+        raise ParseError(f"particle file {path}: weights, parameter values and distances must be finite")
+    n_batches = meta.get("batches")
+    if type(n_batches) is not int or n_batches < 1:
+        raise ParseError(f"particle file {path}: metadata must give a positive batch count")
     batch = table[:, 0].astype(int)
+    if np.any((batch != table[:, 0]) | (batch < 0) | (batch >= n_batches)):
+        raise ParseError(f"particle file {path}: batch ids must be integers in 0..{n_batches - 1}")
+    if np.any(np.bincount(batch, minlength=n_batches) == 0):
+        raise ParseError(f"particle file {path}: a declared batch has no rows")
     thresholds = [
         tuple(float("inf") if t is None else float(t) for t in ts)
         for ts in meta.get("thresholds", [])
@@ -245,7 +265,7 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
     attempts = meta.get("attempts", [])
     statuses = meta.get("status", [])
     sets = []
-    for b in np.unique(batch).tolist():
+    for b in range(n_batches):
         block = table[batch == b]
         sets.append(
             ParticleSet(

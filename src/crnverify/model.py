@@ -209,13 +209,15 @@ def _falling_product(reactants, x):
     and ``x`` is indexed by species: one state of ints, or ``states.T`` as
     float columns to count in every state at once.  Counts are nonnegative,
     so a factor reaches 0 before any factor goes negative and no clamp is
-    needed.
+    needed.  The factors multiply left to right, and a lone first-order
+    reactant returns ``x[i]`` itself rather than a copy.
     """
-    g = 1
+    g = None
     for i, needed in reactants:
         for k in range(needed):
-            g = g * (x[i] - k)
-    return g
+            factor = x[i] - k if k else x[i]
+            g = factor if g is None else g * factor
+    return 1 if g is None else g
 
 
 # Per-network compiled reaction structure: index-based reactant lists,

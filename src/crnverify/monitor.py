@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csl import CslFormula, StateFormula
-from .model import PCRN
-from .simulate import Trajectory, simulate
+from .model import PCRN, point_values
+# ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
+from .simulate import Trajectory, simulate, simulate_paths  # noqa: F401
+
+
+# paths simulated and checked together: bounds the memory of one block at
+# O(_LANES x events) however many runs an estimate takes
+_LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -42,39 +48,56 @@ def check_until(
     t_hi: float,
     index: dict[str, int],
 ) -> Verdict:
-    """Check  phi1 U[t_lo, t_hi] phi2  on one trajectory.
+    """Check  phi1 U[t_lo, t_hi] phi2  on one trajectory: the one-path call
+    of ``check_until_paths``.
 
     Satisfied iff some witness time tau in [t_lo, t_hi] has phi2 at the
     state occupied at tau and phi1 at every strictly earlier time.
     """
-    if traj.horizon < t_hi:
-        raise ValueError(f"trajectory horizon {traj.horizon} ends before t'={t_hi}")
-    m1 = phi1.mask(traj.states, index)
-    m2 = phi2.mask(traj.states, index)
-    times = traj.times
-    n = len(times)
-    # sentinel end beyond t_hi so the last interval covers the closed window end
-    for i in range(n):
-        a = times[i]
-        b = times[i + 1] if i + 1 < n else t_hi + 1.0
-        if a > t_hi:
-            break
-        if m2[i]:
-            lo = max(a, t_lo)
-            if lo <= t_hi and lo < b:
-                # prefix [0, a) held phi1 (else we would have returned); the
-                # stretch [a, lo) within this interval needs phi1 only when lo > a
-                if lo == a or m1[i]:
-                    return Verdict(satisfied=True, witness_time=float(lo))
-        if not m1[i]:
-            # phi1 fails on [a, b): no witness at or after b can exist
-            return Verdict(satisfied=False)
-    return Verdict(satisfied=False)
+    satisfied, witness = check_until_paths([traj], phi1, phi2, t_lo, t_hi, index)
+    return Verdict(satisfied=True, witness_time=float(witness[0])) if satisfied[0] else Verdict(satisfied=False)
 
 
-def check_formula(traj: Trajectory, formula: CslFormula, index: dict[str, int]) -> Verdict:
-    path = formula.path
-    return check_until(traj, path.phi1, path.phi2, path.t_lo, path.t_hi, index)
+def check_until_paths(
+    paths: Sequence[Trajectory],
+    phi1: StateFormula,
+    phi2: StateFormula,
+    t_lo: float,
+    t_hi: float,
+    index: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check  phi1 U[t_lo, t_hi] phi2  on every path at once.
+
+    Returns ``(satisfied, witness)``, one entry per path; the witness is the
+    earliest fulfilling time, NaN where the formula fails.  Each state row
+    opens the interval [a, b) up to the next jump; the last interval of a
+    path ends past ``t_hi``, so it covers the closed window end.  A path is
+    satisfied iff its first witnessing interval comes no later than its
+    first interval where phi1 fails: phi1 on [0, a) held before it.
+    """
+    if any(p.horizon < t_hi for p in paths):
+        raise ValueError(f"trajectory horizon {min(p.horizon for p in paths)} ends before t'={t_hi}")
+    states = np.concatenate([p.states for p in paths])
+    a = np.concatenate([p.times for p in paths])
+    lengths = [len(p.times) for p in paths]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    b = np.append(a[1:], 0.0)
+    b[ends - 1] = t_hi + 1.0
+    m1 = phi1.mask(states, index)
+    m2 = phi2.mask(states, index)
+    in_window = a <= t_hi
+    lo = np.maximum(a, t_lo)
+    # within [a, b) the witness is lo; the stretch [a, lo) needs phi1 only when lo > a
+    witnesses = in_window & m2 & (lo <= t_hi) & (lo < b) & ((lo == a) | m1)
+    failures = in_window & ~m1
+    row, none = np.arange(len(a)), len(a)
+    first_witness = np.minimum.reduceat(np.where(witnesses, row, none), starts)
+    first_failure = np.minimum.reduceat(np.where(failures, row, none), starts)
+    satisfied = (first_witness < none) & (first_witness <= first_failure)
+    witness = np.full(len(paths), np.nan)
+    witness[satisfied] = lo[first_witness[satisfied]]
+    return satisfied, witness
 
 
 def estimate_lambda(
@@ -87,18 +110,24 @@ def estimate_lambda(
     """Fraction of independent sample paths satisfying the path formula.
 
     Each run uses its own spawned substream, so the estimate is identical
-    however the runs are scheduled.  The half-width is the 95% normal
+    however the runs are scheduled; they are simulated as lanes of
+    ``simulate_paths`` in blocks of at most ``_LANES``.  The half-width is the 95% normal
     approximation, intended for diagnostics rather than guarantees.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
-    index = pcrn.species_index()
-    t_end = formula.path.t_hi
+    path = formula.path
+    values = point_values(pcrn.params.names, point)
+    children = rng.spawn(n_sims)
     satisfied = 0
-    for child in rng.spawn(n_sims):
-        traj = simulate(pcrn, point, t_end, child) if t_end > 0 else _empty_path(pcrn)
-        if check_formula(traj, formula, index).satisfied:
-            satisfied += 1
+    for start in range(0, n_sims, _LANES):
+        block = children[start:start + _LANES]
+        if path.t_hi > 0:
+            paths = simulate_paths(pcrn, [values] * len(block), path.t_hi, block)
+        else:
+            paths = [_empty_path(pcrn)] * len(block)
+        hits, _ = check_until_paths(paths, path.phi1, path.phi2, path.t_lo, path.t_hi, pcrn.species_index())
+        satisfied += int(np.count_nonzero(hits))
     mean = satisfied / n_sims
     ci = 1.96 * float(np.sqrt(mean * (1.0 - mean) / n_sims))
     return LambdaEstimate(mean=mean, n=n_sims, ci_halfwidth=ci)

@@ -6,6 +6,24 @@ total propensity and the next reaction is chosen proportionally to its
 propensity.  Observation turns a trajectory into the kind of data the
 inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
+
+Draw order.  ``simulate_paths`` runs many paths ("lanes") in lockstep, and
+each lane draws from its own generator in the order one path alone would:
+
+- at the start, a block of ``_BLOCK`` standard exponentials, then a block
+  of ``_BLOCK`` uniforms;
+- per step, one exponential for the holding time, then one uniform for the
+  reaction; a spent block is refilled from the generator only when a draw
+  needs it;
+- a lane whose total propensity is zero (absorbing) stops before drawing,
+  and a lane whose next jump time is at or past the horizon stops after
+  its exponential, without a uniform.
+
+Propensities come from ``model._falling_product`` and their totals and the
+reaction choice from sequential sums, as in a one-path loop, so a lane's
+path is the same bits whatever lanes share its call, and its generator ends
+at the same position.  Callers that reuse a generator after a path (ABC
+draws its next proposal from the same stream) rely on that position.
 """
 
 from collections.abc import Sequence
@@ -37,6 +55,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.states) != len(self.times):
             raise ValueError("states and times length mismatch")
+        if len(self.times) == 0:
+            raise ValueError("a trajectory starts with its initial state")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,81 +81,103 @@ class Dataset:
             raise ConfigError("observation times must be strictly increasing")
 
 
-class _DrawBuffer:
-    """Blocked draws from one generator, consumed in a fixed order."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._exp = rng.standard_exponential(_BLOCK)
-        self._uni = rng.random(_BLOCK)
-        self._ei = 0
-        self._ui = 0
-
-    def exponential(self) -> float:
-        if self._ei == len(self._exp):
-            self._exp = self.rng.standard_exponential(_BLOCK)
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return v
-
-    def uniform(self) -> float:
-        if self._ui == len(self._uni):
-            self._uni = self.rng.random(_BLOCK)
-            self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return v
-
-
 def simulate(pcrn: PCRN, point: Sequence[float], t_end: float, rng: np.random.Generator) -> Trajectory:
     """Sample one exact path of the chain instantiated at ``point`` (rates in
-    ``pcrn.params.names`` order) on [0, t_end].
+    ``pcrn.params.names`` order) on [0, t_end]: the one-lane call of
+    ``simulate_paths``.
 
     Absorbing states simply hold to the horizon.  Identical generator state
     and inputs reproduce the trajectory bit-exactly.
     """
+    return simulate_paths(pcrn, [point_values(pcrn.params.names, point)], t_end, [rng])[0]
+
+
+def simulate_paths(pcrn: PCRN, points, t_end: float, rngs: Sequence[np.random.Generator]) -> list[Trajectory]:
+    """Sample one exact path per lane on [0, t_end]: lane ``i`` runs the
+    chain at ``points[i]`` (rates in ``pcrn.params.names`` order) on its own
+    generator ``rngs[i]``.
+
+    The active lanes advance in lockstep as arrays: states (m, n), clocks
+    (m,) and rates (R, m).  A lane leaves them once its next jump falls at
+    or past ``t_end``; an absorbing lane's next jump is at infinity.  Every
+    active lane has taken the same number of steps, so all of them read
+    the same position of their draw blocks.  Each lane's path and its generator's final position are those
+    of the lane sampled alone; the module docstring states the draw order.
+    """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
+    names = pcrn.params.names
+    rngs = list(rngs)
+    m = len(rngs)
+    values = np.asarray(points, dtype=float)
+    if values.shape != (m, len(names)):
+        raise ConfigError(f"parameter points of shape {values.shape} do not match {m} lanes of parameters {list(names)}")
+    if len({id(r) for r in rngs}) != m:
+        raise ValueError("every lane needs its own generator")
     compiled = compiled_reactions(pcrn)
-    values = point_values(pcrn.params.names, point)
-    rates = [values[k] for _, _, k in compiled]
     reactants = [r for r, _, _ in compiled]
-    n_reactions = len(compiled)
-    state = list(pcrn.initial_state)
-    t = 0.0
-    states = [tuple(state)]
-    times = [0.0]
-    draws = _DrawBuffer(rng)
-    props = [0.0] * n_reactions
-    while True:
-        total = 0.0
-        for j in range(n_reactions):
-            a = rates[j] * _falling_product(reactants[j], state)
-            props[j] = a
-            total += a
-        if total <= 0.0:
-            break
-        t += draws.exponential() / total
-        if t >= t_end:
-            break
-        u = draws.uniform() * total
-        acc = 0.0
-        chosen = n_reactions - 1
-        for j in range(n_reactions):
-            acc += props[j]
-            if u < acc:
-                chosen = j
+    last = len(compiled) - 1
+    delta = np.zeros((len(compiled), len(pcrn.initial_state)))
+    for j, (_, changes, _) in enumerate(compiled):
+        for i, d in changes:
+            delta[j, i] = d
+
+    # draw blocks, one column per lane
+    exps, unis = np.empty((_BLOCK, m)), np.empty((_BLOCK, m))
+    for lane, rng in enumerate(rngs):
+        exps[:, lane] = rng.standard_exponential(_BLOCK)
+        unis[:, lane] = rng.random(_BLOCK)
+
+    # counts are exact in float64, the propensity kernel's column type
+    lanes = np.arange(m)
+    rates = values[:, [k for _, _, k in compiled]].T
+    states = np.tile(np.asarray(pcrn.initial_state, dtype=float), (m, 1))
+    t = np.zeros(m)
+    visits = [(lanes, states, t)]
+    if not compiled:
+        lanes = lanes[:0]  # nothing can fire: every lane holds its initial state
+    step = 0
+    while len(lanes):
+        # propensities and their running sums, added in reaction order
+        x = states.T
+        total = rates[0] * _falling_product(reactants[0], x)
+        cum = [total]
+        for j in range(1, last + 1):
+            total = total + rates[j] * _falling_product(reactants[j], x)
+            cum.append(total)
+        # an absorbing lane draws nothing: its next jump is at infinity
+        live = total > 0.0
+        col = step % _BLOCK
+        if col == 0 and step:
+            for lane in lanes[live].tolist():
+                exps[:, lane] = rngs[lane].standard_exponential(_BLOCK)
+        t = t + np.divide(exps[col][lanes], total, out=np.full(len(lanes), np.inf), where=live)
+        keep = t < t_end
+        if not keep.all():
+            lanes, rates, states, t = lanes[keep], rates[:, keep], states[keep], t[keep]
+            cum = [c[keep] for c in cum]
+            if not len(lanes):
                 break
-        for i, d in compiled[chosen][1]:
-            state[i] += d
-        states.append(tuple(state))
-        times.append(t)
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        times=np.array(times, dtype=float),
-        horizon=float(t_end),
-    )
+        if col == 0 and step:
+            for lane in lanes.tolist():
+                unis[:, lane] = rngs[lane].random(_BLOCK)
+        u = unis[col][lanes] * cum[-1]
+        # the first reaction whose running sum exceeds u, else the last
+        chosen = last
+        for j in range(last - 1, -1, -1):
+            chosen = np.where(u < cum[j], j, chosen)
+        states = states + delta.take(chosen, axis=0)
+        visits.append((lanes, states, t))
+        step += 1
+
+    lane_of, all_states, all_times = (np.concatenate(v) for v in zip(*visits))
+    order = np.argsort(lane_of, kind="stable")
+    all_states, all_times = all_states[order].astype(np.int64), all_times[order]
+    ends = np.cumsum(np.bincount(lane_of, minlength=m)).tolist()
+    return [
+        Trajectory(states=all_states[start:end], times=all_times[start:end], horizon=float(t_end))
+        for start, end in zip([0, *ends], ends)
+    ]
 
 
 def states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:

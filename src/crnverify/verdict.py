@@ -75,6 +75,8 @@ def fit_posterior(names: tuple[str, ...], points: np.ndarray, weights: np.ndarra
     weights = weights / total
     mean = weights @ points
     variance = weights @ (points - mean) ** 2
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise ConfigError("posterior moments are not finite: the particles hold a non-finite value")
     if np.any(variance <= 0):
         raise ConfigError("degenerate posterior: zero variance in some dimension")
     return Posterior(names=tuple(names), mean=mean, variance=variance)

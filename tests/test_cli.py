@@ -7,7 +7,10 @@ exercises the wiring.
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -298,3 +301,62 @@ def test_baseline_rejects_corrupt_posterior(smoke_stages, tmp_path, capsys, case
                "--n-params", "2", "--n-sims", "10", "--out-dir", str(tmp_path / "out")) == 2
     assert f"posterior {path}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "baseline.json").exists()
+
+
+def _edit_particle_rows(edit):
+    """Apply ``edit`` to the data rows (lists of fields) of a particle file's text."""
+    def apply(text):
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        rows = [line.split(",") for line in lines[header + 1:]]
+        edit(rows)
+        return "\n".join(lines[:header + 1] + [",".join(r) for r in rows]) + "\n"
+    return apply
+
+
+def _set_field(column, value, rows=slice(0, 1)):
+    def edit(table):
+        for row in table[rows]:
+            row[column] = value
+    return _edit_particle_rows(edit)
+
+
+# each edits the rows of the smoke particle file, with the reason verify
+# gives for exiting 2
+PARTICLE_CORRUPTIONS = {
+    "nan-weight": (_set_field(2, "nan"), "must be finite"),
+    "inf-point": (_set_field(3, "inf"), "must be finite"),
+    "nan-distance": (_set_field(-1, "nan"), "must be finite"),
+    "batch-7": (_set_field(0, "7"), "batch ids must be integers in 0..1"),
+    "batch-negative": (_set_field(0, "-1"), "batch ids must be integers in 0..1"),
+    "batch-fraction": (_set_field(0, "0.5"), "batch ids must be integers in 0..1"),
+    "declared-batch-empty": (_set_field(0, "0", rows=slice(None)), "a declared batch has no rows"),
+    "no-batch-count": (lambda text: text.replace('"batches": 2, ', ""), "positive batch count"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARTICLE_CORRUPTIONS))
+def test_verify_rejects_corrupt_particles(smoke_stages, tmp_path, capsys, case):
+    edit, reason = PARTICLE_CORRUPTIONS[case]
+    path = tmp_path / "particles.csv"
+    text = (smoke_stages / "particles.csv").read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    assert run("verify", str(smoke_stages / "partition.json"), str(path),
+               "--seed", "1", "--samples", "200", "--out-dir", str(tmp_path / "out")) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+def test_verify_on_nan_weight_exits_instead_of_looping(smoke_stages, tmp_path):
+    # a NaN posterior once sent the slice sampler into an endless loop, so
+    # this runs in its own process under a timeout
+    path = tmp_path / "particles.csv"
+    path.write_text(_set_field(2, "nan")((smoke_stages / "particles.csv").read_text()))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "crnverify.cli", "verify", str(smoke_stages / "partition.json"), str(path),
+         "--seed", "1", "--samples", "200", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr

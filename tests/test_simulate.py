@@ -13,6 +13,7 @@ from crnverify import (
     parse_crn,
     save_dataset,
     simulate,
+    simulate_paths,
     states_at,
 )
 from crnverify.rng import stream
@@ -29,13 +30,8 @@ K_ONE = (1.0,)
 
 
 def firing_times(n, k=1.0, seed=0):
-    point = (k,)
-    rng = stream(seed, 11)
-    out = np.empty(n)
-    for i, child in enumerate(rng.spawn(n)):
-        traj = simulate(AB, point, 50.0, child)
-        out[i] = traj.times[1] if len(traj.times) > 1 else np.nan
-    return out
+    paths = simulate_paths(AB, [(k,)] * n, 50.0, stream(seed, 11).spawn(n))
+    return np.array([traj.times[1] if len(traj.times) > 1 else np.nan for traj in paths])
 
 
 class TestSimulate:
@@ -63,10 +59,8 @@ class TestSimulate:
         from crnverify import check_until, parse_csl
 
         f = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
-        rng = stream(7, 1)
         hits = 0
-        for child in rng.spawn(1000):
-            traj = simulate(SIR, THETA_PHI, 150.0, child)
+        for traj in simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1).spawn(1000)):
             if check_until(traj, f.path.phi1, f.path.phi2, 100.0, 150.0, SIR.species_index()).satisfied:
                 hits += 1
         assert hits / 1000 > 0.1

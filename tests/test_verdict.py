@@ -41,6 +41,15 @@ class TestFitPosterior:
         with pytest.raises(ConfigError, match="degenerate"):
             fit([3.0, 9.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("values, weights", [
+        ([0.0, 2.0], [0.5, float("nan")]),
+        ([0.0, float("nan")], [0.5, 0.5]),
+    ])
+    def test_non_finite_moments_rejected(self, values, weights):
+        # slice sampling a NaN posterior never returns, so the fit refuses it
+        with pytest.raises(ConfigError, match="not finite"):
+            fit(values, weights)
+
     def test_covariance_is_diagonal_by_construction(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(50, 2))
