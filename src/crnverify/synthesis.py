@@ -17,11 +17,15 @@ decided boxes in pending order, then the last level's undecided ones.
 Thresholds that hold vacuously (such as "at least probability zero") label
 the whole space in one step with no evaluations.
 
-Labels are decided purely by evaluations at lattice points, so the result
-is identical however box evaluations are scheduled.  The margin scheme is
-heuristic: labels assume the satisfaction probability varies smoothly
-between lattice points, and the statistical audit in the test suite
-quantifies that gap rather than certifying it away.
+A level's new lattice points are evaluated together, as lanes of one
+Poisson series (``UntilEvaluator.probabilities``), or in contiguous chunks
+across the worker processes.  Labels are decided purely by evaluations at
+lattice points, and each lane's value is the same bits as that point
+evaluated alone, so the result is identical however the points are
+scheduled.  The margin scheme is heuristic: labels assume the
+satisfaction probability varies smoothly between lattice points, and the
+statistical audit in the test suite quantifies that gap rather than
+certifying it away.
 """
 
 import itertools
@@ -102,8 +106,8 @@ def _worker_init(pcrn, formula_text, tol):
     _WORKER_TOL = tol
 
 
-def _worker_eval(point):
-    return _WORKER_EVALUATOR.probability(point, _WORKER_TOL)
+def _worker_eval(points):
+    return _WORKER_EVALUATOR.probabilities(points, _WORKER_TOL).tolist()
 
 
 def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -135,9 +139,13 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
     def evaluate_all(points: list[tuple[float, ...]]):
         todo = sorted(set(points) - cache.keys())
         if pool is not None:
-            results = pool.map(_worker_eval, todo, chunksize=4)
+            # contiguous chunks of at most one block of lanes each, handed
+            # out one at a time as workers free up
+            size = max(1, min(evaluator.block_lanes, -(-len(todo) // config.workers)))
+            chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+            results = itertools.chain.from_iterable(pool.map(_worker_eval, chunks))
         else:
-            results = (evaluator.probability(p, config.synth_transient_tol) for p in todo)
+            results = evaluator.probabilities(todo, config.synth_transient_tol).tolist()
         cache.update(zip(todo, results))
 
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level

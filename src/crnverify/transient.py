@@ -8,6 +8,20 @@ values of v at time t; with M = P^T it runs forward, carrying a
 distribution.  The series is truncated once the Poisson tail mass drops
 below the requested tolerance, and terms accumulate in ascending order.
 
+The series runs many chains ("lanes") at once, each with its own matrix,
+vector and qt.  Their matrices are stacked as one block-diagonal CSR
+matrix and every step advances all vectors with one sparse mat-vec into
+preallocated buffers, so the per-call cost of a small chain is paid once
+per step rather than once per lane.  Lanes are sorted by series length,
+longest first, so the lanes still running are a prefix of the rows; a
+lane whose series has ended drops out of the mat-vec and the sum.  A row
+of the stacked product sums the same entries in the same order as its
+lane's own product, and each lane adds its own weight times its own
+vector, so every lane's result is the same bits as the lane run alone,
+whatever lanes share its block.  Callers cap a block at about
+``_BLOCK_NNZ`` stored entries, which bounds its memory and keeps a large
+chain's block cache-sized.
+
 Time-bounded until probabilities phi1 U[t,t'] phi2 use the standard
 two-phase reduction, both phases run backward.  Phase 2 takes, from each
 state, the probability of sitting in a phi2 state after t'-t in the chain
@@ -30,8 +44,19 @@ from .csl import CslFormula, StateFormula
 from .errors import ConfigError, CrnVerifyError
 from .model import PCRN, StateSpace, _falling_product, compiled_reactions, enumerate_states, point_values
 
+try:  # scipy's CSR mat-vec kernel, called directly to skip per-call dispatch
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError as exc:  # a private name: fail loudly if a release moves it
+    raise ImportError(
+        "crnverify needs scipy.sparse._sparsetools.csr_matvec, which this scipy release does not provide"
+    ) from exc
+
 DEFAULT_TOL = 1e-10
 RATE_MARGIN = 1.02  # uniformization rate = margin * max exit rate
+
+# stored entries of one block of lanes: bounds its memory and keeps a large
+# chain's block cache-sized
+_BLOCK_NNZ = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +106,43 @@ def _poisson_weights(qt: float, tol: float) -> np.ndarray:
     return np.exp(special.xlogy(ks, qt) - special.gammaln(ks + 1) - qt)
 
 
-def _poisson_series(M, v: np.ndarray, qt: float, tol: float) -> np.ndarray:
-    """sum_k pois(k; qt) M^k v, truncated where the Poisson tail drops below tol."""
-    if qt == 0:
-        return v
-    acc = np.zeros_like(v)
-    for k, w in enumerate(_poisson_weights(qt, tol)):
+def _poisson_series(Ps: Sequence[sparse.csr_matrix], V: np.ndarray, qts: Sequence[float], tol: float) -> np.ndarray:
+    """Row j is sum_k pois(k; qts[j]) Ps[j]^k V[j], truncated where lane j's
+    Poisson tail drops below tol, for m >= 1 lanes: ``V`` is (m, n) and
+    every ``Ps[j]`` n x n CSR."""
+    m, n = V.shape
+    if any(P.shape != (n, n) for P in Ps):  # the kernel does not check bounds
+        raise ValueError(f"vectors of length {n} do not match matrices of shapes {[P.shape for P in Ps]}")
+    weights = [_poisson_weights(qt, tol) if qt else np.ones(1) for qt in qts]
+    order = sorted(range(m), key=lambda j: -len(weights[j]))
+    lengths = [len(weights[j]) for j in order]
+    W = np.zeros((lengths[0], m))
+    for lane, j in enumerate(order):
+        W[: lengths[lane], lane] = weights[j]
+    # the lanes' matrices stacked block-diagonally in lane order
+    stacked = [Ps[j] for j in order]
+    starts = np.cumsum([0] + [P.nnz for P in stacked])
+    index = np.int32 if max(starts[-1], m * n) < 2**31 else np.int64
+    indptr = np.concatenate([[0], *(P.indptr[1:] + start for P, start in zip(stacked, starts))]).astype(index)
+    indices = np.concatenate([P.indices + np.int64(lane * n) for lane, P in enumerate(stacked)]).astype(index)
+    data = np.concatenate([P.data for P in stacked])
+    x, y = np.ascontiguousarray(V[order], dtype=np.float64), np.empty((m, n))
+    # the kernel reads and writes raw buffers: ravel() must be a view
+    assert x.flags.c_contiguous and y.flags.c_contiguous and data.dtype == np.float64
+    term, acc = np.empty((m, n)), np.zeros((m, n))
+    active = m
+    for k in range(len(W)):
+        while lengths[active - 1] <= k:
+            active -= 1
         if k:
-            v = M @ v
-        if w > 0.0:
-            acc += w * v
-    return acc
+            y[:active] = 0.0  # the kernel adds each row's sum to y
+            _csr_matvec(active * n, active * n, indptr, indices, data, x.ravel(), y.ravel())
+            x, y = y, x
+        np.multiply(W[k, :active, None], x[:active], out=term[:active])
+        acc[:active] += term[:active]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def transient(
@@ -107,7 +158,9 @@ def transient(
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return _poisson_series(chain.P.T, np.array(initial, dtype=float), chain.q * t, tol)
+    # P^T as CSR sums each row in the column order P^T's CSC form does
+    v = np.array(initial, dtype=float)
+    return _poisson_series([chain.P.T.tocsr()], v[None, :], [chain.q * t], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +218,8 @@ class UntilEvaluator:
 
     Building the evaluator enumerates the state space and precomputes the
     per-parameter rate pieces with absorbing rows already zeroed, so each
-    call to :meth:`probability` only assembles two sparse matrices and runs
-    the Poisson series.
+    point only assembles two sparse matrices before its lane joins a block
+    of the Poisson series.
     """
 
     def __init__(self, pcrn: PCRN, phi1: StateFormula, phi2: StateFormula, t_lo: float, t_hi: float):
@@ -186,32 +239,60 @@ class UntilEvaluator:
         keep2 = sparse.diags((self.mask1 & ~self.mask2).astype(float))
         self._basis1 = tuple((keep1 @ B).tocsr() for B in basis)
         self._basis2 = tuple((keep2 @ B).tocsr() for B in basis)
+        # a lane's P in either phase stores at most the diagonal plus the
+        # phase-1 rate entries (phase 2 zeroes a superset of rows)
+        self._lane_nnz = len(space) + sum(B.nnz for B in self._basis1)
+
+    @property
+    def block_lanes(self) -> int:
+        """Lanes in one block of :meth:`probabilities`: as many as fit in
+        ``_BLOCK_NNZ`` stored entries, at least one."""
+        return max(1, _BLOCK_NNZ // self._lane_nnz)
 
     def probability(self, point: Sequence[float], tol: float = DEFAULT_TOL) -> float:
         """Until probability from the initial state at ``point`` (rates in
-        ``pcrn.params.names`` order)."""
-        rates = point_values(self.pcrn.params.names, point)
-        chain2 = UniformizedChain.from_rate_matrix(_combine(self._basis2, rates))
-        values = _poisson_series(
-            chain2.P, self.mask2.astype(float), chain2.q * (self.t_hi - self.t_lo), tol
-        )
-        if self.t_lo == 0:
-            result = values[self.init_idx]
-            if self.mask2[self.init_idx]:
-                result = 1.0
-            elif not self.mask1[self.init_idx]:
-                result = 0.0
-        else:
-            chain1 = UniformizedChain.from_rate_matrix(_combine(self._basis1, rates))
-            result = _poisson_series(chain1.P, self.mask1 * values, chain1.q * self.t_lo, tol)[self.init_idx]
-        # truncation and rounding may move the value past [0, 1] by at most
+        ``pcrn.params.names`` order): the one-lane call of
+        :meth:`probabilities`."""
+        return float(self.probabilities([point], tol)[0])
+
+    def probabilities(self, points: Sequence[Sequence[float]], tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Until probabilities at many points, each the same bits as that
+        point evaluated alone.  Points run as lanes of the Poisson series,
+        phase 2 and then phase 1, in blocks of at most ``_BLOCK_NNZ``
+        stored matrix entries."""
+        rates = [point_values(self.pcrn.params.names, point) for point in points]
+        lanes = self.block_lanes
+        result = np.empty(len(rates))
+        for start in range(0, len(rates), lanes):
+            result[start:start + lanes] = self._block(rates[start:start + lanes], tol)
+        # truncation and rounding may move a value past [0, 1] by at most
         # tol; anything beyond that is a numerical defect, not noise
-        if not -tol <= result <= 1.0 + tol:
+        bad = ~((-tol <= result) & (result <= 1.0 + tol))
+        if bad.any():
+            i = int(np.argmax(bad))
             raise CrnVerifyError(
-                f"until probability {float(result)!r} at {dict(zip(self.pcrn.params.names, rates))} lies outside "
-                f"[0, 1] by more than the truncation tolerance {tol}"
+                f"until probability {float(result[i])!r} at {dict(zip(self.pcrn.params.names, rates[i]))} lies "
+                f"outside [0, 1] by more than the truncation tolerance {tol}"
             )
-        return float(min(max(result, 0.0), 1.0))
+        return np.clip(result, 0.0, 1.0)
+
+    def _block(self, rates: list[list[float]], tol: float) -> np.ndarray:
+        V = np.tile(self.mask2.astype(float), (len(rates), 1))
+        values = self._phase(self._basis2, rates, V, self.t_hi - self.t_lo, tol)
+        if self.t_lo == 0:
+            result = values[:, self.init_idx]
+            if self.mask2[self.init_idx]:
+                result[:] = 1.0
+            elif not self.mask1[self.init_idx]:
+                result[:] = 0.0
+            return result
+        return self._phase(self._basis1, rates, self.mask1 * values, self.t_lo, tol)[:, self.init_idx]
+
+    @staticmethod
+    def _phase(basis: tuple, rates: list[list[float]], V: np.ndarray, t: float, tol: float) -> np.ndarray:
+        """One phase's series over time t, one lane per point."""
+        chains = [UniformizedChain.from_rate_matrix(_combine(basis, r)) for r in rates]
+        return _poisson_series([c.P for c in chains], V, [c.q * t for c in chains], tol)
 
 
 def bounded_until_prob(

@@ -21,6 +21,7 @@ from crnverify import (
 from crnverify import abcsmc
 from crnverify.abcsmc import STATUS_ABORTED, kernel_covariance, save_particles, load_particles
 from crnverify.rng import stream
+from reference_ssa import reference_simulate
 
 DECAY = parse_crn(
     "format=1; species A B; param k in [0.1, 10];"
@@ -122,13 +123,15 @@ class TestAbcseq:
         pts = res.points[:, 0]
         mean = float(w @ pts)
         assert 0.5 <= mean <= 2.0
-        # independent oracle: plain rejection ABC at the final adaptive threshold
+        # independent oracle: plain rejection ABC at the final adaptive
+        # threshold, its paths from the one-path loop (the same draws as
+        # ``simulate`` on the shared generator, without the lane arrays)
         eps = res.threshold
         rng = stream(999, 0)
         accepted = []
         for _ in range(40000):
             k = 0.1 + 9.9 * rng.random()
-            traj = simulate(DECAY, (k,), 10.0, rng)
+            traj = reference_simulate(DECAY, (k,), 10.0, rng)
             if discrepancy(decay_data, traj) <= eps:
                 accepted.append(k)
             if len(accepted) >= 1000:

@@ -1,4 +1,5 @@
-"""Uniformization against closed forms and a dense matrix-exponential oracle."""
+"""Uniformization against closed forms, a dense matrix-exponential oracle,
+and the one-lane Poisson series the package ran before its lanes."""
 
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from crnverify import (
     transient,
 )
 from crnverify.csl import BoolLiteral, Comparison
-from crnverify.transient import _poisson_weights, evaluator_for
+from crnverify.model import point_values
+from crnverify.transient import _combine, _poisson_weights, evaluator_for
 
 REPO = Path(__file__).resolve().parents[1]
 # crnverify.transient the attribute is the re-exported function
@@ -234,7 +236,7 @@ class TestNumericalDefect:
     F = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
 
     def _fake_series(self, monkeypatch, value):
-        monkeypatch.setattr(TRANSIENT, "_poisson_series", lambda M, v, qt, tol: np.full(len(v), value))
+        monkeypatch.setattr(TRANSIENT, "_poisson_series", lambda Ps, V, qts, tol: np.full(V.shape, value))
 
     def test_excess_within_tolerance_is_clipped(self, monkeypatch):
         self._fake_series(monkeypatch, 1.0 + 5e-11)
@@ -247,6 +249,138 @@ class TestNumericalDefect:
         self._fake_series(monkeypatch, value)
         with pytest.raises(CrnVerifyError, match="'k': 1.0"):
             evaluator_for(AB, self.F).probability(K_ONE, tol=1e-10)
+
+    def test_error_names_the_bad_lane(self, monkeypatch):
+        # every lane's series reads 0.5 except the lane at k = 3
+        bad_qt = UniformizedChain.from_rate_matrix(np.array([[0.0, 3.0], [0.0, 0.0]])).q
+        monkeypatch.setattr(
+            TRANSIENT, "_poisson_series",
+            lambda Ps, V, qts, tol: np.where(np.array(qts)[:, None] == bad_qt, 1.5, 0.5) * np.ones(V.shape),
+        )
+        evaluator = evaluator_for(AB, self.F)
+        assert evaluator.probabilities([(1.0,), (2.0,), (4.0,)], tol=1e-10).tolist() == [0.5] * 3
+        with pytest.raises(CrnVerifyError, match=r"1\.5 at \{'k': 3\.0\}"):
+            evaluator.probabilities([(1.0,), (2.0,), (3.0,), (4.0,)], tol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Lanes against the one-lane series.
+
+
+def reference_series(M, v, qt, tol):
+    """The one-lane loop: sum_k pois(k; qt) M^k v through scipy's ``M @ v``."""
+    if qt == 0:
+        return v
+    acc = np.zeros_like(v)
+    for k, w in enumerate(_poisson_weights(qt, tol)):
+        if k:
+            v = M @ v
+        if w > 0.0:
+            acc += w * v
+    return acc
+
+
+def reference_until(evaluator, point, tol):
+    """One point's until probability from ``reference_series``, both
+    phases on chains built by ``UniformizedChain.from_rate_matrix``."""
+    rates = point_values(evaluator.pcrn.params.names, point)
+    init = evaluator.init_idx
+    chain2 = UniformizedChain.from_rate_matrix(_combine(evaluator._basis2, rates))
+    values = reference_series(
+        chain2.P, evaluator.mask2.astype(float), chain2.q * (evaluator.t_hi - evaluator.t_lo), tol
+    )
+    if evaluator.t_lo == 0:
+        result = values[init]
+        if evaluator.mask2[init]:
+            result = 1.0
+        elif not evaluator.mask1[init]:
+            result = 0.0
+    else:
+        chain1 = UniformizedChain.from_rate_matrix(_combine(evaluator._basis1, rates))
+        result = reference_series(chain1.P, evaluator.mask1 * values, chain1.q * evaluator.t_lo, tol)[init]
+    return float(min(max(result, 0.0), 1.0))
+
+
+DECAY = parse_crn(
+    "format=1; species A B; param k in [0, 10];"
+    "reaction decay: A -> B @ k; init A=50; conserve 50;"
+)
+SIR = parse_crn(
+    "format=1; species S I R;"
+    "param ki in [5e-5, 0.003]; param kr in [0.005, 0.2];"
+    "reaction infect: S + I -> I + I @ ki; reaction recover: I -> R @ kr;"
+    "init S=95, I=5, R=0; conserve 100;"
+)
+DECAY_FORMULAS = [
+    "P>0.5 [ (B<25) U[0.5,1.5] (B>=25) ]",
+    "P>0.5 [ true U[0,2] (B>=25) ]",  # t_lo = 0: phase 2 alone
+    "P>0.5 [ (B>=1) U[0,2] (B>=25) ]",  # t_lo = 0 with the initial state outside phi1
+]
+
+
+def _assert_lanes_match_reference(pcrn, formula, points, tol=1e-8):
+    evaluator = evaluator_for(pcrn, parse_csl(formula))
+    got = evaluator.probabilities(points, tol)
+    want = [reference_until(evaluator, p, tol) for p in points]
+    assert got.shape == (len(points),)
+    # bit for bit, so every lane's value equals its evaluation alone
+    assert got.tolist() == want
+    return evaluator
+
+
+class TestLanesMatchReference:
+    @pytest.mark.parametrize("formula", DECAY_FORMULAS)
+    def test_random_decay_points(self, formula):
+        points = np.random.default_rng(1).uniform(0.0, 10.0, size=(40, 1))
+        _assert_lanes_match_reference(DECAY, formula, points)
+
+    def test_random_sir_points(self):
+        rng = np.random.default_rng(2)
+        points = SIR.params.lower + (SIR.params.upper - SIR.params.lower) * rng.random((6, 2))
+        _assert_lanes_match_reference(SIR, "P>0.1 [ (I>0) U[100,150] (I=0) ]", points)
+
+    def test_unsorted_lanes_of_different_lengths(self):
+        points = [(0.5,), (9.0,), (2.0,), (0.05,), (7.0,), (0.5,)]
+        evaluator = _assert_lanes_match_reference(DECAY, DECAY_FORMULAS[0], points)
+        qs = [UniformizedChain.from_rate_matrix(_combine(evaluator._basis2, p)).q for p in points]
+        assert len({len(_poisson_weights(q, 1e-8)) for q in qs}) == 5
+
+    @pytest.mark.parametrize("formula", DECAY_FORMULAS)
+    def test_zero_rate_lane(self, formula):
+        # k = 0: q = 0 in both phases, so the lane's series is its vector
+        _assert_lanes_match_reference(DECAY, formula, [(3.0,), (0.0,), (1.0,), (0.0,)])
+
+    def test_duplicates_and_empty(self):
+        evaluator = _assert_lanes_match_reference(DECAY, DECAY_FORMULAS[0], [(2.0,), (2.0,), (5.0,), (2.0,)])
+        assert evaluator.probabilities([], 1e-8).shape == (0,)
+
+    @pytest.mark.parametrize("cap", [1, 250, 1000])
+    def test_level_spans_several_blocks(self, monkeypatch, cap):
+        # a decay lane stores at most 101 entries: 1, 2 and 9 lanes a block
+        monkeypatch.setattr(TRANSIENT, "_BLOCK_NNZ", cap)
+        points = np.random.default_rng(3).uniform(0.0, 10.0, size=(23, 1))
+        points[[4, 17]] = 0.0
+        for formula in DECAY_FORMULAS:
+            _assert_lanes_match_reference(DECAY, formula, points)
+
+    def test_probability_is_the_one_lane_call(self):
+        evaluator = evaluator_for(SIR, parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]"))
+        assert evaluator.probability((0.002, 0.05), 1e-8) == reference_until(evaluator, (0.002, 0.05), 1e-8)
+
+    def test_transient_matches_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            chain = UniformizedChain.from_rate_matrix(random_generator_matrix(rng, n))
+            pi0 = rng.dirichlet(np.ones(n))
+            for t in (0.0, 0.3, 4.0):
+                want = reference_series(chain.P.T, pi0, chain.q * t, 1e-10)
+                assert transient(chain, pi0, t, tol=1e-10).tolist() == want.tolist()
+
+    def test_transient_rejects_mismatched_initial(self):
+        chain = UniformizedChain.from_rate_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="length 3"):
+            transient(chain, np.ones(3) / 3, 1.0)
 
 
 def _evaluate_with_masks(pcrn, point, phi1_mask, phi2_mask, space, t_lo, t_hi):
