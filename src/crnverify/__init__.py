@@ -43,6 +43,7 @@ from .simulate import (
     observe,
     save_dataset,
     simulate,
+    simulate_distances,
     simulate_paths,
     states_at,
 )

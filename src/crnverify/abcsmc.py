@@ -9,10 +9,25 @@ the previous round's accepted distances.  Importance weights follow the
 standard sequential scheme: prior density over the kernel mixture of the
 previous round.
 
-Per-particle substreams are keyed by (seed, batch, round, slot), so runs
-are reproducible no matter how slots are scheduled.  A round simulates its
-slots' proposals together, as lanes of one ``simulate_paths`` call per wave;
-each slot's stream serves its attempts in the order they would take alone.
+Waves.  Each round simulates in waves, and wave w of round r draws from
+the one generator keyed (seed, batch, r, w).  Round 0 is one wave of m
+prior draws.  In a later round, lane j of a wave serves pending slot
+``pending[j % len(pending)]``, and no slot gets more lanes than it has
+attempts left.  A wave draws its ancestor uniforms, then its (lanes x k)
+kernel normals, then the simulation blocks of the lanes whose proposals
+lie inside the box; a proposal outside counts as an attempt and is not
+simulated.  A slot's winner is its lowest-index accepted lane, its first
+acceptance in attempt order, and its attempts are its lanes up to and
+including the winner.  The lanes after a winner are waste.  A wave's
+width comes from counts only, so runs are reproducible whatever the
+scheduling: the pending slots over the last wave's acceptance rate
+(starting at twice the slots, as the threshold is the median), at least
+one lane per slot and at most ``simulate._LANES``.
+
+Early rejection.  The simulation stops a lane once its partial distance
+exceeds the round's threshold (``simulate_distances``).  That lane would
+have been rejected anyway, so this is exact: the zero-continuation case
+of lazy ABC (Prangle, Statistics and Computing 2016).
 """
 
 from dataclasses import dataclass
@@ -26,7 +41,7 @@ from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
 from .model import PCRN, ParameterSpace
 # ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
-from .simulate import Dataset, discrepancy, simulate, simulate_paths  # noqa: F401
+from .simulate import _LANES, Dataset, simulate, simulate_distances  # noqa: F401
 
 STATUS_OK = "ok"
 STATUS_CONVERGED_EARLY = "converged-early"
@@ -79,9 +94,10 @@ def kernel_covariance(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def perturb(values: np.ndarray, chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian perturbation of ``values`` by the kernel whose covariance has
-    Cholesky factor ``chol``."""
-    return values + chol @ rng.standard_normal(len(values))
+    """Gaussian perturbation of ``values`` (one point, or one point per
+    row) by the kernel whose covariance has Cholesky factor ``chol``; the
+    normals are drawn in the shape of ``values``."""
+    return values + rng.standard_normal(np.shape(values)) @ chol.T
 
 
 def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_weights: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -116,12 +132,11 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
     m = config.abc_particles
     space = pcrn.params
     order, lo, hi = space.names, space.lower, space.upper
-    t_end = float(data.times[-1])
 
     # round 0: prior draws, one path each, all accepted
-    streams = [rngmod.stream(config.seed, batch, 0, i) for i in range(m)]
-    points = np.array([lo + (hi - lo) * stream.random(len(lo)) for stream in streams])
-    distances = np.array([discrepancy(data, path) for path in simulate_paths(pcrn, points, t_end, streams)])
+    rng = rngmod.stream(config.seed, batch, 0, 0)
+    points = lo + (hi - lo) * rng.random((m, len(lo)))
+    distances = simulate_distances(pcrn, points, data, np.inf, rng)
     attempts_total = m
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
@@ -145,36 +160,40 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
         cum_weights[-1] = 1.0
         new_points = np.empty_like(points)
         new_distances = np.empty(m)
-        streams = [rngmod.stream(config.seed, batch, r, i) for i in range(m)]
-        tries = [0] * m
-        pending = range(m)
-        # waves: every pending slot draws proposals from its own stream until
-        # one lies in the box, then the wave's proposals are simulated together
-        while pending:
-            wave, proposals = [], []
-            for i in pending:
-                stream = streams[i]
-                while tries[i] < config.abc_max_attempts:
-                    tries[i] += 1
-                    ancestor = points[np.searchsorted(cum_weights, stream.random())]
-                    proposal = perturb(ancestor, chol, stream)
-                    if np.all((lo <= proposal) & (proposal <= hi)):
-                        wave.append(i)
-                        proposals.append(proposal)
-                        break
-                else:
-                    current.status = STATUS_ABORTED
-                    return current
-            paths = simulate_paths(pcrn, proposals, t_end, [streams[i] for i in wave])
-            pending = []
-            for i, proposal, path in zip(wave, proposals, paths):
-                rho = discrepancy(data, path)
-                if rho <= eps:
-                    new_points[i] = proposal
-                    new_distances[i] = rho
-                else:
-                    pending.append(i)  # aborts next wave if its attempts are spent
-        attempts_total += sum(tries)
+        tries = np.zeros(m, dtype=np.int64)
+        pending = np.arange(m)
+        want = 2 * m
+        wave = 0
+        while len(pending):
+            if np.any(tries[pending] >= config.abc_max_attempts):
+                current.status = STATUS_ABORTED
+                return current
+            # lane j serves pending[j % len(pending)], within its attempts left
+            j = np.arange(max(len(pending), min(want, _LANES)))
+            slot = pending[j % len(pending)]
+            slot = slot[j // len(pending) < config.abc_max_attempts - tries[slot]]
+            rng = rngmod.stream(config.seed, batch, r, wave)
+            ancestors = points[np.searchsorted(cum_weights, rng.random(len(slot)))]
+            proposals = perturb(ancestors, chol, rng)
+            inside = np.all((lo <= proposals) & (proposals <= hi), axis=1)
+            rho = np.full(len(slot), np.inf)
+            if inside.any():
+                rho[inside] = simulate_distances(pcrn, proposals[inside], data, eps, rng)
+            accepted = inside & (rho <= eps)
+            # each slot's winner is its first accepted lane; its attempts
+            # run up to and including it
+            first = np.full(m, len(slot))
+            np.minimum.at(first, slot[accepted], np.flatnonzero(accepted))
+            lane = np.arange(len(slot))
+            tries += np.bincount(slot[lane <= first[slot]], minlength=m)
+            won = pending[first[pending] < len(slot)]
+            new_points[won] = proposals[first[won]]
+            new_distances[won] = rho[first[won]]
+            pending = pending[first[pending] == len(slot)]
+            rate = np.count_nonzero(accepted) / len(slot)
+            want = int(np.ceil(len(pending) / rate)) if rate else _LANES
+            wave += 1
+        attempts_total += int(tries.sum())
 
         # every accepted proposal lies inside the box, so the uniform prior
         # density is the same constant for all of them

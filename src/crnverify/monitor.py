@@ -5,6 +5,10 @@ The until check is exact on the piecewise-constant path: it scans jump
 intervals rather than sampling a time grid, so verdicts carry no
 discretization error.  At a jump instant the post-jump state governs,
 matching the simulator's right-continuous convention.
+
+An estimate draws all its runs from the one generator it is given: they
+are lanes of ``simulate_paths`` calls of at most ``simulate._LANES`` lanes
+each, made in turn on that generator.
 """
 
 from collections.abc import Sequence
@@ -15,12 +19,7 @@ import numpy as np
 from .csl import CslFormula, StateFormula
 from .model import PCRN, point_values
 # ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
-from .simulate import Trajectory, simulate, simulate_paths  # noqa: F401
-
-
-# paths simulated and checked together: bounds the memory of one block at
-# O(_LANES x events) however many runs an estimate takes
-_LANES = 1024
+from .simulate import _LANES, Trajectory, simulate, simulate_paths  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -109,23 +108,21 @@ def estimate_lambda(
 ) -> LambdaEstimate:
     """Fraction of independent sample paths satisfying the path formula.
 
-    Each run uses its own spawned substream, so the estimate is identical
-    however the runs are scheduled; they are simulated as lanes of
-    ``simulate_paths`` in blocks of at most ``_LANES``.  The half-width is the 95% normal
-    approximation, intended for diagnostics rather than guarantees.
+    The runs are lanes of ``simulate_paths`` on ``rng``, in blocks of at
+    most ``_LANES``.  The half-width is the 95% normal approximation,
+    intended for diagnostics rather than guarantees.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
     path = formula.path
     values = point_values(pcrn.params.names, point)
-    children = rng.spawn(n_sims)
     satisfied = 0
     for start in range(0, n_sims, _LANES):
-        block = children[start:start + _LANES]
+        lanes = min(_LANES, n_sims - start)
         if path.t_hi > 0:
-            paths = simulate_paths(pcrn, [values] * len(block), path.t_hi, block)
+            paths = simulate_paths(pcrn, [values] * lanes, path.t_hi, rng)
         else:
-            paths = [_empty_path(pcrn)] * len(block)
+            paths = [_empty_path(pcrn)] * lanes
         hits, _ = check_until_paths(paths, path.phi1, path.phi2, path.t_lo, path.t_hi, pcrn.species_index())
         satisfied += int(np.count_nonzero(hits))
     mean = satisfied / n_sims

@@ -7,23 +7,35 @@ propensity.  Observation turns a trajectory into the kind of data the
 inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
 
-Draw order.  ``simulate_paths`` runs many paths ("lanes") in lockstep, and
-each lane draws from its own generator in the order one path alone would:
+Draw contract.  ``simulate_paths`` runs many paths ("lanes") in lockstep
+on one generator per call.  Lane ``j`` owns column ``j`` of every draw
+block for the whole call:
 
-- at the start, a block of ``_BLOCK`` standard exponentials, then a block
-  of ``_BLOCK`` uniforms;
-- per step, one exponential for the holding time, then one uniform for the
-  reaction; a spent block is refilled from the generator only when a draw
-  needs it;
+- at the start, a (rows x lanes) block of standard exponentials, then a
+  (rows x lanes) block of uniforms, with rows = ceil(``_BLOCK`` / lanes);
+- per step, a lane reads one exponential for its holding time, then one
+  uniform for its reaction, from the row the call's step count selects;
+  once every row is spent, the step that needs a fresh row refills the
+  whole block, for every lane of the call, live or not;
 - a lane whose total propensity is zero (absorbing) stops before drawing,
   and a lane whose next jump time is at or past the horizon stops after
   its exponential, without a uniform.
 
-Propensities come from ``model._falling_product`` and their totals and the
-reaction choice from sequential sums, as in a one-path loop, so a lane's
-path is the same bits whatever lanes share its call, and its generator ends
-at the same position.  Callers that reuse a generator after a path (ABC
-draws its next proposal from the same stream) rely on that position.
+A lane's numbers are fixed by its column, so a lane that absorbs or stops
+early never shifts another lane's path.  A one-lane call reads 256-draw
+blocks from its generator in the order a one-path loop would, and leaves
+it where that loop leaves it: ``generate`` observes its path with the
+same generator.  Propensities come from ``model._falling_product`` and
+their totals and the reaction choice from sequential sums, as in a
+one-path loop.
+
+``simulate_distances`` runs the same kernel against a dataset without
+keeping paths: each lane adds its squared error at an observation time
+as its clock passes it, in the order ``discrepancy`` sums, and stops once
+its partial distance exceeds the threshold.  Partial sums of nonnegative
+terms never decrease, so a stopped lane is exactly one that would have
+been rejected, and a finished lane's distance is ``discrepancy`` of its
+path, bit for bit.
 """
 
 from collections.abc import Sequence
@@ -36,7 +48,10 @@ from .errors import ConfigError, ParseError
 from .files import read_csv, write_csv
 from .model import PCRN, _falling_product, compiled_reactions, point_values
 
-_BLOCK = 256  # RNG draws consumed in blocks to cut per-call overhead
+_BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call overhead
+# widest call an estimate makes, which bounds its memory at O(_LANES x
+# events), and widest ABC wave unless it has more pending slots
+_LANES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,31 +104,56 @@ def simulate(pcrn: PCRN, point: Sequence[float], t_end: float, rng: np.random.Ge
     Absorbing states simply hold to the horizon.  Identical generator state
     and inputs reproduce the trajectory bit-exactly.
     """
-    return simulate_paths(pcrn, [point_values(pcrn.params.names, point)], t_end, [rng])[0]
+    return simulate_paths(pcrn, [point_values(pcrn.params.names, point)], t_end, rng)[0]
 
 
-def simulate_paths(pcrn: PCRN, points, t_end: float, rngs: Sequence[np.random.Generator]) -> list[Trajectory]:
+def simulate_paths(pcrn: PCRN, points, t_end: float, rng: np.random.Generator) -> list[Trajectory]:
     """Sample one exact path per lane on [0, t_end]: lane ``i`` runs the
-    chain at ``points[i]`` (rates in ``pcrn.params.names`` order) on its own
-    generator ``rngs[i]``.
+    chain at ``points[i]`` (rates in ``pcrn.params.names`` order), all lanes
+    drawing from ``rng`` as the module docstring states."""
+    values = _lane_values(pcrn, points)
+    lane_of, all_states, all_times = _lockstep(pcrn, values, float(t_end), rng)
+    order = np.argsort(lane_of, kind="stable")
+    all_states, all_times = all_states[order].astype(np.int64), all_times[order]
+    ends = np.cumsum(np.bincount(lane_of, minlength=len(values))).tolist()
+    return [
+        Trajectory(states=all_states[start:end], times=all_times[start:end], horizon=float(t_end))
+        for start, end in zip([0, *ends], ends)
+    ]
 
-    The active lanes advance in lockstep as arrays: states (m, n), clocks
-    (m,) and rates (R, m).  A lane leaves them once its next jump falls at
-    or past ``t_end``; an absorbing lane's next jump is at infinity.  Every
-    active lane has taken the same number of steps, so all of them read
-    the same position of their draw blocks.  Each lane's path and its generator's final position are those
-    of the lane sampled alone; the module docstring states the draw order.
+
+def simulate_distances(pcrn: PCRN, points, data: Dataset, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """``discrepancy`` between ``data`` and one path per lane, simulated up
+    to the last observation time as ``simulate_paths`` would, without
+    keeping the paths.  A lane stops as soon as its partial distance
+    exceeds ``eps`` and reads infinity; every other lane's distance is
+    that of its full path."""
+    return _lockstep(pcrn, _lane_values(pcrn, points), float(data.times[-1]), rng, data, float(eps))
+
+
+def _lane_values(pcrn: PCRN, points) -> np.ndarray:
+    names = pcrn.params.names
+    values = np.asarray(points, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(names) or not len(values):
+        raise ConfigError(f"parameter points of shape {values.shape} are not rows of parameters {list(names)}")
+    return values
+
+
+def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, rng: np.random.Generator,
+              data: Dataset | None = None, eps: float = np.inf):
+    """The Gillespie kernel: every lane of ``values`` advances together as
+    arrays of states (lanes, n), clocks and rates (R, lanes).  A lane leaves
+    them once its next jump falls at or past ``t_end``; an absorbing
+    lane's next jump is at infinity.  All active lanes have taken the same
+    number of steps, so they read the same row of the draw blocks.
+
+    Without ``data``, returns every visit as (lane, state, entry time)
+    arrays in step order.  With it, returns each lane's distance to the
+    data (infinity for a lane stopped past ``eps``).
     """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
-    names = pcrn.params.names
-    rngs = list(rngs)
-    m = len(rngs)
-    values = np.asarray(points, dtype=float)
-    if values.shape != (m, len(names)):
-        raise ConfigError(f"parameter points of shape {values.shape} do not match {m} lanes of parameters {list(names)}")
-    if len({id(r) for r in rngs}) != m:
-        raise ValueError("every lane needs its own generator")
+    m = len(values)
     compiled = compiled_reactions(pcrn)
     reactants = [r for r, _, _ in compiled]
     last = len(compiled) - 1
@@ -122,11 +162,9 @@ def simulate_paths(pcrn: PCRN, points, t_end: float, rngs: Sequence[np.random.Ge
         for i, d in changes:
             delta[j, i] = d
 
-    # draw blocks, one column per lane
-    exps, unis = np.empty((_BLOCK, m)), np.empty((_BLOCK, m))
-    for lane, rng in enumerate(rngs):
-        exps[:, lane] = rng.standard_exponential(_BLOCK)
-        unis[:, lane] = rng.random(_BLOCK)
+    rows = -(-_BLOCK // m)
+    exps = rng.standard_exponential((rows, m))
+    unis = rng.random((rows, m))
 
     # counts are exact in float64, the propensity kernel's column type
     lanes = np.arange(m)
@@ -134,50 +172,68 @@ def simulate_paths(pcrn: PCRN, points, t_end: float, rngs: Sequence[np.random.Ge
     states = np.tile(np.asarray(pcrn.initial_state, dtype=float), (m, 1))
     t = np.zeros(m)
     visits = [(lanes, states, t)]
-    if not compiled:
-        lanes = lanes[:0]  # nothing can fire: every lane holds its initial state
+    if data is not None:
+        obs_times, observed = np.append(data.times, np.inf), data.observations
+        nxt = np.zeros(m, dtype=np.intp)  # each lane's next observation
+        due = np.full(m, obs_times[0])  # and its time
+        partial = np.zeros(m)
     step = 0
-    while len(lanes):
+    while True:
         # propensities and their running sums, added in reaction order
         x = states.T
-        total = rates[0] * _falling_product(reactants[0], x)
+        total = rates[0] * _falling_product(reactants[0], x) if compiled else np.zeros(len(lanes))
         cum = [total]
         for j in range(1, last + 1):
             total = total + rates[j] * _falling_product(reactants[j], x)
             cum.append(total)
         # an absorbing lane draws nothing: its next jump is at infinity
         live = total > 0.0
-        col = step % _BLOCK
-        if col == 0 and step:
-            for lane in lanes[live].tolist():
-                exps[:, lane] = rngs[lane].standard_exponential(_BLOCK)
-        t = t + np.divide(exps[col][lanes], total, out=np.full(len(lanes), np.inf), where=live)
-        keep = t < t_end
+        col = step % rows
+        if col == 0 and step and live.any():
+            exps = rng.standard_exponential((rows, m))
+        t_next = t + np.divide(exps[col, lanes], total, out=np.full(len(lanes), np.inf), where=live)
+        keep = t_next < t_end
+        if data is not None:
+            # the state held on [t, t_next) is the one every observation
+            # before t_next reads; a lane leaving holds it to the end
+            reach = np.where(keep, t_next, np.inf)
+            cross = due[lanes] < reach
+            if cross.any():
+                while cross.any():
+                    idx = lanes[cross]
+                    diff = observed[nxt[idx]] - states[cross]
+                    sq = diff * diff
+                    acc = partial[idx]
+                    for s in range(sq.shape[1]):
+                        acc = acc + sq[:, s]
+                    partial[idx] = acc
+                    nxt[idx] += 1
+                    due[idx] = obs_times[nxt[idx]]
+                    cross = due[lanes] < reach
+                keep &= np.sqrt(partial[lanes]) <= eps
         if not keep.all():
-            lanes, rates, states, t = lanes[keep], rates[:, keep], states[keep], t[keep]
+            lanes, rates, states, t_next = lanes[keep], rates[:, keep], states[keep], t_next[keep]
             cum = [c[keep] for c in cum]
             if not len(lanes):
                 break
         if col == 0 and step:
-            for lane in lanes.tolist():
-                unis[:, lane] = rngs[lane].random(_BLOCK)
-        u = unis[col][lanes] * cum[-1]
+            unis = rng.random((rows, m))
+        u = unis[col, lanes] * cum[-1]
         # the first reaction whose running sum exceeds u, else the last
         chosen = last
         for j in range(last - 1, -1, -1):
             chosen = np.where(u < cum[j], j, chosen)
         states = states + delta.take(chosen, axis=0)
-        visits.append((lanes, states, t))
+        t = t_next
+        if data is None:
+            visits.append((lanes, states, t))
         step += 1
 
-    lane_of, all_states, all_times = (np.concatenate(v) for v in zip(*visits))
-    order = np.argsort(lane_of, kind="stable")
-    all_states, all_times = all_states[order].astype(np.int64), all_times[order]
-    ends = np.cumsum(np.bincount(lane_of, minlength=m)).tolist()
-    return [
-        Trajectory(states=all_states[start:end], times=all_times[start:end], horizon=float(t_end))
-        for start, end in zip([0, *ends], ends)
-    ]
+    if data is None:
+        return tuple(np.concatenate(v) for v in zip(*visits))
+    distances = np.sqrt(partial)
+    distances[nxt < len(data.times)] = np.inf
+    return distances
 
 
 def states_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
@@ -207,7 +263,7 @@ def discrepancy(data: Dataset, sim: Trajectory) -> float:
     """Euclidean distance between observed and simulated counts.
 
     Square root of the sum, over every observation time and component, of
-    squared differences.  The simulated path must reach the last
+    squared differences, added observation by observation.  The simulated path must reach the last
     observation time.
     """
     last = float(data.times[-1])
@@ -215,7 +271,9 @@ def discrepancy(data: Dataset, sim: Trajectory) -> float:
         raise ValueError(f"simulation horizon {sim.horizon} ends before last observation at {last}")
     x = states_at(sim, data.times).astype(float)
     diff = data.observations - x
-    return float(np.sqrt(np.sum(diff * diff)))
+    # added in sequence, observation by observation and species in order,
+    # as ``simulate_distances`` adds them
+    return float(np.sqrt(np.cumsum(diff * diff)[-1]))
 
 
 # ---------------------------------------------------------------------------

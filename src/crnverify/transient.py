@@ -9,12 +9,14 @@ distribution.  The series is truncated once the Poisson tail mass drops
 below the requested tolerance, and terms accumulate in ascending order.
 
 The series runs many chains ("lanes") at once, each with its own matrix,
-vector and qt.  Their matrices are stacked as one block-diagonal CSR
-matrix and every step advances all vectors with one sparse mat-vec into
-preallocated buffers, so the per-call cost of a small chain is paid once
-per step rather than once per lane.  Lanes are sorted by series length,
-longest first, so the lanes still running are a prefix of the rows; a
-lane whose series has ended drops out of the mat-vec and the sum.  A row
+vector and qt.  The lanes share one sparsity pattern, and their values
+are one (lanes x entries) array; their matrices are stacked as one
+block-diagonal CSR matrix and every step advances all vectors with one
+sparse mat-vec into preallocated buffers, so the per-call cost of a
+small chain is paid once per step rather than once per lane.  Lanes are
+sorted by series length, longest first, so the lanes still running are
+a prefix of the rows; a lane whose series has ended drops out of the
+mat-vec and the sum.  A row
 of the stacked product sums the same entries in the same order as its
 lane's own product, and each lane adds its own weight times its own
 vector, so every lane's result is the same bits as the lane run alone,
@@ -74,7 +76,7 @@ class UniformizedChain:
         R.setdiag(0.0)
         R.eliminate_zeros()
         n = R.shape[0]
-        outflow = np.asarray(R.sum(axis=1)).ravel()
+        outflow = _row_sums(R.data[None, :], _row_ranks(np.repeat(np.arange(n), np.diff(R.indptr)), n), n)[0]
         q = RATE_MARGIN * float(outflow.max()) if outflow.size and outflow.max() > 0 else 0.0
         if q == 0.0:
             P = sparse.identity(n, format="csr")
@@ -85,6 +87,25 @@ class UniformizedChain:
     def row_sum_defect(self) -> float:
         ones = np.ones(self.n_states)
         return float(np.abs(np.asarray(self.P.sum(axis=1)).ravel() - ones).max())
+
+
+def _row_ranks(rows: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Entries grouped by their place within their row: group r holds the
+    rows and entry positions of every row's (r+1)-th entry.  ``rows`` gives
+    each entry's row, ascending, over n rows."""
+    counts = np.bincount(rows, minlength=n)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return [(rows[rank == r], np.flatnonzero(rank == r)) for r in range(counts.max(initial=0))]
+
+
+def _row_sums(values: np.ndarray, ranks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """Each of n rows' sums, per lane of ``values`` (lanes, entries),
+    adding the row's entries in index order (``_row_ranks`` groups them).
+    Every chain builder sums rows here, so they agree bit for bit."""
+    sums = np.zeros((len(values), n))
+    for rows, entries in ranks:  # at most one entry per row
+        sums[:, rows] += values[:, entries]
+    return sums
 
 
 def _poisson_weights(qt: float, tol: float) -> np.ndarray:
@@ -106,13 +127,23 @@ def _poisson_weights(qt: float, tol: float) -> np.ndarray:
     return np.exp(special.xlogy(ks, qt) - special.gammaln(ks + 1) - qt)
 
 
-def _poisson_series(Ps: Sequence[sparse.csr_matrix], V: np.ndarray, qts: Sequence[float], tol: float) -> np.ndarray:
-    """Row j is sum_k pois(k; qts[j]) Ps[j]^k V[j], truncated where lane j's
+def _poisson_series(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    V: np.ndarray,
+    qts: Sequence[float],
+    tol: float,
+    cols: slice = slice(None),
+) -> np.ndarray:
+    """Row j is sum_k pois(k; qts[j]) M_j^k V[j], truncated where lane j's
     Poisson tail drops below tol, for m >= 1 lanes: ``V`` is (m, n) and
-    every ``Ps[j]`` n x n CSR."""
+    every M_j is the n x n CSR matrix of the shared pattern (``indptr``,
+    ``indices``) with values ``data[j]``.  Only the columns ``cols`` of
+    the sum are accumulated and returned."""
     m, n = V.shape
-    if any(P.shape != (n, n) for P in Ps):  # the kernel does not check bounds
-        raise ValueError(f"vectors of length {n} do not match matrices of shapes {[P.shape for P in Ps]}")
+    if len(indptr) != n + 1:  # the kernel does not check bounds
+        raise ValueError(f"vectors of length {n} do not match a matrix of {len(indptr) - 1} rows")
     weights = [_poisson_weights(qt, tol) if qt else np.ones(1) for qt in qts]
     order = sorted(range(m), key=lambda j: -len(weights[j]))
     lengths = [len(weights[j]) for j in order]
@@ -120,16 +151,17 @@ def _poisson_series(Ps: Sequence[sparse.csr_matrix], V: np.ndarray, qts: Sequenc
     for lane, j in enumerate(order):
         W[: lengths[lane], lane] = weights[j]
     # the lanes' matrices stacked block-diagonally in lane order
-    stacked = [Ps[j] for j in order]
-    starts = np.cumsum([0] + [P.nnz for P in stacked])
-    index = np.int32 if max(starts[-1], m * n) < 2**31 else np.int64
-    indptr = np.concatenate([[0], *(P.indptr[1:] + start for P, start in zip(stacked, starts))]).astype(index)
-    indices = np.concatenate([P.indices + np.int64(lane * n) for lane, P in enumerate(stacked)]).astype(index)
-    data = np.concatenate([P.data for P in stacked])
+    nnz = len(indices)
+    index = np.int32 if max(m * nnz, m * n) < 2**31 else np.int64
+    lane = np.arange(m, dtype=np.int64)[:, None]
+    indptr = np.concatenate([[0], (indptr[1:] + lane * nnz).ravel()]).astype(index)
+    indices = (indices + lane * n).ravel().astype(index)
+    data = np.ascontiguousarray(data[order], dtype=np.float64).ravel()
     x, y = np.ascontiguousarray(V[order], dtype=np.float64), np.empty((m, n))
     # the kernel reads and writes raw buffers: ravel() must be a view
-    assert x.flags.c_contiguous and y.flags.c_contiguous and data.dtype == np.float64
-    term, acc = np.empty((m, n)), np.zeros((m, n))
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    width = len(range(n)[cols])
+    term, acc = np.empty((m, width)), np.zeros((m, width))
     active = m
     for k in range(len(W)):
         while lengths[active - 1] <= k:
@@ -138,7 +170,7 @@ def _poisson_series(Ps: Sequence[sparse.csr_matrix], V: np.ndarray, qts: Sequenc
             y[:active] = 0.0  # the kernel adds each row's sum to y
             _csr_matvec(active * n, active * n, indptr, indices, data, x.ravel(), y.ravel())
             x, y = y, x
-        np.multiply(W[k, :active, None], x[:active], out=term[:active])
+        np.multiply(W[k, :active, None], x[:active, cols], out=term[:active])
         acc[:active] += term[:active]
     out = np.empty_like(acc)
     out[order] = acc
@@ -160,7 +192,8 @@ def transient(
         raise ValueError("time must be nonnegative")
     # P^T as CSR sums each row in the column order P^T's CSC form does
     v = np.array(initial, dtype=float)
-    return _poisson_series([chain.P.T.tocsr()], v[None, :], [chain.q * t], tol)[0]
+    PT = chain.P.T.tocsr()
+    return _poisson_series(PT.indptr, PT.indices, PT.data[None, :], v[None, :], [chain.q * t], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +250,9 @@ class UntilEvaluator:
     """Reusable two-phase evaluator for one network and one until formula.
 
     Building the evaluator enumerates the state space and precomputes the
-    per-parameter rate pieces with absorbing rows already zeroed, so each
-    point only assembles two sparse matrices before its lane joins a block
-    of the Poisson series.
+    per-parameter rate pieces with absorbing rows already zeroed, and each
+    phase's shared lane pattern, so a block of points assembles its jump
+    matrices as one array before its lanes join the Poisson series.
     """
 
     def __init__(self, pcrn: PCRN, phi1: StateFormula, phi2: StateFormula, t_lo: float, t_hi: float):
@@ -239,9 +272,11 @@ class UntilEvaluator:
         keep2 = sparse.diags((self.mask1 & ~self.mask2).astype(float))
         self._basis1 = tuple((keep1 @ B).tocsr() for B in basis)
         self._basis2 = tuple((keep2 @ B).tocsr() for B in basis)
-        # a lane's P in either phase stores at most the diagonal plus the
-        # phase-1 rate entries (phase 2 zeroes a superset of rows)
-        self._lane_nnz = len(space) + sum(B.nnz for B in self._basis1)
+        self._lanes1 = _LanePattern(self._basis1, len(space))
+        self._lanes2 = _LanePattern(self._basis2, len(space))
+        # phase 2 zeroes a superset of phase 1's rows, so phase 1's pattern
+        # is the larger
+        self._lane_nnz = len(self._lanes1.indices)
 
     @property
     def block_lanes(self) -> int:
@@ -277,8 +312,9 @@ class UntilEvaluator:
         return np.clip(result, 0.0, 1.0)
 
     def _block(self, rates: list[list[float]], tol: float) -> np.ndarray:
+        theta = np.array(rates, dtype=float).reshape(len(rates), -1)
         V = np.tile(self.mask2.astype(float), (len(rates), 1))
-        values = self._phase(self._basis2, rates, V, self.t_hi - self.t_lo, tol)
+        values = self._lanes2.series(theta, V, self.t_hi - self.t_lo, tol)
         if self.t_lo == 0:
             result = values[:, self.init_idx]
             if self.mask2[self.init_idx]:
@@ -286,13 +322,54 @@ class UntilEvaluator:
             elif not self.mask1[self.init_idx]:
                 result[:] = 0.0
             return result
-        return self._phase(self._basis1, rates, self.mask1 * values, self.t_lo, tol)[:, self.init_idx]
+        init = slice(self.init_idx, self.init_idx + 1)
+        return self._lanes1.series(theta, self.mask1 * values, self.t_lo, tol, init)[:, 0]
 
-    @staticmethod
-    def _phase(basis: tuple, rates: list[list[float]], V: np.ndarray, t: float, tol: float) -> np.ndarray:
-        """One phase's series over time t, one lane per point."""
-        chains = [UniformizedChain.from_rate_matrix(_combine(basis, r)) for r in rates]
-        return _poisson_series([c.P for c in chains], V, [c.q * t for c in chains], tol)
+
+class _LanePattern:
+    """The jump matrices P = I + R/q of one phase for many parameter points
+    at once: every lane shares one CSR pattern, the union of the basis
+    patterns plus the diagonal, and a block's values are one (lanes x
+    entries) array.
+
+    The values are the bits ``UniformizedChain.from_rate_matrix(_combine(
+    basis, rates))`` stores.  An off-diagonal entry is sum_k theta_k B_k,
+    added in basis order, times 1/q; a diagonal entry is 1 - outflow/q,
+    with the outflow summed along the row in index order; q is the margin
+    times the largest outflow, and a lane with q = 0 is the identity.  An
+    entry whose rates are all zero stays in the pattern as an explicit
+    zero, which adds +0.0 to its row's sums and leaves their bits as they
+    are.
+    """
+
+    def __init__(self, basis: tuple, n: int):
+        coords = [(np.repeat(np.arange(n), np.diff(B.indptr)) * n + B.indices) for B in basis]
+        keys = np.unique(np.concatenate([*coords, np.arange(n) * (n + 1)]))
+        rows = keys // n
+        self.n = n
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        self.indices = keys % n
+        self.data = [B.data for B in basis]
+        self.slots = [np.searchsorted(keys, c) for c in coords]
+        self.diag = np.searchsorted(keys, np.arange(n) * (n + 1))
+        off = np.flatnonzero(rows != self.indices)
+        self.ranks = [(r, off[e]) for r, e in _row_ranks(rows[off], n)]
+
+    def series(self, theta: np.ndarray, V: np.ndarray, t: float, tol: float, cols: slice = slice(None)) -> np.ndarray:
+        """One phase's series over time t, one lane per row of ``theta``."""
+        rates = np.zeros((len(theta), len(self.indices)))
+        for k, (slots, values) in enumerate(zip(self.slots, self.data)):
+            rates[:, slots] += theta[:, k, None] * values
+        outflow = _row_sums(rates, self.ranks, self.n)
+        top = outflow.max(axis=1)
+        q = np.where(top > 0, RATE_MARGIN * top, 0.0)
+        live = q > 0
+        P = np.zeros((len(theta), len(self.indices)))
+        P[:, self.diag] = 1.0  # the identity, for lanes with q = 0
+        scale = 1 / q[live]
+        P[live] = rates[live] * scale[:, None]
+        P[np.ix_(live, self.diag)] = 1.0 - outflow[live] / q[live, None]
+        return _poisson_series(self.indptr, self.indices, P, V, (q * t).tolist(), tol, cols)
 
 
 def bounded_until_prob(

@@ -1,10 +1,12 @@
-"""The one-path Gillespie loop the package ran before its paths ran in
-lockstep, kept as the tests' reference.
+"""The one-path Gillespie loop, kept as the tests' reference for the
+lockstep kernel.
 
-``reference_simulate`` draws from its generator exactly as one lane of
-``simulate_paths`` does (the ``simulate.py`` docstring states the order),
-so both give the same path bits and leave the generator at the same
-position.  Tests compare the kernel against it, and use it wherever they
+``reference_call`` runs each lane of a ``simulate_paths`` call alone: a
+lane reads only its own column of the call's shared draw blocks (the
+``simulate.py`` docstring states the contract), so it gives that lane's
+path bits whatever the other lanes do, and the generator ends where the
+call leaves it.  ``reference_simulate`` is the one-lane call.  Tests
+compare the kernel against them, and use the one-lane call wherever they
 need many one-path draws from one shared generator fast.
 """
 
@@ -19,34 +21,65 @@ SIM = importlib.import_module("crnverify.simulate")
 
 
 class _DrawBuffer:
-    """Blocked draws from one generator: a block of exponentials, then one
-    of uniforms, each refilled only when a draw needs it."""
+    """Column ``lane`` of a call's draw blocks over ``lanes`` lanes.
 
-    def __init__(self, rng):
-        self.rng = rng
-        self._exp = rng.standard_exponential(SIM._BLOCK)
-        self._uni = rng.random(SIM._BLOCK)
+    The call draws (rows x lanes) blocks in the order exponentials 0,
+    uniforms 0, exponentials 1, uniforms 1, ...; the first two at once, and
+    a later one only when this lane first needs it."""
+
+    def __init__(self, rng, lane=0, lanes=1):
+        self.rng, self.lane, self.lanes = rng, lane, lanes
+        self.rows = -(-SIM._BLOCK // lanes)
+        self._blocks = []
+        self._draw(1, 0)  # the first two blocks, as the call draws them
         self._ei = 0
         self._ui = 0
 
+    def _draw(self, index, i):
+        while len(self._blocks) <= index:
+            shape = (self.rows, self.lanes)
+            exponential = len(self._blocks) % 2 == 0
+            self._blocks.append(self.rng.standard_exponential(shape) if exponential else self.rng.random(shape))
+        return self._blocks[index][i % self.rows, self.lane]
+
     def exponential(self):
-        if self._ei == len(self._exp):
-            self._exp = self.rng.standard_exponential(SIM._BLOCK)
-            self._ei = 0
-        v = self._exp[self._ei]
+        v = self._draw(2 * (self._ei // self.rows), self._ei)
         self._ei += 1
         return v
 
     def uniform(self):
-        if self._ui == len(self._uni):
-            self._uni = self.rng.random(SIM._BLOCK)
-            self._ui = 0
-        v = self._uni[self._ui]
+        v = self._draw(2 * (self._ui // self.rows) + 1, self._ui)
         self._ui += 1
         return v
 
 
 def reference_simulate(pcrn, point, t_end, rng):
+    """One path alone on ``rng``: the one-lane call."""
+    return _simulate(pcrn, point, t_end, _DrawBuffer(rng))
+
+
+def reference_call(pcrn, points, t_end, rng):
+    """Every lane of one call on ``rng``, each run alone on a copy of it.
+    ``rng`` then moves past the blocks the lanes drew, as the call moves
+    it: the call draws a block past its first two only when some lane
+    needs it."""
+    paths, drawn = [], 0
+    for j, point in enumerate(points):
+        draws = _DrawBuffer(_copy(rng), j, len(points))
+        paths.append(_simulate(pcrn, point, t_end, draws))
+        drawn = max(drawn, len(draws._blocks))
+    _DrawBuffer(rng, 0, len(points))._draw(drawn - 1, 0)
+    return paths
+
+
+def _copy(rng):
+    """A generator at the same position as ``rng``."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _simulate(pcrn, point, t_end, draws):
     compiled = compiled_reactions(pcrn)
     values = point_values(pcrn.params.names, point)
     rates = [values[k] for _, _, k in compiled]
@@ -56,7 +89,6 @@ def reference_simulate(pcrn, point, t_end, rng):
     t = 0.0
     states = [tuple(state)]
     times = [0.0]
-    draws = _DrawBuffer(rng)
     props = [0.0] * n_reactions
     while True:
         total = 0.0

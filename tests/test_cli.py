@@ -283,6 +283,16 @@ def test_infer_from_flags_matches_config(smoke_stages, tmp_path):
         assert (tmp_path / name).read_bytes() == (smoke_stages / name).read_bytes()
 
 
+def test_infer_outputs_do_not_depend_on_workers(smoke_stages, tmp_path):
+    # each batch's waves are keyed by (seed, batch, round, wave), so a pool
+    # of two workers writes the bytes one process writes
+    config = str(smoke_stages.parent / "smoke.json")
+    assert run("infer", "--config", config, "--dataset", str(smoke_stages / "dataset.csv"),
+               "--workers", "2", "--out-dir", str(tmp_path)) == 0
+    for name in ("particles.csv", "posterior.json"):
+        assert (tmp_path / name).read_bytes() == (smoke_stages / name).read_bytes()
+
+
 POSTERIOR_CORRUPTIONS = {
     "no-sigma": lambda doc: doc.pop("sigma"),
     "sigma-of-other-parameter": lambda doc: doc.update(sigma={"q": 0.1}),

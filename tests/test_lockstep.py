@@ -1,11 +1,13 @@
-"""The lockstep SSA kernel and the array until check against one-path
-reference implementations.
+"""The lockstep SSA kernel, the wave sampler and the array until check
+against one-path reference implementations.
 
-The references are the one-path Gillespie loop (``reference_ssa``) and the
-interval scan below, which the package used before its paths ran in
-lockstep.  Every lane of
-``simulate_paths`` must equal the reference path bit for bit and leave its
-generator at the same position; every path's until verdict and witness
+The references are the one-path Gillespie loop (``reference_ssa``), which
+reads only its own lane's column of a call's draw blocks, a sampler that
+runs the wave contract one attempt at a time, and the interval scan
+below.  Every lane of ``simulate_paths`` must equal the reference path bit
+for bit; a one-lane call must also leave its generator where the loop
+does.  Early rejection must accept exactly the lanes a run without it
+accepts, with the same distances.  Every path's until verdict and witness
 must equal the scan's.
 """
 
@@ -16,6 +18,7 @@ import pytest
 
 from crnverify import (
     ConfigError,
+    Dataset,
     ExperimentConfig,
     Trajectory,
     abcseq,
@@ -38,8 +41,8 @@ from crnverify.abcsmc import (
 )
 from crnverify.monitor import check_until_paths
 from crnverify.rng import stream
-from crnverify.simulate import simulate_paths
-from reference_ssa import reference_simulate
+from crnverify.simulate import simulate_distances, simulate_paths
+from reference_ssa import _DrawBuffer, reference_call, reference_simulate
 
 SIM = importlib.import_module("crnverify.simulate")
 
@@ -83,17 +86,18 @@ def reference_until(traj, phi1, phi2, t_lo, t_hi, index):
 
 
 def reference_abcseq(pcrn, data, config, batch=0):
-    """The slot-by-slot sampler: every attempt simulated on its own."""
+    """The wave sampler, one attempt at a time: each lane's path from the
+    one-path loop on its column of the wave's blocks, and each slot's
+    attempts counted in lane order up to its first acceptance."""
     m = config.abc_particles
     space = pcrn.params
     lo, hi = space.lower, space.upper
+    k = len(lo)
     t_end = float(data.times[-1])
-    points = np.empty((m, len(lo)))
-    distances = np.empty(m)
-    for i in range(m):
-        s = stream(config.seed, batch, 0, i)
-        points[i] = lo + (hi - lo) * s.random(len(lo))
-        distances[i] = discrepancy(data, reference_simulate(pcrn, points[i], t_end, s))
+    rng = stream(config.seed, batch, 0, 0)
+    points = lo + (hi - lo) * rng.random((m, k))
+    paths = reference_call(pcrn, points, t_end, rng)
+    distances = np.array([discrepancy(data, p) for p in paths])
     attempts = m
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
@@ -115,19 +119,39 @@ def reference_abcseq(pcrn, data, config, batch=0):
         cum_weights[-1] = 1.0
         new_points = np.empty_like(points)
         new_distances = np.empty(m)
-        for i in range(m):
-            s = stream(config.seed, batch, r, i)
-            for _ in range(config.abc_max_attempts):
-                attempts += 1
-                proposal = perturb(points[np.searchsorted(cum_weights, s.random())], chol, s)
-                if not np.all((lo <= proposal) & (proposal <= hi)):
-                    continue
-                rho = discrepancy(data, reference_simulate(pcrn, proposal, t_end, s))
-                if rho <= eps:
-                    new_points[i], new_distances[i] = proposal, rho
-                    break
-            else:
+        tries = [0] * m
+        pending = list(range(m))
+        want = 2 * m
+        wave = 0
+        while pending:
+            if any(tries[i] >= config.abc_max_attempts for i in pending):
                 return {**result, "status": STATUS_ABORTED}
+            width = max(len(pending), min(want, SIM._LANES))
+            slots = [pending[j % len(pending)] for j in range(width)
+                     if j // len(pending) < config.abc_max_attempts - tries[pending[j % len(pending)]]]
+            n = len(slots)
+            rng = stream(config.seed, batch, r, wave)
+            ancestors = points[np.searchsorted(cum_weights, rng.random(n))]
+            proposals = perturb(ancestors, chol, rng)
+            inside = [bool(np.all((lo <= p) & (p <= hi))) for p in proposals]
+            paths = iter(reference_call(pcrn, proposals[inside], t_end, rng) if any(inside) else [])
+            won, accepted = set(), 0
+            for j, slot in enumerate(slots):
+                ok = False
+                if inside[j]:
+                    rho = discrepancy(data, next(paths))
+                    ok = rho <= eps
+                accepted += ok
+                if slot in won:
+                    continue  # a lane after the slot's winner: waste
+                tries[slot] += 1
+                if ok:
+                    won.add(slot)
+                    new_points[slot], new_distances[slot] = proposals[j], rho
+            pending = [i for i in pending if i not in won]
+            want = int(np.ceil(len(pending) / (accepted / n))) if accepted else SIM._LANES
+            wave += 1
+        attempts += sum(tries)
         new_weights = (1.0 / space.volume()) / _kernel_mixture_density(new_points, points, weights, cov)
         new_weights /= new_weights.sum()
         points, weights, distances = new_points, new_weights, new_distances
@@ -141,17 +165,16 @@ def reference_abcseq(pcrn, data, config, batch=0):
 
 
 def _assert_lanes_match_reference(pcrn, points, t_end, key):
-    lanes = [stream(key, i) for i in range(len(points))]
-    solo = [stream(key, i) for i in range(len(points))]
-    paths = simulate_paths(pcrn, points, t_end, lanes)
-    for i, (path, point) in enumerate(zip(paths, points)):
-        ref = reference_simulate(pcrn, point, t_end, solo[i])
+    rng, solo = stream(key, 0), stream(key, 0)
+    paths = simulate_paths(pcrn, points, t_end, rng)
+    refs = reference_call(pcrn, points, t_end, solo)
+    for i, (path, ref) in enumerate(zip(paths, refs)):
         assert path.states.dtype == ref.states.dtype
         assert np.array_equal(path.states, ref.states), f"lane {i}"
         assert np.array_equal(path.times, ref.times), f"lane {i}"
         assert path.horizon == ref.horizon
-        # the generator sits where the one-path loop left it
-        assert lanes[i].random() == solo[i].random(), f"lane {i}"
+    # the call drew exactly the blocks its lanes needed
+    assert rng.random() == solo.random()
     return paths
 
 
@@ -170,11 +193,14 @@ class TestKernelMatchesReference:
         _assert_lanes_match_reference(SIR, _sir_points(30, 2), 150.0, 2)
 
     def test_refills_mid_path(self, monkeypatch):
-        # three draws per block: both blocks refill many times within a path
-        monkeypatch.setattr(SIM, "_BLOCK", 3)
-        paths = _assert_lanes_match_reference(SIR, _sir_points(20, 3), 150.0, 3)
-        assert max(len(p.times) for p in paths) > 10
-        _assert_lanes_match_reference(DECAY, np.linspace(0.5, 5.0, 12)[:, None], 3.0, 4)
+        # one or three rows per block of 20 lanes: blocks refill many times
+        # within a path
+        for block in (3, 60):
+            monkeypatch.setattr(SIM, "_BLOCK", block)
+            paths = _assert_lanes_match_reference(SIR, _sir_points(20, 3), 150.0, 3)
+            assert max(len(p.times) for p in paths) > 10
+            _assert_lanes_match_reference(DECAY, np.linspace(0.5, 5.0, 12)[:, None], 3.0, 4)
+            _assert_lanes_match_reference(SIR, _sir_points(1, 5), 150.0, 5)
 
     def test_absorbing_lanes_end_on_different_steps(self):
         # A = 4 decays to 0 and absorbs; slow rates leave lanes that are
@@ -196,24 +222,132 @@ class TestKernelMatchesReference:
         assert [p.states.tolist() for p in paths] == [[[3]]] * 3
 
     def test_one_lane_call_is_simulate(self):
-        ref = reference_simulate(SIR, (0.002, 0.05), 150.0, stream(8, 0))
-        path = simulate(SIR, (0.002, 0.05), 150.0, stream(8, 0))
+        rng, solo = stream(8, 0), stream(8, 0)
+        path = simulate(SIR, (0.002, 0.05), 150.0, rng)
+        ref = reference_simulate(SIR, (0.002, 0.05), 150.0, solo)
         assert np.array_equal(path.states, ref.states) and np.array_equal(path.times, ref.times)
+        # the generator sits where the one-path loop left it
+        assert rng.random() == solo.random()
 
-    def test_shared_generator_rejected(self):
-        rng = stream(9, 0)
-        with pytest.raises(ValueError, match="own generator"):
-            simulate_paths(DECAY, [[1.0], [1.0]], 3.0, [rng, rng])
+    @pytest.mark.parametrize("block", [256, 3])
+    def test_one_lane_call_draws_single_blocks(self, monkeypatch, block):
+        # one lane reads ``_BLOCK``-draw blocks of exponentials and uniforms,
+        # refilled only when a draw needs them, as one path alone always has
+        monkeypatch.setattr(SIM, "_BLOCK", block)
+        for key, t_end in ((0, 150.0), (1, 20.0), (2, 400.0)):
+            rng = stream(12, key)
+            path = simulate(SIR, (0.002, 0.05), t_end, rng)
+            solo = stream(12, key)
+            draws, exps, unis = _DrawBuffer(solo), [], []
+            for _ in range(len(path.times)):
+                exps.append(draws.exponential())
+                unis.append(draws.uniform())
+            plain = stream(12, key)
+            blocks = []
+            while sum(map(len, blocks)) < 2 * len(exps):
+                blocks += [plain.standard_exponential(block), plain.random(block)]
+            assert exps == list(np.concatenate(blocks[0::2])[:len(exps)])
+            assert unis == list(np.concatenate(blocks[1::2])[:len(unis)])
+            ref = reference_simulate(SIR, (0.002, 0.05), t_end, stream(12, key))
+            assert np.array_equal(path.times, ref.times) and np.array_equal(path.states, ref.states)
+
+    def test_other_lanes_unchanged_when_one_absorbs(self):
+        points = _sir_points(12, 9)
+        paths = simulate_paths(SIR, points, 150.0, stream(9, 3))
+        frozen = points.copy()
+        frozen[[2, 7]] = 0.0  # no reaction can fire: absorbed from the start
+        other = simulate_paths(SIR, frozen, 150.0, stream(9, 3))
+        assert len(other[2].times) == len(other[7].times) == 1
+        for i in set(range(12)) - {2, 7}:
+            assert np.array_equal(paths[i].times, other[i].times), i
+            assert np.array_equal(paths[i].states, other[i].states), i
 
     def test_points_must_match_lanes(self):
         with pytest.raises(ConfigError):
-            simulate_paths(DECAY, [[1.0], [1.0]], 3.0, [stream(9, 1)])
+            simulate_paths(SIR, [[1.0]], 3.0, stream(9, 1))
         with pytest.raises(ConfigError):
-            simulate_paths(SIR, [[1.0]], 3.0, [stream(9, 1)])
+            simulate_paths(DECAY, np.empty((0, 1)), 3.0, stream(9, 1))
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ConfigError):
-            simulate_paths(DECAY, [[1.0]], 0.0, [stream(9, 2)])
+            simulate_paths(DECAY, [[1.0]], 0.0, stream(9, 2))
+
+
+# ---------------------------------------------------------------------------
+# Early rejection against full distances.
+
+
+def _dataset(pcrn, times, observations):
+    return Dataset(times=np.asarray(times, dtype=float), observations=np.asarray(observations, dtype=float),
+                   species=pcrn.species_names(), sigma=0.0)
+
+
+def _assert_early_rejection_exact(pcrn, points, data, eps, key):
+    """One wave with and without early rejection, and its full paths; a
+    float ``eps`` below 1 is taken as that quantile of the full distances."""
+    t_end = float(data.times[-1])
+    full = simulate_distances(pcrn, points, data, np.inf, stream(key, 0))
+    if eps < 1:
+        eps = float(np.quantile(full, eps))
+    paths = simulate_paths(pcrn, points, t_end, stream(key, 0))
+    assert full.tolist() == [discrepancy(data, p) for p in paths]
+    refs = reference_call(pcrn, points, t_end, stream(key, 0))
+    assert full.tolist() == [discrepancy(data, p) for p in refs]
+    early = simulate_distances(pcrn, points, data, eps, stream(key, 0))
+    accepted = early <= eps
+    assert np.array_equal(accepted, full <= eps)
+    assert np.array_equal(early[accepted], full[accepted])
+    stopped = np.isinf(early)
+    assert np.all(full[stopped] > eps)
+    # a rejected lane that ran to the end keeps its full distance
+    assert np.array_equal(early[~stopped], full[~stopped])
+    assert accepted.any() and stopped.any()
+    return full, early
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_decay_wave(self, sigma):
+        truth = reference_simulate(DECAY, (1.0,), 3.0, stream(20, 0))
+        data = observe(truth, np.linspace(0.3, 3.0, 10), sigma, stream(20, 1), species=DECAY.species_names())
+        points = np.linspace(0.2, 4.0, 60)[:, None]
+        _assert_early_rejection_exact(DECAY, points, data, 0.5, 21)
+        _assert_early_rejection_exact(DECAY, points, data, 0.1, 22)
+
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    def test_sir_wave(self, sigma):
+        truth = reference_simulate(SIR, (0.002, 0.05), 150.0, stream(23, 0))
+        data = observe(truth, np.linspace(7.5, 150.0, 20), sigma, stream(23, 1), species=SIR.species_names())
+        points = _sir_points(80, 24)
+        _assert_early_rejection_exact(SIR, points, data, 0.5, 25)
+        _assert_early_rejection_exact(SIR, points, data, 0.1, 25)
+
+    def test_observation_at_a_jump_instant(self):
+        points = np.linspace(0.5, 2.0, 8)[:, None]
+        paths = simulate_paths(DECAY, points, 3.0, stream(26, 0))
+        states, times = paths[3].states, paths[3].times
+        # lane 3's post-jump state at its fifth jump matches exactly; the
+        # pre-jump state would miss by one in each species
+        data = _dataset(DECAY, [times[4], times[5], 3.0], [states[4], states[5], states[-1]])
+        full, early = _assert_early_rejection_exact(DECAY, points, data, 0.5, 26)
+        assert full[3] == early[3] == 0.0
+
+    def test_lane_absorbed_before_the_last_observation(self):
+        points = np.array([[10.0], [8.0], [0.1], [0.2], [6.0]])
+        paths = simulate_paths(SHORT_DECAY, points, 5.0, stream(27, 0))
+        assert paths[0].states[-1].tolist() == [0, 4] and paths[0].times[-1] < 2.0
+        data = _dataset(SHORT_DECAY, [1.0, 2.0, 4.0, 5.0], [[1, 3], [0, 4], [0, 4], [0, 4]])
+        full, early = _assert_early_rejection_exact(SHORT_DECAY, points, data, 1.5, 27)
+        # the absorbed lane holds [0, 4] through the last three observations
+        assert full[0] == discrepancy(data, paths[0]) and full[0] <= 1.5
+
+    def test_one_lane_and_no_reactions(self):
+        net = parse_crn("format=1; species A; param k in [0, 1]; init A=3;")
+        data = _dataset(net, [1.0, 2.0], [[3.0], [5.0]])
+        assert simulate_distances(net, [[0.5], [0.1]], data, np.inf, stream(28, 0)).tolist() == [2.0, 2.0]
+        # absorbed from the start, the lane reads every observation on its
+        # first step: rejected with its full distance, never stopped
+        assert simulate_distances(net, [[0.5]], data, 1.0, stream(28, 0)).tolist() == [2.0]
 
 
 class TestAbcseqMatchesReference:
@@ -235,6 +369,20 @@ class TestAbcseqMatchesReference:
     def test_rounds(self, data):
         got = self._check(data, ExperimentConfig(seed=3, abc_particles=40, abc_rounds=4))
         assert got.status == "ok" and got.attempts > 40 * 4
+
+    def test_narrow_waves(self, data, monkeypatch):
+        # waves capped below the slot count still serve every pending slot
+        monkeypatch.setattr(importlib.import_module("crnverify.abcsmc"), "_LANES", 16)
+        monkeypatch.setattr(SIM, "_LANES", 16)
+        got = self._check(data, ExperimentConfig(seed=4, abc_particles=40, abc_rounds=3))
+        assert got.status == "ok"
+
+    def test_infinite_threshold(self, data, monkeypatch):
+        # every proposal inside the box is accepted; one outside never is
+        monkeypatch.setattr(importlib.import_module("crnverify.abcsmc"), "adaptive_threshold", lambda d: np.inf)
+        monkeypatch.setitem(globals(), "adaptive_threshold", lambda d: np.inf)
+        got = self._check(data, ExperimentConfig(seed=5, abc_particles=40, abc_rounds=3))
+        assert got.attempts > 40 * 3 and np.all((0.1 <= got.points) & (got.points <= 10.0))
 
     @pytest.mark.parametrize("max_attempts, last_round", [(3, 0), (8, 1)])
     def test_abort_at_tiny_max_attempts(self, data, max_attempts, last_round):
@@ -329,7 +477,7 @@ class TestArrayUntilCheck:
                               PHI1, PHI2, 100.0, 150.0, INDEX)
 
     def test_simulated_paths(self):
-        paths = [reference_simulate(SIR, (0.002, 0.05), 150.0, child) for child in stream(10, 0).spawn(200)]
+        paths = simulate_paths(SIR, [(0.002, 0.05)] * 200, 150.0, stream(10, 0))
         sat, _ = _assert_array_check_matches(paths, PHI1, PHI2, 100.0, 150.0)
         assert 0 < sat.sum() < 200
 
@@ -342,16 +490,21 @@ class TestEstimateLambdaMatchesReference:
     ])
     @pytest.mark.parametrize("lanes", [1024, 7])
     def test_same_count_as_one_path_at_a_time(self, prop, lanes, monkeypatch):
-        # seven lanes per block: the 150 runs span 22 blocks
+        # seven lanes per block: the 150 runs span 22 calls
         monkeypatch.setattr(importlib.import_module("crnverify.monitor"), "_LANES", lanes)
         formula = parse_csl(prop)
         path = formula.path
         point = (0.002, 0.05)
         est = estimate_lambda(SIR, point, formula, 150, stream(11, 0))
         if path.t_hi > 0:
-            paths = [reference_simulate(SIR, point, path.t_hi, c) for c in stream(11, 0).spawn(150)]
+            # the blocks are calls made in turn on the one generator
+            rng = stream(11, 0)
+            paths = []
+            for start in range(0, 150, lanes):
+                paths += reference_call(SIR, [point] * min(lanes, 150 - start), path.t_hi, rng)
         else:
             start = Trajectory(states=np.array([SIR.initial_state]), times=np.array([0.0]), horizon=0.0)
             paths = [start] * 150
         hits = sum(reference_until(p, path.phi1, path.phi2, path.t_lo, path.t_hi, INDEX)[0] for p in paths)
         assert est.mean == hits / 150
+

@@ -30,7 +30,7 @@ K_ONE = (1.0,)
 
 
 def firing_times(n, k=1.0, seed=0):
-    paths = simulate_paths(AB, [(k,)] * n, 50.0, stream(seed, 11).spawn(n))
+    paths = simulate_paths(AB, [(k,)] * n, 50.0, stream(seed, 11))
     return np.array([traj.times[1] if len(traj.times) > 1 else np.nan for traj in paths])
 
 
@@ -60,7 +60,7 @@ class TestSimulate:
 
         f = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
         hits = 0
-        for traj in simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1).spawn(1000)):
+        for traj in simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1)):
             if check_until(traj, f.path.phi1, f.path.phi2, 100.0, 150.0, SIR.species_index()).satisfied:
                 hits += 1
         assert hits / 1000 > 0.1

@@ -236,7 +236,10 @@ class TestNumericalDefect:
     F = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
 
     def _fake_series(self, monkeypatch, value):
-        monkeypatch.setattr(TRANSIENT, "_poisson_series", lambda Ps, V, qts, tol: np.full(V.shape, value))
+        monkeypatch.setattr(
+            TRANSIENT, "_poisson_series",
+            lambda indptr, indices, data, V, qts, tol, cols=slice(None): np.full(V[:, cols].shape, value),
+        )
 
     def test_excess_within_tolerance_is_clipped(self, monkeypatch):
         self._fake_series(monkeypatch, 1.0 + 5e-11)
@@ -255,7 +258,8 @@ class TestNumericalDefect:
         bad_qt = UniformizedChain.from_rate_matrix(np.array([[0.0, 3.0], [0.0, 0.0]])).q
         monkeypatch.setattr(
             TRANSIENT, "_poisson_series",
-            lambda Ps, V, qts, tol: np.where(np.array(qts)[:, None] == bad_qt, 1.5, 0.5) * np.ones(V.shape),
+            lambda indptr, indices, data, V, qts, tol, cols=slice(None):
+                np.where(np.array(qts)[:, None] == bad_qt, 1.5, 0.5) * np.ones(V[:, cols].shape),
         )
         evaluator = evaluator_for(AB, self.F)
         assert evaluator.probabilities([(1.0,), (2.0,), (4.0,)], tol=1e-10).tolist() == [0.5] * 3
@@ -381,6 +385,24 @@ class TestLanesMatchReference:
         chain = UniformizedChain.from_rate_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="length 3"):
             transient(chain, np.ones(3) / 3, 1.0)
+
+
+THREE_WAY = parse_crn(
+    "format=1; species A B C; param k1 in [0, 2]; param k2 in [0, 2]; param k3 in [0, 2];"
+    "reaction ab: A -> B @ k1; reaction ac: A -> C @ k2; reaction back: B -> A @ k3;"
+    "init A=6; conserve 6;"
+)
+
+
+class TestLaneAssembly:
+    def test_rows_of_three_entries_with_zero_rates(self):
+        # each state has up to three exits, so rows hold three entries and
+        # a zero rate leaves an explicit zero among them
+        points = np.random.default_rng(5).uniform(0.0, 2.0, size=(12, 3))
+        points[[1, 4, 9], [0, 1, 2]] = 0.0
+        points[[7, 9]] = 0.0
+        for formula in ("P>0.5 [ (C<3) U[0.5,2] (C>=3) ]", "P>0.5 [ true U[0,1] (B>=2) ]"):
+            _assert_lanes_match_reference(THREE_WAY, formula, points)
 
 
 def _evaluate_with_masks(pcrn, point, phi1_mask, phi2_mask, space, t_lo, t_hi):
