@@ -15,7 +15,7 @@ from crnverify.synthesis import save_heatmap_grid
 pcrn = load_crn("models/decay.crn")
 prop = parse_csl("P>0.5 [ (B<25) U[0.5,1.5] (B>=25) ]")
 
-partition = synthesize(pcrn, prop, ExperimentConfig(seed=0, synth_volume_tolerance=0.05))
+partition = synthesize(pcrn, prop, ExperimentConfig(synth_volume_tolerance=0.05))
 print(f"boxes: {len(partition.labels)}  (backend evaluations: {partition.backend['evaluations']})")
 for label, meaning in [("T", "satisfying"), ("F", "violating"), ("U", "undecided")]:
     frac = partition.volume(label) / partition.theta_volume()

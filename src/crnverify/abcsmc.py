@@ -10,10 +10,10 @@ standard sequential scheme: prior density over the kernel mixture of the
 previous round.
 
 Waves.  Each round simulates in waves, and wave w of round r draws from
-the one generator keyed (seed, batch, r, w).  Round 0 is one wave of m
-prior draws.  In a later round, lane j of a wave serves pending slot
-``pending[j % len(pending)]``, and no slot gets more lanes than it has
-attempts left.  A wave draws its ancestor uniforms, then its (lanes x k)
+the one generator keyed (seed, STAGE_INFER, batch, r, w).  Round 0 is one
+wave of m prior draws.  In a later round, lane j of a wave serves pending
+slot ``pending[j % len(pending)]``, and no slot gets more lanes than it
+has attempts left.  A wave draws its ancestor uniforms, then its (lanes x k)
 kernel normals, then the simulation blocks of the lanes whose proposals
 lie inside the box; a proposal outside counts as an attempt and is not
 simulated.  A slot's winner is its lowest-index accepted lane, its first
@@ -134,7 +134,7 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
     order, lo, hi = space.names, space.lower, space.upper
 
     # round 0: prior draws, one path each, all accepted
-    rng = rngmod.stream(config.seed, batch, 0, 0)
+    rng = rngmod.stream(config.seed, rngmod.STAGE_INFER, batch, 0, 0)
     points = lo + (hi - lo) * rng.random((m, len(lo)))
     distances = simulate_distances(pcrn, points, data, np.inf, rng)
     attempts_total = m
@@ -172,7 +172,7 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
             j = np.arange(max(len(pending), min(want, _LANES)))
             slot = pending[j % len(pending)]
             slot = slot[j // len(pending) < config.abc_max_attempts - tries[slot]]
-            rng = rngmod.stream(config.seed, batch, r, wave)
+            rng = rngmod.stream(config.seed, rngmod.STAGE_INFER, batch, r, wave)
             ancestors = points[np.searchsorted(cum_weights, rng.random(len(slot)))]
             proposals = perturb(ancestors, chol, rng)
             inside = np.all((lo <= proposals) & (proposals <= hi), axis=1)

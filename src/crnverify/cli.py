@@ -1,9 +1,9 @@
 """Command-line pipeline: generate data, synthesize regions, infer
 parameters, and integrate the posterior into a verification probability.
 
-Every command takes ``--seed`` (or a config file carrying one) and writes
-byte-identical outputs when rerun with the same inputs.  Wall-clock timings
-go to stdout only, never into output files.
+Outputs are byte-identical when rerun with the same inputs.  Every command
+but ``synth`` draws random numbers and exits 2 without ``--seed`` (or a
+config carrying one).  Wall-clock timings go to stdout only, never to files.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 synthesis finished
 without meeting the undecided-volume tolerance, 4 runtime failure.
@@ -94,8 +94,8 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
     partition = synthesize(pcrn, parse_csl(config.property), config)
     partition_path = out_dir / "partition.json"
     heatmap_path = out_dir / "heatmap.csv"
-    save_partition(partition, partition_path, seed=config.seed)
-    save_heatmap_grid(partition, heatmap_path, resolution=config.grid_resolution, seed=config.seed)
+    save_partition(partition, partition_path)
+    save_heatmap_grid(partition, heatmap_path, resolution=config.grid_resolution)
     return partition_path, heatmap_path, partition.status
 
 
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flags besides --seed that a command needs when it runs without
-# --config (None: it needs --config); other settings keep their defaults
+# the flags a command needs without --config (None: it needs --config);
+# other settings keep their defaults, and rng.stream checks for a seed
 _FLAGS_NEEDED = {
     "generate": None,
     "synth": ("model", "property"),
@@ -316,7 +316,7 @@ def _config_from_args(args) -> ExperimentConfig:
     needed = _FLAGS_NEEDED[args.command]
     if needed is None:
         raise ConfigError(f"{args.command} needs --config")
-    for key in ("seed", *needed):
+    for key in needed:
         if key not in overrides:
             raise ConfigError(f"missing --{key} (or provide --config)")
     return ExperimentConfig(**overrides)

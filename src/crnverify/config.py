@@ -1,8 +1,8 @@
 """Experiment configuration: one JSON file drives the whole pipeline.
 
-The file is a flat JSON object with a ``format`` version key.  A seed is
-mandatory; every stage derives its substreams from it, so a config fully
-determines every output byte.
+The file is a flat JSON object with a ``format`` version key.  Every stage
+that draws random numbers keys them by the seed, and ``rng.stream`` fails
+without one, so a config fully determines every output byte.
 """
 
 import math
@@ -47,11 +47,9 @@ class ExperimentConfig:
     slice_scale: float = 2.0
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ConfigError("a seed is mandatory (reproducibility)")
         # type(...) is int, not isinstance: JSON true/false arrive as bool,
         # a subclass of int
-        if type(self.seed) is not int or self.seed < 0:
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, value in (
             ("observation_count", self.observation_count),
@@ -135,7 +133,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    for key in ("model", "property", "seed"):
+    for key in ("model", "property"):
         if key not in merged:
             raise ConfigError(f"config {path}: missing required key {key!r}")
     try:

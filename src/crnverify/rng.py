@@ -1,23 +1,24 @@
 """Keyed random-number substreams.
 
-All stochastic code in the package draws from counter-based Philox
-generators keyed by (seed, *key).  Two calls with the same key yield
-identical streams, and streams with different keys are statistically
-independent, so results do not depend on scheduling or on how work is
-split across tasks.
+All stochastic code draws from counter-based Philox generators keyed
+``(seed, stage, *key)``.  The same key always yields the same stream, so
+results do not depend on how work is scheduled or split.  ``SeedSequence``
+pads a key with zeros, so keys that differ only by trailing zeros alias;
+the stage tag comes first, so no two stages share a stream.
 """
 
 import numpy as np
 
-# Fixed stage tags so CLI stages never share a substream with each other
-# or with library-internal keys.
+from .errors import ConfigError
+
 STAGE_GENERATE = 101
-STAGE_SYNTH = 102
 STAGE_INFER = 103
 STAGE_VERIFY = 104
 STAGE_BASELINE = 105
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Return the Philox generator for substream (seed, *key)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *map(int, key)))))
+def stream(seed: int | None, stage: int, *key: int) -> np.random.Generator:
+    """The Philox generator for substream (seed, stage, *key); needs a seed."""
+    if seed is None:
+        raise ConfigError("this command draws random numbers and needs a seed (--seed or the config's 'seed')")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stage), *map(int, key)))))

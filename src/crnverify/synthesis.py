@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .csl import CslFormula, format_csl, parse_csl
+from .csl import CslFormula, format_csl
 from .errors import ConfigError, ParseError
 from .files import read_json, write_csv, write_json
 from .model import PCRN, point_values
@@ -97,17 +97,15 @@ def _vacuous_label(relation: str, p: float) -> str | None:
 
 
 _WORKER_EVALUATOR: UntilEvaluator | None = None
-_WORKER_TOL = 1e-8
 
 
-def _worker_init(pcrn, formula_text, tol):
-    global _WORKER_EVALUATOR, _WORKER_TOL
-    _WORKER_EVALUATOR = evaluator_for(pcrn, parse_csl(formula_text))
-    _WORKER_TOL = tol
+def _worker_init(pcrn, formula):
+    global _WORKER_EVALUATOR
+    _WORKER_EVALUATOR = evaluator_for(pcrn, formula)
 
 
-def _worker_eval(points):
-    return _WORKER_EVALUATOR.probabilities(points, _WORKER_TOL).tolist()
+def _worker_eval(points, tol):
+    return _WORKER_EVALUATOR.probabilities(points, tol).tolist()
 
 
 def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -133,7 +131,7 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
         pool = ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_worker_init,
-            initargs=(pcrn, format_csl(formula), config.synth_transient_tol),
+            initargs=(pcrn, formula),
         )
 
     def evaluate_all(points: list[tuple[float, ...]]):
@@ -143,7 +141,8 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
             # out one at a time as workers free up
             size = max(1, min(evaluator.block_lanes, -(-len(todo) // config.workers)))
             chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-            results = itertools.chain.from_iterable(pool.map(_worker_eval, chunks))
+            tols = itertools.repeat(config.synth_transient_tol)
+            results = itertools.chain.from_iterable(pool.map(_worker_eval, chunks, tols))
         else:
             results = evaluator.probabilities(todo, config.synth_transient_tol).tolist()
         cache.update(zip(todo, results))
@@ -266,13 +265,12 @@ def feasible_volume_fraction(partition: RegionPartition) -> float:
 # Partition files and the heatmap grid export.
 
 
-def save_partition(partition: RegionPartition, path: str | Path, seed: int | None = None) -> None:
+def save_partition(partition: RegionPartition, path: str | Path) -> None:
     write_json(path, {
         "header": {
             "p": partition.threshold,
             "relation": partition.relation,
             "tolerance": partition.volume_tolerance,
-            "seed": seed,
             "params": list(partition.param_names),
             "theta_lo": partition.theta_lo.tolist(),
             "theta_hi": partition.theta_hi.tolist(),
@@ -359,9 +357,7 @@ def _check_tiling(partition: RegionPartition, path) -> None:
         raise ParseError(f"partition {path}: the boxes cover volume {covered!r} of theta's {theta_volume!r}")
 
 
-def save_heatmap_grid(
-    partition: RegionPartition, path: str | Path, resolution: int = 100, seed: int | None = None
-) -> None:
+def save_heatmap_grid(partition: RegionPartition, path: str | Path, resolution: int = 100) -> None:
     """Rasterize box labels onto a cell-center grid as CSV for external plotting."""
     if resolution < 1:
         raise ConfigError("grid resolution must be positive")
@@ -370,4 +366,4 @@ def save_heatmap_grid(
     axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(resolution) + 0.5) / resolution for d in range(k)]
     grid = np.array(list(itertools.product(*axes)))
     rows = ([*(repr(float(v)) for v in combo), label] for combo, label in zip(grid, classify_points(partition, grid)))
-    write_csv(path, {} if seed is None else {"seed": seed}, [*partition.param_names, "label"], rows)
+    write_csv(path, {}, [*partition.param_names, "label"], rows)

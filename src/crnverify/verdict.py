@@ -33,13 +33,14 @@ class Posterior:
     def __post_init__(self):
         if np.any(self.variance <= 0):
             raise ConfigError("posterior variances must be positive")
+        object.__setattr__(self, "_log_norm", np.sum(np.log(2.0 * np.pi * self.variance)))  # once, for logpdf
 
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
     def logpdf(self, values: np.ndarray) -> float:
         z = (values - self.mean) ** 2 / self.variance
-        return float(-0.5 * (np.sum(z) + np.sum(np.log(2.0 * np.pi * self.variance))))
+        return float(-0.5 * (np.sum(z) + self._log_norm))
 
 
 @dataclass

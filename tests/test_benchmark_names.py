@@ -1,19 +1,26 @@
-"""The benchmark harness looks crnverify functions up by name.
+"""The benchmark harness looks crnverify functions, settings and output
+keys up by name.
 
 ``crnperf/spans.py`` wraps the functions its ``WRAPS`` table names, on the
 module where each caller looks them up, and ``crnperf/job.py`` imports a
-few more.  Both files are only parsed here, never run, so a rename in the
-package fails this test instead of the benchmark's traced runs.
+few more.  ``crnperf/workloads.py`` writes config files, and
+``crnperf/checks.py`` reads ``verdict.json``.  These files are only parsed
+here, never run, so a rename or deletion in the package fails this test
+instead of the benchmark's runs.
 """
 
 import ast
 import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-CRNPERF = Path(__file__).resolve().parents[1] / "crnperf"
+from crnverify.config import ExperimentConfig
+
+REPO = Path(__file__).resolve().parents[1]
+CRNPERF = REPO / "crnperf"
 
 
 def _wrapped_names():
@@ -46,14 +53,81 @@ def _module(name: str):
     return sys.modules[full]
 
 
+def _config_keys():
+    """Every key of the configs ``workloads.py`` writes: the dicts passed to
+    ``_write`` and the ``*_CONFIG`` tables, following ``**NAME`` into the
+    module-level dict it names."""
+    tree = ast.parse((CRNPERF / "workloads.py").read_text())
+    tables = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        for target in node.targets
+    }
+    roots = [d for name, d in tables.items() if name.endswith("_CONFIG")]
+    roots += [
+        node.args[1] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write"
+    ]
+    keys = set()
+
+    def collect(d):
+        for key, value in zip(d.keys, d.values):
+            if key is None:  # **NAME
+                collect(tables[value.id])
+            else:
+                keys.add(key.value)
+
+    for root in roots:
+        collect(root)
+    return keys
+
+
+def _verdict_reads():
+    """Every ``verdict[...]`` key ``checks.py`` reads: string subscripts, and
+    a comprehension variable's subscripts over its tuple of strings."""
+    tree = ast.parse((CRNPERF / "checks.py").read_text())
+
+    def reads(node):
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "verdict"
+        ]
+
+    keys = {sub.slice.value for sub in reads(tree) if isinstance(sub.slice, ast.Constant)}
+    by_name = {sub for sub in reads(tree) if not isinstance(sub.slice, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            for gen in node.generators:
+                if not (isinstance(gen.target, ast.Name) and isinstance(gen.iter, ast.Tuple)):
+                    continue
+                for sub in reads(node.elt):
+                    if getattr(sub.slice, "id", None) == gen.target.id:
+                        keys.update(e.value for e in gen.iter.elts)
+                        by_name.discard(sub)
+    assert not by_name, "checks.py reads verdict keys this test cannot resolve"
+    return keys
+
+
+def _report_keys():
+    """The keys ``verdict.save_report`` writes."""
+    tree = ast.parse((REPO / "src" / "crnverify" / "verdict.py").read_text())
+    save = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "save_report")
+    call = next(n for n in ast.walk(save) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "write_json")
+    return {key.value for key in call.args[1].keys}
+
+
 WRAPPED = _wrapped_names()
 IMPORTED = _imported_names()
+CONFIG_KEYS = sorted(_config_keys() - {"format"})
+VERDICT_READS = sorted(_verdict_reads())
 
 
 def test_tables_were_parsed():
     assert len(WRAPPED) >= 20
     assert ("abcsmc", "simulate") in WRAPPED and ("cli", "abcseq") in WRAPPED
     assert ("transient", "evaluator_for") in IMPORTED
+    assert {"seed", "abc_particles", "slice_samples", "synth_volume_tolerance"} <= set(CONFIG_KEYS)
+    assert {"C", "n_samples", "mass_outside", "posterior"} <= set(VERDICT_READS)
 
 
 @pytest.mark.parametrize("module, attr", WRAPPED)
@@ -70,3 +144,13 @@ def test_imported_name_resolves(module, name):
     if name is not None:
         obj = getattr(owner, name)
         assert callable(obj) or isinstance(obj, type(owner))
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_written_config_key_is_a_setting(key):
+    assert key in {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key", VERDICT_READS)
+def test_checked_verdict_key_is_written(key):
+    assert key in _report_keys()

@@ -81,9 +81,8 @@ class TestStages:
         assert (workspace / "out" / "partition.json").exists()
         heatmap = (workspace / "out" / "heatmap.csv").read_text().splitlines()
         assert heatmap[0] == "# format=1"
-        assert heatmap[1] == "# seed=20240901"
-        assert heatmap[2] == "k,label"
-        assert len(heatmap) == 3 + 32
+        assert heatmap[1] == "k,label"  # no seed: synthesis draws no random numbers
+        assert len(heatmap) == 2 + 32
 
         assert run("generate", "--config", "smoke.json", "--out-dir", "out") == 0
         assert run("infer", "--config", "smoke.json", "--dataset", "out/dataset.csv",
@@ -198,8 +197,6 @@ class TestExitCodes:
 
     def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
-        assert "missing --seed" in capsys.readouterr().err
-        assert run("synth", "--model", "models/decay.crn", "--seed", "1", "--out-dir", "out") == 2
         assert "missing --property" in capsys.readouterr().err
         assert run("infer", "--dataset", "out/dataset.csv", "--seed", "1", "--out-dir", "out") == 2
         assert "missing --model" in capsys.readouterr().err
@@ -233,6 +230,36 @@ def smoke_stages(tmp_path_factory):
     assert run("generate", "--config", config, "--out-dir", out) == 0
     assert run("infer", "--config", config, "--dataset", f"{out}/dataset.csv", "--out-dir", out) == 0
     return root / "out"
+
+
+def test_synth_needs_no_seed(smoke_stages, tmp_path):
+    doc = json.loads((smoke_stages.parent / "smoke.json").read_text())
+    assert run("synth", "--model", doc["model"], "--property", doc["property"],
+               "--out-dir", str(tmp_path / "flags")) == 0
+    # the partition and heatmap depend on no seed, so none is recorded
+    for seed in ("1", "2"):
+        assert run("synth", "--config", str(smoke_stages.parent / "smoke.json"), "--seed", seed,
+                   "--out-dir", str(tmp_path / seed)) == 0
+        for name in ("partition.json", "heatmap.csv"):
+            assert (tmp_path / seed / name).read_bytes() == (smoke_stages / name).read_bytes()
+    assert b"seed" not in (smoke_stages / "partition.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["generate", "infer", "verify", "baseline", "pipeline"])
+def test_random_commands_need_a_seed(smoke_stages, tmp_path, capsys, command):
+    doc = json.loads((smoke_stages.parent / "smoke.json").read_text())
+    del doc["seed"]
+    (tmp_path / "noseed.json").write_text(json.dumps(doc))
+    argv = {
+        "generate": ["generate"],
+        "infer": ["infer", "--dataset", str(smoke_stages / "dataset.csv")],
+        "verify": ["verify", str(smoke_stages / "partition.json"), str(smoke_stages / "particles.csv")],
+        "baseline": ["baseline", str(smoke_stages / "particles.csv"), "--n-params", "2", "--n-sims", "10"],
+        "pipeline": ["pipeline"],
+    }[command]
+    assert run(*argv, "--config", str(tmp_path / "noseed.json"), "--out-dir", str(tmp_path / "out")) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def _drop_boxes_at(k):
@@ -284,8 +311,8 @@ def test_infer_from_flags_matches_config(smoke_stages, tmp_path):
 
 
 def test_infer_outputs_do_not_depend_on_workers(smoke_stages, tmp_path):
-    # each batch's waves are keyed by (seed, batch, round, wave), so a pool
-    # of two workers writes the bytes one process writes
+    # each batch's waves are keyed by (seed, STAGE_INFER, batch, round,
+    # wave), so a pool of two workers writes the bytes one process writes
     config = str(smoke_stages.parent / "smoke.json")
     assert run("infer", "--config", config, "--dataset", str(smoke_stages / "dataset.csv"),
                "--workers", "2", "--out-dir", str(tmp_path)) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crnverify import ConfigError, load_config
+from crnverify.rng import STAGE_GENERATE, stream
 
 
 def write(tmp_path, doc):
@@ -38,9 +39,13 @@ def test_missing_format_rejected(tmp_path):
 
 
 def test_missing_seed_rejected(tmp_path):
+    # a config without a seed loads (synthesis needs none); a stage that
+    # draws random numbers rejects it
     doc = {k: v for k, v in BASE.items() if k != "seed"}
+    cfg = load_config(write(tmp_path, doc))
+    assert cfg.seed is None
     with pytest.raises(ConfigError, match="seed"):
-        load_config(write(tmp_path, doc))
+        stream(cfg.seed, STAGE_GENERATE)
 
 
 @pytest.mark.parametrize("key", ["model", "property"])

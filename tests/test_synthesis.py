@@ -32,7 +32,7 @@ REACH = parse_csl("P>0.5 [ true U[0,1] (B=1) ]")
 
 def settings(volume_tolerance, **synth):
     """Synthesis settings: the tolerance plus overrides (synthesis reads no seed)."""
-    return ExperimentConfig(seed=0, synth_volume_tolerance=volume_tolerance, **synth)
+    return ExperimentConfig(synth_volume_tolerance=volume_tolerance, **synth)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +235,7 @@ class TestVolumes:
 class TestFiles:
     def test_partition_round_trip(self, ab_partition, tmp_path):
         path = tmp_path / "p.json"
-        save_partition(ab_partition, path, seed=7)
+        save_partition(ab_partition, path)
         loaded = load_partition(path)
         for field in ("theta_lo", "theta_hi", "lo", "hi", "labels"):
             assert np.array_equal(getattr(loaded, field), getattr(ab_partition, field))
@@ -243,7 +243,7 @@ class TestFiles:
         assert loaded.relation == ab_partition.relation
         doc = json.loads(path.read_text())
         assert doc["format"] == 1
-        assert doc["header"]["seed"] == 7
+        assert "seed" not in doc["header"]  # synthesis draws no random numbers
 
     def test_heatmap_grid(self, ab_partition, tmp_path):
         path = tmp_path / "g.csv"
