@@ -7,8 +7,9 @@ discretization error.  At a jump instant the post-jump state governs,
 matching the simulator's right-continuous convention.
 
 An estimate draws all its runs from the one generator it is given: they
-are lanes of ``simulate_paths`` calls of at most ``simulate._LANES`` lanes
-each, made in turn on that generator.
+are lanes of ``simulate_visits`` calls of at most ``simulate._LANES``
+lanes each, made in turn on that generator, and are checked on the flat
+visit arrays those calls return.
 """
 
 from collections.abc import Sequence
@@ -19,7 +20,7 @@ import numpy as np
 from .csl import CslFormula, StateFormula
 from .model import PCRN, point_values
 # ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
-from .simulate import _LANES, Trajectory, simulate, simulate_paths  # noqa: F401
+from .simulate import _LANES, Trajectory, simulate, simulate_visits  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,26 @@ def check_until_paths(
     """
     if any(p.horizon < t_hi for p in paths):
         raise ValueError(f"trajectory horizon {min(p.horizon for p in paths)} ends before t'={t_hi}")
+    ends = np.cumsum([len(p.times) for p in paths])
     states = np.concatenate([p.states for p in paths])
-    a = np.concatenate([p.times for p in paths])
-    lengths = [len(p.times) for p in paths]
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    times = np.concatenate([p.times for p in paths])
+    return _check_until_visits(states, times, ends, phi1, phi2, t_lo, t_hi, index)
+
+
+def _check_until_visits(
+    states: np.ndarray,
+    a: np.ndarray,
+    ends: np.ndarray,
+    phi1: StateFormula,
+    phi2: StateFormula,
+    t_lo: float,
+    t_hi: float,
+    index: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``check_until_paths`` on paths given as flat visit arrays: path
+    ``i`` holds rows ``ends[i-1]:ends[i]`` (from 0 for path 0) of
+    ``states`` and their entry times ``a``, and reaches ``t_hi``."""
+    starts = np.append(0, ends[:-1])
     b = np.append(a[1:], 0.0)
     b[ends - 1] = t_hi + 1.0
     m1 = phi1.mask(states, index)
@@ -94,7 +110,7 @@ def check_until_paths(
     first_witness = np.minimum.reduceat(np.where(witnesses, row, none), starts)
     first_failure = np.minimum.reduceat(np.where(failures, row, none), starts)
     satisfied = (first_witness < none) & (first_witness <= first_failure)
-    witness = np.full(len(paths), np.nan)
+    witness = np.full(len(ends), np.nan)
     witness[satisfied] = lo[first_witness[satisfied]]
     return satisfied, witness
 
@@ -108,7 +124,7 @@ def estimate_lambda(
 ) -> LambdaEstimate:
     """Fraction of independent sample paths satisfying the path formula.
 
-    The runs are lanes of ``simulate_paths`` on ``rng``, in blocks of at
+    The runs are lanes of ``simulate_visits`` on ``rng``, in blocks of at
     most ``_LANES``.  The half-width is the 95% normal approximation,
     intended for diagnostics rather than guarantees.
     """
@@ -120,19 +136,13 @@ def estimate_lambda(
     for start in range(0, n_sims, _LANES):
         lanes = min(_LANES, n_sims - start)
         if path.t_hi > 0:
-            paths = simulate_paths(pcrn, [values] * lanes, path.t_hi, rng)
-        else:
-            paths = [_empty_path(pcrn)] * lanes
-        hits, _ = check_until_paths(paths, path.phi1, path.phi2, path.t_lo, path.t_hi, pcrn.species_index())
+            states, times, ends = simulate_visits(pcrn, [values] * lanes, path.t_hi, rng)
+        else:  # every run is its initial state alone
+            states = np.tile(np.asarray(pcrn.initial_state, dtype=np.int64), (lanes, 1))
+            times, ends = np.zeros(lanes), np.arange(1, lanes + 1)
+        hits, _ = _check_until_visits(states, times, ends, path.phi1, path.phi2, path.t_lo, path.t_hi,
+                                      pcrn.species_index())
         satisfied += int(np.count_nonzero(hits))
     mean = satisfied / n_sims
     ci = 1.96 * float(np.sqrt(mean * (1.0 - mean) / n_sims))
     return LambdaEstimate(mean=mean, n=n_sims, ci_halfwidth=ci)
-
-
-def _empty_path(pcrn: PCRN) -> Trajectory:
-    return Trajectory(
-        states=np.array([pcrn.initial_state], dtype=np.int64),
-        times=np.array([0.0]),
-        horizon=0.0,
-    )

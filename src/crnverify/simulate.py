@@ -111,15 +111,22 @@ def simulate_paths(pcrn: PCRN, points, t_end: float, rng: np.random.Generator) -
     """Sample one exact path per lane on [0, t_end]: lane ``i`` runs the
     chain at ``points[i]`` (rates in ``pcrn.params.names`` order), all lanes
     drawing from ``rng`` as the module docstring states."""
-    values = _lane_values(pcrn, points)
-    lane_of, all_states, all_times = _lockstep(pcrn, values, float(t_end), rng)
-    order = np.argsort(lane_of, kind="stable")
-    all_states, all_times = all_states[order].astype(np.int64), all_times[order]
-    ends = np.cumsum(np.bincount(lane_of, minlength=len(values))).tolist()
+    states, times, ends = simulate_visits(pcrn, points, t_end, rng)
+    ends = ends.tolist()
     return [
-        Trajectory(states=all_states[start:end], times=all_times[start:end], horizon=float(t_end))
+        Trajectory(states=states[start:end], times=times[start:end], horizon=float(t_end))
         for start, end in zip([0, *ends], ends)
     ]
+
+
+def simulate_visits(pcrn: PCRN, points, t_end: float, rng: np.random.Generator):
+    """The paths of ``simulate_paths`` as flat arrays, without building a
+    ``Trajectory`` per lane: ``(states, times, ends)``, lane ``i``'s visits
+    in rows ``ends[i-1]:ends[i]`` (from 0 for lane 0), in step order."""
+    values = _lane_values(pcrn, points)
+    lane_of, states, times = _lockstep(pcrn, values, float(t_end), rng)
+    order = np.argsort(lane_of, kind="stable")
+    return states[order].astype(np.int64), times[order], np.cumsum(np.bincount(lane_of, minlength=len(values)))
 
 
 def simulate_distances(pcrn: PCRN, points, data: Dataset, eps: float, rng: np.random.Generator) -> np.ndarray:

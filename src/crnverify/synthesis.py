@@ -17,12 +17,23 @@ decided boxes in pending order, then the last level's undecided ones.
 Thresholds that hold vacuously (such as "at least probability zero") label
 the whole space in one step with no evaluations.
 
-A level's new lattice points are evaluated together, as lanes of one
-Poisson series (``UntilEvaluator.probabilities``), or in contiguous chunks
-across the worker processes.  Labels are decided purely by evaluations at
-lattice points, and each lane's value is the same bits as that point
-evaluated alone, so the result is identical however the points are
-scheduled.  The margin scheme is heuristic: labels assume the
+A level evaluates its lattice in two stages, the box corners first, then
+the other points.  Before each stage a box stays open only while every
+value already known on its lattice clears the margin on the same side;
+only open boxes' unknown points are evaluated.  A closed box holds a
+value that rules it undecided whatever its other points hold, so skipping
+them changes no label: a box still missing a value is undecided, and it
+was undecided anyway.  Deferred points cost nothing later either, since a
+box's lattice points are its children's corners and the cache keeps every
+value.  The ``evaluations`` count in the partition header is the number
+of points actually evaluated.
+
+A stage's points are evaluated together, as lanes of one Poisson series
+(``UntilEvaluator.probabilities``), or in contiguous chunks across the
+worker processes.  Labels are decided purely by evaluations at lattice
+points, and each lane's value is the same bits as that point evaluated
+alone, so the result is identical however the points are scheduled.
+The margin scheme is heuristic: labels assume the
 satisfaction probability varies smoothly between lattice points, and the
 statistical audit in the test suite quantifies that gap rather than
 certifying it away.
@@ -136,6 +147,8 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
 
     def evaluate_all(points: list[tuple[float, ...]]):
         todo = sorted(set(points) - cache.keys())
+        if not todo:
+            return
         if pool is not None:
             # contiguous chunks of at most one block of lanes each, handed
             # out one at a time as workers free up
@@ -147,17 +160,31 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
             results = evaluator.probabilities(todo, config.synth_transient_tol).tolist()
         cache.update(zip(todo, results))
 
+    def gaps(points: list[tuple[float, ...]], boxes: int) -> np.ndarray:
+        """sign * (value - bound) per box and lattice point, NaN where the
+        value is not known yet."""
+        values = np.array([cache.get(p, np.nan) for p in points]).reshape(boxes, -1)
+        return sign * (values - formula.bound)
+
+    # the lattice positions that are box corners: no midpoint coordinate
+    corners = np.array([1 not in pick for pick in itertools.product(range(3), repeat=len(theta_lo))])
+    margin = config.synth_margin
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level
     lo, hi = theta_lo[None, :], theta_hi[None, :]
     try:
         for depth in itertools.count():
             if depth >= MIN_LABEL_DEPTH:
                 points = list(map(tuple, _lattices(lo, hi).reshape(-1, lo.shape[1]).tolist()))
-                evaluate_all(points)
-                values = np.array([cache[p] for p in points]).reshape(len(lo), -1)
-                gap = sign * (values - formula.bound)
-                sat = np.all(gap >= config.synth_margin, axis=1)
-                viol = np.all(gap <= -config.synth_margin, axis=1) & ~sat
+                # corners first, then the rest, each only for boxes whose known
+                # values all clear the margin on one side (an unknown value
+                # clears both); a closed box is undecided whatever the rest is
+                for stage in (corners, ~corners):
+                    gap = gaps(points, len(lo))
+                    open_ = np.all(~(gap < margin), axis=1) | np.all(~(gap > -margin), axis=1)
+                    evaluate_all(list(itertools.compress(points, (open_[:, None] & stage).ravel())))
+                gap = gaps(points, len(lo))
+                sat = np.all(gap >= margin, axis=1)
+                viol = np.all(gap <= -margin, axis=1) & ~sat
                 decided = sat | viol
                 out.append((lo[decided], hi[decided], np.where(sat, LABEL_SAT, LABEL_VIOL)[decided]))
                 lo, hi = lo[~decided], hi[~decided]

@@ -33,14 +33,23 @@ class Posterior:
     def __post_init__(self):
         if np.any(self.variance <= 0):
             raise ConfigError("posterior variances must be positive")
-        object.__setattr__(self, "_log_norm", np.sum(np.log(2.0 * np.pi * self.variance)))  # once, for logpdf
+        # once, as Python floats, for logpdf
+        object.__setattr__(self, "_moments", tuple(zip(self.mean.tolist(), self.variance.tolist())))
+        object.__setattr__(self, "_log_norm", float(np.sum(np.log(2.0 * np.pi * self.variance))))
 
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
-    def logpdf(self, values: np.ndarray) -> float:
-        z = (values - self.mean) ** 2 / self.variance
-        return float(-0.5 * (np.sum(z) + self._log_norm))
+    def logpdf(self, values) -> float:
+        """Log-density at ``values`` (a sequence of floats in ``names``
+        order), its squared z-scores added in sequence: the same bits as
+        ``np.sum`` below eight parameters, which sums short arrays in
+        sequence too."""
+        total = 0.0
+        for v, (m, var) in zip(values, self._moments):
+            d = v - m
+            total += d * d / var
+        return -0.5 * (total + self._log_norm)
 
 
 @dataclass
@@ -101,7 +110,8 @@ def slice_sample(
         raise ConfigError("need at least one sample")
     if scale <= 0:
         raise ConfigError("slice scale must be positive")
-    x = np.array(posterior.mean if init is None else init, dtype=float)
+    # the state as Python floats: the density is scalar arithmetic
+    x = np.array(posterior.mean if init is None else init, dtype=float).tolist()
     k = len(x)
     out = np.empty((n_samples, k))
     logf = posterior.logpdf

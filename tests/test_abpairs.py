@@ -1,8 +1,10 @@
-"""The A/B pair harness's summary arithmetic, on canned result lines
-(the harness itself runs the benchmark, which this test never does)."""
+"""The A/B pair harness's summary arithmetic, on canned result lines, and
+its export of both sides, on a throwaway git repository (the harness
+itself runs the benchmark, which this test never does)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,41 @@ def test_summary_of_pairs():
 def test_higher_is_better_counts_the_other_way():
     pairs = [(line(1.0, 1.0), line(2.0, 1.0)), (line(1.0, 1.0), line(0.5, 1.0))]
     assert abpairs.summarize(pairs, {"job_s": "higher"})["metrics"]["job_s"]["wins"] == 1
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=repo, check=True,
+                   capture_output=True)
+
+
+def test_both_sides_are_exported_copies(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "pkg" / "edited.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("/out/\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "pkg" / "edited.py").write_text("uncommitted edit\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "gone.py").unlink()
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("ignored\n")
+
+    def files(tree):
+        return {str(p.relative_to(tree)): p.read_text() for p in tree.rglob("*") if p.is_file()}
+
+    base = abpairs.export("HEAD", tmp_path / "base", repo)
+    change = abpairs.snapshot(tmp_path / "change", repo)
+    assert files(base) == {
+        ".gitignore": "/out/\n", "gone.py": "committed\n",
+        "pkg/kept.py": "committed\n", "pkg/edited.py": "committed\n",
+    }
+    assert files(change) == {
+        ".gitignore": "/out/\n", "pkg/kept.py": "committed\n",
+        "pkg/edited.py": "uncommitted edit\n", "pkg/new.py": "untracked\n",
+    }
+    # the working tree itself is untouched
+    assert (repo / "out" / "result.json").exists() and not (repo / "gone.py").exists()

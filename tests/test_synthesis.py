@@ -1,6 +1,8 @@
 """Region refinement on small networks where the ground truth is closed-form."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,14 +22,29 @@ from crnverify.synthesis import (
     LABEL_SAT,
     LABEL_UNDECIDED,
     LABEL_VIOL,
+    MIN_LABEL_DEPTH,
     RegionPartition,
     classify_points,
+    _refine,
     save_heatmap_grid,
 )
+from crnverify.transient import UntilEvaluator
+from reference_synthesis import reference_refine
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
 # P(B by t=1) = 1 - exp(-k): crosses 0.5 at k = ln 2
 REACH = parse_csl("P>0.5 [ true U[0,1] (B=1) ]")
+# the satisfying window here is a band whose width is a tenth of the space
+DECAY50 = parse_crn(
+    "format=1; species A B; param k in [0.1, 10];"
+    "reaction decay: A -> B @ k; init A=50; conserve 50;"
+)
+BAND = parse_csl("P>0.5 [ (B<25) U[0.5,1.5] (B>=25) ]")
+SIR30 = parse_crn(
+    "format=1; species S I R; param ki in [0.0005, 0.03]; param kr in [0.005, 0.2];"
+    "reaction infect: S + I -> I + I @ ki; reaction recover: I -> R @ kr;"
+    "init S=27, I=3, R=0; conserve 30;"
+)
 
 
 def settings(volume_tolerance, **synth):
@@ -49,14 +66,8 @@ class TestSynthesize:
         assert part.backend["evaluations"] == 0
 
     def test_narrow_satisfying_band_is_found(self):
-        # the satisfying window here is a band whose width is a tenth of the
-        # space: shallow corner agreement must not label it away
-        band = parse_csl("P>0.5 [ (B<25) U[0.5,1.5] (B>=25) ]")
-        net = parse_crn(
-            "format=1; species A B; param k in [0.1, 10];"
-            "reaction decay: A -> B @ k; init A=50; conserve 50;"
-        )
-        part = synthesize(net, band, settings(0.05))
+        # shallow corner agreement must not label the band away
+        part = synthesize(DECAY50, BAND, settings(0.05))
         assert classify_point(part, (0.9,)) == LABEL_SAT
         assert classify_point(part, (5.0,)) == LABEL_VIOL
         assert classify_point(part, (0.15,)) == LABEL_VIOL
@@ -124,6 +135,56 @@ class TestSynthesize:
         save_partition(ab_partition, tmp_path / "serial.json")
         save_partition(pooled, tmp_path / "pooled.json")
         assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+def _theta(pcrn):
+    return np.asarray(pcrn.params.lower, dtype=float), np.asarray(pcrn.params.upper, dtype=float)
+
+
+class TestScreenedRefinement:
+    """The screened schedule against the reference that evaluates every
+    lattice point: the same partition from fewer evaluations."""
+
+    CASES = {
+        "ab": (AB, REACH, settings(0.05, synth_margin=0.02, synth_max_depth=14)),
+        "decay-band": (DECAY50, BAND, settings(0.05)),
+        "upper-bound": (AB, parse_csl("P<0.5 [ true U[0,1] (B=1) ]"), settings(0.05, synth_max_depth=14)),
+        "sir-30": (SIR30, parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]"), settings(0.3)),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_partition_from_fewer_evaluations(self, case, workers):
+        pcrn, formula, config = self.CASES[case]
+        *got, status, evaluations = _refine(pcrn, formula, dataclasses.replace(config, workers=workers),
+                                            *_theta(pcrn))
+        *want, reference_status, reference_evaluations = reference_refine(pcrn, formula, config, *_theta(pcrn))
+        for g, w in zip(got, want):  # lo, hi, labels
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert status == reference_status
+        assert evaluations < reference_evaluations
+
+    def test_level_of_ruled_out_boxes_evaluates_nothing(self, monkeypatch):
+        # the value is 1 everywhere, within the margin of the bound: the
+        # first labeled level evaluates its corners, which rule every box
+        # undecided, and each child at the next level holds one of them
+        flat = parse_csl("P>=1 [ true U[0,1] (A=1) ]")
+        calls = []
+        probabilities = UntilEvaluator.probabilities
+
+        def counted(evaluator, points, tol):
+            calls.append(len(points))
+            return probabilities(evaluator, points, tol)
+
+        monkeypatch.setattr(UntilEvaluator, "probabilities", counted)
+        config = settings(0.01, synth_max_depth=MIN_LABEL_DEPTH + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the NaN placeholders warn about nothing
+            lo, hi, labels, status, evaluations = _refine(AB, flat, config, *_theta(AB))
+        corners = 2**MIN_LABEL_DEPTH + 1
+        assert calls == [corners] and evaluations == corners
+        assert set(labels.tolist()) == {LABEL_UNDECIDED} and len(labels) == 2 ** (MIN_LABEL_DEPTH + 1)
+        assert status == "tolerance-unmet"
 
 
 def _shuffled_grid_partition(rng):

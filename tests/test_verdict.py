@@ -64,6 +64,18 @@ def posterior():
 
 class TestSliceSample:
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_scalar_density_is_the_array_formula_bit_for_bit(self, k):
+        rng = np.random.default_rng(900 + k)
+        mean = rng.normal(size=k) * 10.0 ** rng.integers(-3, 2, size=k)
+        variance = rng.uniform(0.1, 2.0, size=k) * 10.0 ** rng.integers(-8, 1, size=k)
+        post = Posterior(names=tuple(f"p{d}" for d in range(k)), mean=mean, variance=variance)
+        log_norm = np.sum(np.log(2.0 * np.pi * variance))
+        for _ in range(200):
+            values = mean + np.sqrt(variance) * rng.normal(size=k) * rng.uniform(0.0, 30.0)
+            array_formula = float(-0.5 * (np.sum((values - mean) ** 2 / variance) + log_norm))
+            assert post.logpdf(values.tolist()) == array_formula
+
     def test_mean_within_three_standard_errors(self, posterior):
         draws = slice_sample(posterior, 10000, 2.0, stream(1, 0))
         for d in range(2):

@@ -4,8 +4,10 @@ working tree.
     python3 tools/abpairs.py --base REV --workload W --seeds 401 402 ...
         [--seconds 50]
 
-Run from the root of a checkout.  The revision's tree is exported with
-``git archive`` into a temporary directory.  For each seed, one
+Run from the root of a checkout.  Both sides run from fresh copies side
+by side in one temporary directory: the revision's tree exported with
+``git archive``, and a snapshot of the working tree (tracked files as they
+are now, plus untracked files that are not ignored).  For each seed, one
 ``python3 crnperf/run.py --workload W --seed S --seconds N --trace 0`` runs
 in each tree, the base first on even pairs and the working tree first on
 odd ones, so that a drift of the host hits both sides alike.  Each run's
@@ -18,6 +20,7 @@ working tree won.
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,11 +71,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def export(rev: str, into: Path) -> Path:
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], capture_output=True, check=True).stdout
-    tree = into / "base"
+def export(rev: str, tree: Path, repo: Path = Path(".")) -> Path:
+    """The tree of revision ``rev`` of ``repo``, extracted into ``tree``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, capture_output=True,
+                             check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as f:
         f.extractall(tree, filter="data")
+    return tree
+
+
+def snapshot(tree: Path, repo: Path = Path(".")) -> Path:
+    """The working tree of ``repo`` copied into ``tree``: every tracked file
+    that still exists, as it is on disk, and every untracked file that
+    ``.gitignore`` does not exclude."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                             cwd=repo, capture_output=True, check=True).stdout
+    for name in sorted(set(listing.decode().split("\0")) - {""}):
+        source, target = repo / name, tree / name
+        if source.is_file():  # a tracked file deleted on disk is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
     return tree
 
 
@@ -87,7 +105,7 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in json.loads(Path(BENCHMARK).read_text())["end_to_end"]}
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        base_tree, change_tree = export(args.base, Path(tmp)), Path.cwd()
+        base_tree, change_tree = export(args.base, Path(tmp) / "base"), snapshot(Path(tmp) / "change")
         for i, seed in enumerate(args.seeds):
             first, second = (base_tree, change_tree) if i % 2 == 0 else (change_tree, base_tree)
             results = {tree: run_once(tree, args.workload, seed, args.seconds) for tree in (first, second)}
