@@ -6,8 +6,9 @@ Markov chain, and samples a few trajectories.
 
 import numpy as np
 
-from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate, simulate_paths
+from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate_paths
 from crnverify.rng import stream
+from crnverify.simulate import simulate
 
 pcrn = load_crn("models/sir.crn")
 print("species:", pcrn.species_names())

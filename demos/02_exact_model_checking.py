@@ -7,7 +7,7 @@ window [100, 150] with probability above 0.1.
 
 import numpy as np
 
-from crnverify import check_threshold, estimate_lambda, load_crn, parse_csl
+from crnverify import estimate_lambda, load_crn, parse_csl
 from crnverify.transient import UniformizedChain, evaluator_for, transient
 from crnverify.rng import stream
 
@@ -27,7 +27,7 @@ theta_viol = (0.002, 0.18)
 for name, theta in [("satisfying", theta_sat), ("violating", theta_viol)]:
     exact = evaluator.probability(theta)
     est = estimate_lambda(pcrn, theta, prop, 1000, stream(7, 0))
-    decided = check_threshold(pcrn, theta, prop)
+    decided = prop.compare(exact)
     print(
         f"{name:10s} rates {dict(zip(pcrn.params.names, theta))}: exact {exact:.4f}, "
         f"simulated {est.mean:.3f} +- {est.ci_halfwidth:.3f}, property holds: {decided}"

@@ -9,7 +9,7 @@ this demo uses the small network; run the CLI for the full study:
     crnverify synth --config configs/sir_phi_20obs_noiseless.json --out-dir out
 """
 
-from crnverify import ExperimentConfig, classify_point, feasible_volume_fraction, load_crn, parse_csl, synthesize
+from crnverify import ExperimentConfig, classify_points, load_crn, parse_csl, synthesize
 from crnverify.synthesis import save_heatmap_grid
 
 pcrn = load_crn("models/decay.crn")
@@ -20,11 +20,12 @@ print(f"boxes: {len(partition.labels)}  (backend evaluations: {partition.backend
 for label, meaning in [("T", "satisfying"), ("F", "violating"), ("U", "undecided")]:
     frac = partition.volume(label) / partition.theta_volume()
     print(f"  {label} ({meaning:10s}): {100 * frac:5.1f}% of the space")
-print(f"feasible volume fraction: {feasible_volume_fraction(partition):.4f}")
 
-# the conversion-time band sits around k ~ ln(2)/1.0
-for k in (0.2, 0.9, 3.0):
-    print(f"k = {k}: {classify_point(partition, (k,))}")
+# the conversion-time band sits around k ~ ln(2)/1.0; points are rows in
+# partition.param_names order
+ks = (0.2, 0.9, 3.0)
+for k, label in zip(ks, classify_points(partition, [[k] for k in ks])):
+    print(f"k = {k}: {label}")
 
 save_heatmap_grid(partition, "decay_heatmap.csv", resolution=200)
 print("wrote decay_heatmap.csv (k,label rows, ready for external plotting)")

@@ -7,8 +7,9 @@ over rounds to the median of the previous round's accepted distances.
 
 import numpy as np
 
-from crnverify import ExperimentConfig, abcseq, load_crn, observe, simulate
+from crnverify import ExperimentConfig, abcseq, load_crn, observe
 from crnverify.rng import stream
+from crnverify.simulate import simulate
 from crnverify.verdict import fit_posterior
 
 pcrn = load_crn("models/decay.crn")

@@ -34,7 +34,7 @@ from .model import (
     propensity,
     rate_matrix_row,
 )
-from .monitor import LambdaEstimate, Verdict, check_until, check_until_paths, estimate_lambda
+from .monitor import LambdaEstimate, check_until_paths, estimate_lambda
 from .simulate import (
     Dataset,
     Trajectory,
@@ -42,27 +42,18 @@ from .simulate import (
     load_dataset,
     observe,
     save_dataset,
-    simulate,
     simulate_distances,
     simulate_paths,
     states_at,
 )
 from .synthesis import (
     RegionPartition,
-    classify_point,
-    feasible_volume_fraction,
+    classify_points,
     load_partition,
     save_partition,
     synthesize,
 )
-from .transient import (
-    UniformizedChain,
-    UntilEvaluator,
-    bounded_until_prob,
-    build_chain,
-    check_threshold,
-    transient,
-)
+from .transient import UniformizedChain, UntilEvaluator, evaluator_for
 from .verdict import (
     Posterior,
     VerdictReport,

@@ -30,6 +30,7 @@ have been rejected anyway, so this is exact: the zero-continuation case
 of lazy ABC (Prangle, Statistics and Computing 2016).
 """
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .simulate import _LANES, Dataset, simulate, simulate_distances  # noqa: F40
 STATUS_OK = "ok"
 STATUS_CONVERGED_EARLY = "converged-early"
 STATUS_ABORTED = "aborted-max-attempts"
+STATUSES = (STATUS_OK, STATUS_CONVERGED_EARLY, STATUS_ABORTED)
 
 _STALL_FRACTION = 0.01  # threshold must shrink by this fraction per round
 # new particles per block of the kernel mixture: bounds its (block, m, k)
@@ -255,6 +257,8 @@ def save_particles(
 def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace, dict]:
     comments, header, rows = read_csv(path, "particle")
     meta = comments.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"particle file {path}: metadata must be a JSON object")
     if header[:3] != ["batch", "round", "weight"] or header[-1:] != ["distance"]:
         raise ParseError("particle file missing 'batch,round,weight,...,distance' header")
     names = tuple(header[3:-1])
@@ -277,12 +281,21 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
         raise ParseError(f"particle file {path}: batch ids must be integers in 0..{n_batches - 1}")
     if np.any(np.bincount(batch, minlength=n_batches) == 0):
         raise ParseError(f"particle file {path}: a declared batch has no rows")
-    thresholds = [
-        tuple(float("inf") if t is None else float(t) for t in ts)
-        for ts in meta.get("thresholds", [])
-    ]
-    attempts = meta.get("attempts", [])
-    statuses = meta.get("status", [])
+
+    def per_batch(key: str, what: str, valid) -> list:
+        """Metadata list ``key``: one entry per batch, each ``valid``."""
+        values = meta.get(key)
+        if type(values) is not list or len(values) != n_batches or not all(map(valid, values)):
+            raise ParseError(f"particle file {path}: metadata {key!r} must give {what} for each of the {n_batches} batches")
+        return values
+
+    def threshold_list(ts) -> bool:  # null stands for the infinite first threshold
+        return type(ts) is list and all(t is None or (type(t) in (int, float) and 0 <= t <= sys.float_info.max)
+                                        for t in ts)
+
+    thresholds = per_batch("thresholds", "a list of finite nonnegative thresholds or null", threshold_list)
+    attempts = per_batch("attempts", "a nonnegative integer", lambda a: type(a) is int and a >= 0)
+    statuses = per_batch("status", f"one of {list(STATUSES)}", lambda s: s in STATUSES)
     sets = []
     for b in range(n_batches):
         block = table[batch == b]
@@ -293,9 +306,9 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
                 weights=block[:, 2],
                 distances=block[:, -1],
                 round=int(block[-1, 1]),
-                attempts=attempts[b] if b < len(attempts) else 0,
-                status=statuses[b] if b < len(statuses) else STATUS_OK,
-                thresholds=thresholds[b] if b < len(thresholds) else (),
+                attempts=attempts[b],
+                status=statuses[b],
+                thresholds=tuple(float("inf") if t is None else float(t) for t in thresholds[b]),
             )
         )
     return sets, space, meta

@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ConfigError("synth_volume_tolerance must lie strictly between 0 and 1")
         if self.observation_times is not None:
             times = list(map(float, self.observation_times))
-            if not times or any(b <= a for a, b in zip(times, times[1:])):
-                raise ConfigError("observation_times must be nonempty and strictly increasing")
+            if not times or times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
+                raise ConfigError("observation_times must be nonempty, nonnegative and strictly increasing")
 
     def times(self, default_end: float) -> np.ndarray:
         """Observation grid: explicit times, or evenly spaced over (0, end]."""

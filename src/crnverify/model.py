@@ -146,10 +146,6 @@ class PCRN:
         if self.conserved_total is not None and sum(self.initial_state) > self.conserved_total:
             raise ConfigError("initial state exceeds conserved total")
 
-    @property
-    def n_species(self) -> int:
-        return len(self.species)
-
     def species_index(self) -> dict[str, int]:
         return {s.name: s.index for s in self.species}
 

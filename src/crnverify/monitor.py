@@ -24,38 +24,12 @@ from .simulate import _LANES, Trajectory, simulate, simulate_visits  # noqa: F40
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Outcome of one path check; the witness is the earliest fulfilling time."""
-
-    satisfied: bool
-    witness_time: float | None = None
-
-
-@dataclass(frozen=True)
 class LambdaEstimate:
     """Monte Carlo estimate of the satisfaction probability at one parameter point."""
 
     mean: float
     n: int
     ci_halfwidth: float
-
-
-def check_until(
-    traj: Trajectory,
-    phi1: StateFormula,
-    phi2: StateFormula,
-    t_lo: float,
-    t_hi: float,
-    index: dict[str, int],
-) -> Verdict:
-    """Check  phi1 U[t_lo, t_hi] phi2  on one trajectory: the one-path call
-    of ``check_until_paths``.
-
-    Satisfied iff some witness time tau in [t_lo, t_hi] has phi2 at the
-    state occupied at tau and phi1 at every strictly earlier time.
-    """
-    satisfied, witness = check_until_paths([traj], phi1, phi2, t_lo, t_hi, index)
-    return Verdict(satisfied=True, witness_time=float(witness[0])) if satisfied[0] else Verdict(satisfied=False)
 
 
 def check_until_paths(
@@ -68,6 +42,8 @@ def check_until_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check  phi1 U[t_lo, t_hi] phi2  on every path at once.
 
+    A path satisfies it iff some witness time tau in [t_lo, t_hi] has phi2
+    at the state occupied at tau and phi1 at every strictly earlier time.
     Returns ``(satisfied, witness)``, one entry per path; the witness is the
     earliest fulfilling time, NaN where the formula fails.  Each state row
     opens the interval [a, b) up to the next jump; the last interval of a

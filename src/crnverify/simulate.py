@@ -38,6 +38,7 @@ been rejected, and a finished lane's distance is ``discrepancy`` of its
 path, bit for bit.
 """
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,16 +297,35 @@ def save_dataset(data: Dataset, path: str | Path, meta: dict | None = None) -> N
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV written by ``save_dataset``."""
+    """Read a dataset CSV written by ``save_dataset``.
+
+    Times must be finite and nonnegative, and observations finite.  Noisy
+    observations may fall below zero, but noiseless ones are counts, so a
+    dataset whose ``meta-sigma`` is 0 (or absent) needs them nonnegative.
+    """
     comments, header, rows = read_csv(path, "dataset")
     if not header or header[0] != "time" or len(header) < 2:
         raise ParseError("dataset file missing 'time,<species...>' header row")
     if not rows:
         raise ParseError("dataset file contains no observations")
-    arr = np.array(rows, dtype=float)
+    sigma = comments.get("meta-sigma", 0.0)
+    # type(...), not isinstance: JSON true/false arrive as bool; the upper
+    # bound rejects infinity, and NaN fails every comparison
+    if type(sigma) not in (int, float) or not 0 <= sigma <= sys.float_info.max:
+        raise ParseError(f"dataset file {path}: meta-sigma must be a finite nonnegative number, got {sigma!r}")
+    try:
+        arr = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ParseError(f"dataset file {path}: malformed rows ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"dataset file {path}: times and observations must be finite")
+    if np.any(arr[:, 0] < 0):
+        raise ParseError(f"dataset file {path}: observation times must be nonnegative")
+    if sigma == 0 and np.any(arr[:, 1:] < 0):
+        raise ParseError(f"dataset file {path}: noiseless observations are counts and must be nonnegative")
     return Dataset(
         times=arr[:, 0],
         observations=arr[:, 1:],
         species=tuple(header[1:]),
-        sigma=float(comments.get("meta-sigma", 0.0)),
+        sigma=float(sigma),
     )

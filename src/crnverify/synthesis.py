@@ -40,7 +40,6 @@ certifying it away.
 """
 
 import itertools
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +50,7 @@ from .config import ExperimentConfig
 from .csl import CslFormula, format_csl
 from .errors import ConfigError, ParseError
 from .files import read_json, write_csv, write_json
-from .model import PCRN, point_values
+from .model import PCRN
 from .transient import UntilEvaluator, evaluator_for
 
 LABEL_SAT = "T"
@@ -246,26 +245,19 @@ def synthesize(pcrn: PCRN, formula: CslFormula, config: ExperimentConfig) -> Reg
     )
 
 
-def classify_point(partition: RegionPartition, point: Sequence[float]) -> str:
-    """Label of the box containing the point, given in ``param_names``
-    order (see ``classify_points``)."""
-    values = point_values(partition.param_names, point)
-    label = classify_points(partition, np.array([values]))[0]
-    if label is None:
-        raise ValueError(f"point {dict(zip(partition.param_names, values))} outside the parameter space")
-    return label
-
-
 def classify_points(partition: RegionPartition, values: np.ndarray) -> np.ndarray:
     """Labels of the boxes containing many points (an object array), None
     for points outside the parameter box.
 
     A point on faces shared by several boxes takes the label of the one
     that sorts first by ``(lo, hi)`` compared lexicographically, so
-    classification does not depend on box order.  ``values`` columns
-    follow ``partition.param_names``.
+    classification does not depend on box order.  ``values`` holds one
+    point per row, columns in ``partition.param_names`` order; any other
+    shape is a ``ConfigError``.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(partition.param_names):
+        raise ConfigError(f"points of shape {values.shape} do not match parameters {list(partition.param_names)}")
     rank = np.lexsort(np.hstack([partition.lo, partition.hi]).T[::-1])
     lo, hi, labels = partition.lo[rank], partition.hi[rank], partition.labels[rank]
     out = np.full(len(values), None, dtype=object)
@@ -281,11 +273,6 @@ def classify_points(partition: RegionPartition, values: np.ndarray) -> np.ndarra
             raise ValueError(f"partition does not cover point {point}")
         out[start:start + CLASSIFY_BLOCK][inside] = labels[np.argmax(hits[inside], axis=1)]
     return out
-
-
-def feasible_volume_fraction(partition: RegionPartition) -> float:
-    """Fraction of the parameter-space volume labeled satisfying."""
-    return partition.volume(LABEL_SAT) / partition.theta_volume()
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from scipy import sparse, special
 
 from .csl import CslFormula, StateFormula
 from .errors import ConfigError, CrnVerifyError
-from .model import PCRN, StateSpace, _falling_product, compiled_reactions, enumerate_states, point_values
+from .model import PCRN, _falling_product, compiled_reactions, enumerate_states, point_values
 
 try:  # scipy's CSR mat-vec kernel, called directly to skip per-call dispatch
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -67,7 +67,6 @@ class UniformizedChain:
 
     q: float
     P: sparse.csr_matrix
-    n_states: int
 
     @classmethod
     def from_rate_matrix(cls, rates: sparse.spmatrix | np.ndarray) -> "UniformizedChain":
@@ -82,11 +81,7 @@ class UniformizedChain:
             P = sparse.identity(n, format="csr")
         else:
             P = (R / q + sparse.diags(1.0 - outflow / q)).tocsr()
-        return cls(q=q, P=P, n_states=n)
-
-    def row_sum_defect(self) -> float:
-        ones = np.ones(self.n_states)
-        return float(np.abs(np.asarray(self.P.sum(axis=1)).ravel() - ones).max())
+        return cls(q=q, P=P)
 
 
 def _row_ranks(rows: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,13 +226,6 @@ def _chain_basis(pcrn: PCRN):
     return space, tuple(basis)
 
 
-def build_chain(pcrn: PCRN, point: Sequence[float]) -> tuple[UniformizedChain, StateSpace]:
-    """Uniformized chain of the network instantiated at one parameter point."""
-    space, basis = _chain_basis(pcrn)
-    R = _combine(basis, point_values(pcrn.params.names, point))
-    return UniformizedChain.from_rate_matrix(R), space
-
-
 def _combine(basis: tuple, rates: list[float]) -> sparse.csr_matrix:
     acc = None
     for B, value in zip(basis, rates):
@@ -372,26 +360,8 @@ class _LanePattern:
         return _poisson_series(self.indptr, self.indices, P, V, (q * t).tolist(), tol, cols)
 
 
-def bounded_until_prob(
-    pcrn: PCRN,
-    point: Sequence[float],
-    phi1: StateFormula,
-    phi2: StateFormula,
-    t_lo: float,
-    t_hi: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Probability that the instantiated chain satisfies phi1 U[t_lo,t_hi] phi2
-    from its initial state."""
-    return UntilEvaluator(pcrn, phi1, phi2, t_lo, t_hi).probability(point, tol)
-
-
 def evaluator_for(pcrn: PCRN, formula: CslFormula) -> UntilEvaluator:
+    """The evaluator of ``formula``'s until path on ``pcrn``; ``formula.compare``
+    decides the threshold on a value it returns."""
     path = formula.path
     return UntilEvaluator(pcrn, path.phi1, path.phi2, path.t_lo, path.t_hi)
-
-
-def check_threshold(pcrn: PCRN, point: Sequence[float], formula: CslFormula, tol: float = DEFAULT_TOL) -> bool:
-    """Exactly decide the top-level probability comparison at one point."""
-    value = evaluator_for(pcrn, formula).probability(point, tol)
-    return formula.compare(value)

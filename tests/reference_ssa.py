@@ -10,14 +10,11 @@ compare the kernel against them, and use the one-lane call wherever they
 need many one-path draws from one shared generator fast.
 """
 
-import importlib
-
 import numpy as np
 
+import crnverify.simulate as SIM
 from crnverify import Trajectory
 from crnverify.model import _falling_product, compiled_reactions, point_values
-
-SIM = importlib.import_module("crnverify.simulate")
 
 
 class _DrawBuffer:

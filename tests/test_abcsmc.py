@@ -16,11 +16,11 @@ from crnverify import (
     parse_crn,
     perturb,
     pool_batches,
-    simulate,
 )
 from crnverify import abcsmc
 from crnverify.abcsmc import STATUS_ABORTED, kernel_covariance, save_particles, load_particles
 from crnverify.rng import stream
+from crnverify.simulate import simulate
 from reference_ssa import reference_simulate
 
 DECAY = parse_crn(

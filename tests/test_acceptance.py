@@ -22,23 +22,20 @@ from crnverify import (
     Posterior,
     UniformizedChain,
     abcseq,
-    bounded_until_prob,
-    check_threshold,
     load_crn,
     load_partition,
     majority_verdict,
     observe,
     parse_csl,
-    simulate,
     slice_sample,
-    transient,
 )
 from crnverify import abcsmc
 from crnverify.cli import cmd_baseline, main
 from crnverify.config import load_config
 from crnverify.rng import stream
-from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL
-from crnverify.transient import evaluator_for
+from crnverify.simulate import simulate
+from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL, classify_points
+from crnverify.transient import evaluator_for, transient
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -129,17 +126,16 @@ def test_criterion_2_closed_forms():
 
         net = parse_crn(single)
         f = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
-        got = bounded_until_prob(
-            net, (1.0,), f.path.phi1, f.path.phi2, 1.0, 2.0, tol=1e-12
-        )
+        got = evaluator_for(net, f).probability((1.0,), tol=1e-12)
         assert got == pytest.approx(1.0 - np.exp(-2.0), abs=1e-9)
 
 
 def test_criterion_3_ground_truth_classification(sir, case_formula):
     with criterion(3, "exact engine separates the ground-truth parameter points"):
         t0 = time.perf_counter()
-        assert check_threshold(sir, THETA_PHI, case_formula, tol=1e-8) is True
-        assert check_threshold(sir, THETA_NOTPHI, case_formula, tol=1e-8) is False
+        evaluator = evaluator_for(sir, case_formula)
+        assert case_formula.compare(evaluator.probability(THETA_PHI, tol=1e-8)) is True
+        assert case_formula.compare(evaluator.probability(THETA_NOTPHI, tol=1e-8)) is False
         assert time.perf_counter() - t0 < 600.0
 
 
@@ -154,10 +150,7 @@ def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
         assert partition.volume(LABEL_UNDECIDED) / theta_vol <= 0.1
         assert partition.status == "ok"
 
-        from crnverify import classify_point
-
-        assert classify_point(partition, THETA_PHI) == LABEL_SAT
-        assert classify_point(partition, THETA_NOTPHI) == LABEL_VIOL
+        assert classify_points(partition, [THETA_PHI, THETA_NOTPHI]).tolist() == [LABEL_SAT, LABEL_VIOL]
 
         # statistical audit: 50 uniform points per decided label against the
         # exact engine; the margin scheme is heuristic, so agreement is the

@@ -11,12 +11,14 @@ instead of the benchmark's runs.
 
 import ast
 import importlib
+import pkgutil
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import crnverify
 from crnverify.config import ExperimentConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -48,8 +50,8 @@ def _imported_names():
 def _module(name: str):
     full = f"crnverify.{name}" if name else "crnverify"
     importlib.import_module(full)
-    # the package re-exports functions that shadow two submodules'
-    # names, so the harness takes modules from sys.modules
+    # resolved through sys.modules, as crnperf/spans.py resolves the
+    # modules it patches
     return sys.modules[full]
 
 
@@ -116,6 +118,7 @@ def _report_keys():
     return {key.value for key in call.args[1].keys}
 
 
+SUBMODULES = [m.name for m in pkgutil.iter_modules(crnverify.__path__)]
 WRAPPED = _wrapped_names()
 IMPORTED = _imported_names()
 CONFIG_KEYS = sorted(_config_keys() - {"format"})
@@ -126,8 +129,17 @@ def test_tables_were_parsed():
     assert len(WRAPPED) >= 20
     assert ("abcsmc", "simulate") in WRAPPED and ("cli", "abcseq") in WRAPPED
     assert ("transient", "evaluator_for") in IMPORTED
+    assert {"transient", "simulate"} <= set(SUBMODULES)
     assert {"seed", "abc_particles", "slice_samples", "synth_volume_tolerance"} <= set(CONFIG_KEYS)
     assert {"C", "n_samples", "mass_outside", "posterior"} <= set(VERDICT_READS)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_package_attribute_is_the_submodule(name):
+    # a package attribute named after a submodule must be that module, so
+    # ``import crnverify.<name> as m`` binds the module the harness patches
+    module = _module(name)
+    assert getattr(crnverify, name) is module
 
 
 @pytest.mark.parametrize("module, attr", WRAPPED)

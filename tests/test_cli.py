@@ -340,8 +340,8 @@ def test_baseline_rejects_corrupt_posterior(smoke_stages, tmp_path, capsys, case
     assert not (tmp_path / "out" / "baseline.json").exists()
 
 
-def _edit_particle_rows(edit):
-    """Apply ``edit`` to the data rows (lists of fields) of a particle file's text."""
+def _edit_rows(edit):
+    """Apply ``edit`` to the data rows (lists of fields) of a CSV file's text."""
     def apply(text):
         lines = text.splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -355,7 +355,26 @@ def _set_field(column, value, rows=slice(0, 1)):
     def edit(table):
         for row in table[rows]:
             row[column] = value
-    return _edit_particle_rows(edit)
+    return _edit_rows(edit)
+
+
+def _edit_comment(key, edit):
+    """Replace the JSON value of a CSV file's ``# key=`` comment by ``edit(value)``."""
+    def apply(text):
+        prefix = f"# {key}="
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[i] = prefix + json.dumps(edit(json.loads(lines[i].removeprefix(prefix))))
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _set_meta(key, value):
+    return _edit_comment("meta", lambda meta: {**meta, key: value})
+
+
+def _drop_meta(key):
+    return _edit_comment("meta", lambda meta: {k: v for k, v in meta.items() if k != key})
 
 
 # each edits the rows of the smoke particle file, with the reason verify
@@ -369,6 +388,16 @@ PARTICLE_CORRUPTIONS = {
     "batch-fraction": (_set_field(0, "0.5"), "batch ids must be integers in 0..1"),
     "declared-batch-empty": (_set_field(0, "0", rows=slice(None)), "a declared batch has no rows"),
     "no-batch-count": (lambda text: text.replace('"batches": 2, ', ""), "positive batch count"),
+    "meta-not-object": (_edit_comment("meta", lambda meta: 5), "metadata must be a JSON object"),
+    "thresholds-not-a-list": (_set_meta("thresholds", 5), "metadata 'thresholds'"),
+    "threshold-string": (_set_meta("thresholds", [[None, "1.5"], [None]]), "metadata 'thresholds'"),
+    "threshold-negative": (_set_meta("thresholds", [[None, -1.5], [None]]), "metadata 'thresholds'"),
+    "no-thresholds": (_drop_meta("thresholds"), "metadata 'thresholds'"),
+    "attempts-string": (_set_meta("attempts", "ab"), "metadata 'attempts'"),
+    "attempts-one-batch": (_set_meta("attempts", [10]), "metadata 'attempts'"),
+    "attempts-fraction": (_set_meta("attempts", [10.5, 10]), "metadata 'attempts'"),
+    "status-unknown": (_set_meta("status", ["ok", "done"]), "metadata 'status'"),
+    "no-status": (_drop_meta("status"), "metadata 'status'"),
 }
 
 
@@ -383,6 +412,35 @@ def test_verify_rejects_corrupt_particles(smoke_stages, tmp_path, capsys, case):
                "--seed", "1", "--samples", "200", "--out-dir", str(tmp_path / "out")) == 2
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "out" / "verdict.json").exists()
+
+
+# each edits the rows or comments of the smoke dataset, with the reason
+# infer gives for exiting 2
+DATASET_CORRUPTIONS = {
+    "ragged-row": (_edit_rows(lambda rows: rows[1].pop()), "malformed rows"),
+    "non-numeric-cell": (_set_field(1, "abc"), "malformed rows"),
+    "nan-observation": (_set_field(1, "nan"), "must be finite"),
+    "inf-time": (_set_field(0, "inf", rows=slice(-1, None)), "must be finite"),
+    "negative-time": (_set_field(0, "-0.3"), "times must be nonnegative"),
+    "negative-count": (_set_field(2, "-1.0"), "must be nonnegative"),
+    "sigma-string": (_edit_comment("meta-sigma", lambda sigma: "abc"), "meta-sigma"),
+    "sigma-negative": (_edit_comment("meta-sigma", lambda sigma: -1.0), "meta-sigma"),
+    "sigma-nan": (_edit_comment("meta-sigma", lambda sigma: float("nan")), "meta-sigma"),
+    "sigma-huge-integer": (_edit_comment("meta-sigma", lambda sigma: 10**400), "meta-sigma"),
+}
+
+
+@pytest.mark.parametrize("case", list(DATASET_CORRUPTIONS))
+def test_infer_rejects_corrupt_dataset(smoke_stages, tmp_path, capsys, case):
+    edit, reason = DATASET_CORRUPTIONS[case]
+    path = tmp_path / "dataset.csv"
+    text = (smoke_stages / "dataset.csv").read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    assert run("infer", "--config", str(smoke_stages.parent / "smoke.json"), "--dataset", str(path),
+               "--out-dir", str(tmp_path / "out")) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out" / "particles.csv").exists()
 
 
 def test_verify_on_nan_weight_exits_instead_of_looping(smoke_stages, tmp_path):

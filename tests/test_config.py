@@ -147,6 +147,7 @@ NAN, INF = float("nan"), float("inf")
         ("abc_particles", True),
         ("synth_volume_tolerance", 0.0),
         ("synth_volume_tolerance", 1.0),
+        ("observation_times", [-1.0, 2.0]),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

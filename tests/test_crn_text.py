@@ -19,7 +19,7 @@ def test_sir_file_parses(tmp_path):
         "conserve 100;\n"
     )
     pcrn = parse_crn(src)
-    assert pcrn.n_species == 3
+    assert len(pcrn.species) == 3
     assert pcrn.params.names == ("ki", "kr")
     assert pcrn.params.dims[0][1:] == (5e-5, 0.003)
     assert pcrn.initial_state == (95, 5, 0)

@@ -16,20 +16,19 @@ import importlib
 import numpy as np
 import pytest
 
+import crnverify.simulate as SIM
 from crnverify import (
     ConfigError,
     Dataset,
     ExperimentConfig,
     Trajectory,
     abcseq,
-    check_until,
     discrepancy,
     estimate_lambda,
     observe,
     parse_crn,
     parse_csl,
     perturb,
-    simulate,
 )
 from crnverify.abcsmc import (
     STATUS_ABORTED,
@@ -41,10 +40,8 @@ from crnverify.abcsmc import (
 )
 from crnverify.monitor import check_until_paths
 from crnverify.rng import STAGE_INFER, stream
-from crnverify.simulate import simulate_distances, simulate_paths
+from crnverify.simulate import simulate, simulate_distances, simulate_paths
 from reference_ssa import _DrawBuffer, reference_call, reference_simulate
-
-SIM = importlib.import_module("crnverify.simulate")
 
 DECAY = parse_crn(
     "format=1; species A B; param k in [0.1, 10];"
@@ -417,8 +414,9 @@ def _assert_array_check_matches(paths, phi1, phi2, t_lo, t_hi):
             assert witness[k] == when, k
         else:
             assert np.isnan(witness[k]), k
-        v = check_until(path, phi1, phi2, t_lo, t_hi, INDEX)
-        assert (v.satisfied, v.witness_time) == (ok, when)
+        # the path checked alone gets the same verdict and witness
+        (alone,), (alone_when,) = check_until_paths([path], phi1, phi2, t_lo, t_hi, INDEX)
+        assert bool(alone) == ok and (alone_when == when if ok else np.isnan(alone_when)), k
     return satisfied, witness
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crnverify import Trajectory, check_until, estimate_lambda, parse_crn, parse_csl
+from crnverify import Trajectory, check_until_paths, estimate_lambda, parse_crn, parse_csl
 from crnverify.rng import stream
 
 SIR = parse_crn(
@@ -26,18 +26,18 @@ def sir_path(jumps, horizon=200.0):
 class TestCheckUntil:
     def test_extinction_inside_window(self):
         path = sir_path([(0, 95, 5, 0), (60, 50, 10, 40), (120, 50, 0, 50)])
-        v = check_until(path, PHI1, PHI2, 100.0, 150.0, INDEX)
-        assert v.satisfied and v.witness_time == pytest.approx(120.0)
+        (sat,), (witness,) = check_until_paths([path], PHI1, PHI2, 100.0, 150.0, INDEX)
+        assert sat and witness == pytest.approx(120.0)
 
     def test_extinction_before_window_violates(self):
         path = sir_path([(0, 95, 5, 0), (90, 60, 0, 40)])
-        v = check_until(path, PHI1, PHI2, 100.0, 150.0, INDEX)
-        assert not v.satisfied
+        (sat,), (witness,) = check_until_paths([path], PHI1, PHI2, 100.0, 150.0, INDEX)
+        assert not sat and np.isnan(witness)
 
     def test_never_extinct_violates(self):
         path = sir_path([(0, 95, 5, 0), (80, 40, 30, 30)])
-        v = check_until(path, PHI1, PHI2, 100.0, 150.0, INDEX)
-        assert not v.satisfied
+        (sat,), (witness,) = check_until_paths([path], PHI1, PHI2, 100.0, 150.0, INDEX)
+        assert not sat and np.isnan(witness)
 
     def test_witness_at_window_start_when_already_satisfying(self):
         # phi2 state entered before the window while phi1 held: the jump
@@ -45,13 +45,13 @@ class TestCheckUntil:
         # window start is what fulfils the interval
         true_f = parse_csl("P>0 [ true U[10,20] (I=0) ]")
         path = sir_path([(0, 95, 5, 0), (5, 95, 0, 5)])
-        v = check_until(path, true_f.path.phi1, true_f.path.phi2, 10.0, 20.0, INDEX)
-        assert v.satisfied and v.witness_time == pytest.approx(10.0)
+        (sat,), (witness,) = check_until_paths([path], true_f.path.phi1, true_f.path.phi2, 10.0, 20.0, INDEX)
+        assert sat and witness == pytest.approx(10.0)
 
     def test_short_horizon_raises(self):
         path = sir_path([(0, 95, 5, 0)], horizon=100.0)
         with pytest.raises(ValueError):
-            check_until(path, PHI1, PHI2, 100.0, 150.0, INDEX)
+            check_until_paths([path], PHI1, PHI2, 100.0, 150.0, INDEX)
 
     def test_refinement_invariance(self):
         rng = np.random.default_rng(414)
@@ -64,7 +64,7 @@ class TestCheckUntil:
             path = sir_path(rows)
             t_lo = float(rng.uniform(0, 100))
             t_hi = t_lo + float(rng.uniform(0, 90))
-            base = check_until(path, PHI1, PHI2, t_lo, t_hi, INDEX)
+            (base,), _ = check_until_paths([path], PHI1, PHI2, t_lo, t_hi, INDEX)
             # insert a redundant sample point inside a random interval
             k = int(rng.integers(0, len(times)))
             upper = times[k + 1] if k + 1 < len(times) else 200.0
@@ -72,8 +72,8 @@ class TestCheckUntil:
             if extra_t in path.times:
                 continue
             new_rows = rows[: k + 1] + [(extra_t, *rows[k][1:])] + rows[k + 1:]
-            refined = check_until(sir_path(new_rows), PHI1, PHI2, t_lo, t_hi, INDEX)
-            assert refined.satisfied == base.satisfied
+            (refined,), _ = check_until_paths([sir_path(new_rows)], PHI1, PHI2, t_lo, t_hi, INDEX)
+            assert refined == base
 
     def test_window_widening_preserves_satisfaction(self):
         rng = np.random.default_rng(515)
@@ -84,16 +84,16 @@ class TestCheckUntil:
             path = sir_path([(t, 50, i, 50 - i) for t, i in zip(times, i_counts)])
             t_lo = float(rng.uniform(0, 100))
             t_hi = t_lo + float(rng.uniform(0, 80))
-            v = check_until(path, PHI1, PHI2, t_lo, t_hi, INDEX)
-            if not v.satisfied:
+            (sat,), _ = check_until_paths([path], PHI1, PHI2, t_lo, t_hi, INDEX)
+            if not sat:
                 continue
-            wider = check_until(path, PHI1, PHI2, max(0.0, t_lo - 5.0), t_hi + 5.0, INDEX)
-            assert wider.satisfied
+            (wider,), _ = check_until_paths([path], PHI1, PHI2, max(0.0, t_lo - 5.0), t_hi + 5.0, INDEX)
+            assert wider
 
     def test_witness_lies_in_window(self):
         path = sir_path([(0, 95, 5, 0), (110, 60, 0, 40)])
-        v = check_until(path, PHI1, PHI2, 100.0, 150.0, INDEX)
-        assert v.satisfied and 100.0 <= v.witness_time <= 150.0
+        (sat,), (witness,) = check_until_paths([path], PHI1, PHI2, 100.0, 150.0, INDEX)
+        assert sat and 100.0 <= witness <= 150.0
 
 
 class TestEstimateLambda:

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from crnverify import ConfigError, parse_crn, parse_csl, propensity, simulate
+from crnverify import ConfigError, parse_crn, parse_csl, propensity
 from crnverify.cli import main
 from crnverify.files import write_json
 from crnverify.rng import stream
+from crnverify.simulate import simulate
 from crnverify.transient import evaluator_for
 
 REPO = Path(__file__).resolve().parents[1]

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from crnverify import ExperimentConfig, abcseq, observe, parse_crn, simulate
+from crnverify import ExperimentConfig, abcseq, observe, parse_crn
 from crnverify import rng as rngmod
 from crnverify.rng import STAGE_BASELINE, STAGE_GENERATE, STAGE_VERIFY, stream
+from crnverify.simulate import simulate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 20240901

@@ -12,11 +12,11 @@ from crnverify import (
     observe,
     parse_crn,
     save_dataset,
-    simulate,
     simulate_paths,
     states_at,
 )
 from crnverify.rng import stream
+from crnverify.simulate import simulate
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
 SIR = parse_crn(
@@ -56,14 +56,12 @@ class TestSimulate:
         assert tuple(states_at(traj, [10.0])[0]) == (3,)
 
     def test_sir_case_study_satisfaction_rate_exceeds_bound(self):
-        from crnverify import check_until, parse_csl
+        from crnverify import check_until_paths, parse_csl
 
         f = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
-        hits = 0
-        for traj in simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1)):
-            if check_until(traj, f.path.phi1, f.path.phi2, 100.0, 150.0, SIR.species_index()).satisfied:
-                hits += 1
-        assert hits / 1000 > 0.1
+        paths = simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1))
+        satisfied, _ = check_until_paths(paths, f.path.phi1, f.path.phi2, 100.0, 150.0, SIR.species_index())
+        assert np.count_nonzero(satisfied) / 1000 > 0.1
 
     def test_trajectory_steps_match_reaction_stoichiometry(self):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(123, 0))
@@ -181,6 +179,13 @@ class TestDatasetFiles:
         assert np.array_equal(loaded.times, data.times)
         assert np.array_equal(loaded.observations, data.observations)
         assert loaded.sigma == 2.0
+
+    def test_noisy_observations_may_be_negative(self, tmp_path):
+        # noise can carry a zero count below zero; only noiseless counts must be nonnegative
+        data = Dataset(times=np.array([1.0, 2.0]), observations=np.array([[-0.7], [3.2]]), species=("A",), sigma=2.0)
+        path = tmp_path / "d.csv"
+        save_dataset(data, path)
+        assert np.array_equal(load_dataset(path).observations, data.observations)
 
     def test_header_shape(self, tmp_path):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(32, 0))

@@ -10,8 +10,6 @@ import pytest
 from crnverify import (
     ConfigError,
     ExperimentConfig,
-    classify_point,
-    feasible_volume_fraction,
     load_partition,
     parse_crn,
     parse_csl,
@@ -68,9 +66,7 @@ class TestSynthesize:
     def test_narrow_satisfying_band_is_found(self):
         # shallow corner agreement must not label the band away
         part = synthesize(DECAY50, BAND, settings(0.05))
-        assert classify_point(part, (0.9,)) == LABEL_SAT
-        assert classify_point(part, (5.0,)) == LABEL_VIOL
-        assert classify_point(part, (0.15,)) == LABEL_VIOL
+        assert classify_points(part, [(0.9,), (5.0,), (0.15,)]).tolist() == [LABEL_SAT, LABEL_VIOL, LABEL_VIOL]
 
     def test_decay_bound_is_bracketed(self, ab_partition):
         # every T box lies right of the crossing, every F box left of it
@@ -210,25 +206,27 @@ def _shuffled_grid_partition(rng):
 
 class TestClassifyPoint:
     def test_known_sides_of_the_crossing(self, ab_partition):
-        assert classify_point(ab_partition, (5.0,)) == LABEL_SAT
-        assert classify_point(ab_partition, (0.15,)) == LABEL_VIOL
+        assert classify_points(ab_partition, [(5.0,), (0.15,)]).tolist() == [LABEL_SAT, LABEL_VIOL]
 
     def test_single_box_partition_classifies_everything(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
         part = synthesize(AB, trivial, settings(0.1))
-        for k in (0.1, 1.0, 10.0):
-            assert classify_point(part, (k,)) == LABEL_SAT
+        assert classify_points(part, [(0.1,), (1.0,), (10.0,)]).tolist() == [LABEL_SAT] * 3
 
-    def test_outside_theta_raises(self, ab_partition):
-        with pytest.raises(ValueError):
-            classify_point(ab_partition, (11.0,))
+    def test_outside_theta_is_none(self, ab_partition):
+        assert classify_points(ab_partition, [(11.0,), (5.0,), (0.05,)]).tolist() == [None, LABEL_SAT, None]
+
+    @pytest.mark.parametrize("points", [[(1.0, 2.0)], [1.0], [[]]])
+    def test_points_of_the_wrong_shape_raise(self, ab_partition, points):
+        with pytest.raises(ConfigError, match=r"do not match parameters \['k'\]"):
+            classify_points(ab_partition, points)
 
     def test_boundary_tie_break_is_deterministic(self, ab_partition):
         # a shared face between two boxes: lexicographically smaller corner wins
         corner_key = lambda box: (tuple(box[0]), tuple(box[1]))
         boxes = list(zip(ab_partition.lo, ab_partition.hi, ab_partition.labels))
         face = min(boxes, key=corner_key)[1][0]
-        label = classify_point(ab_partition, (face,))
+        label = classify_points(ab_partition, [(face,)])[0]
         containing = [box for box in boxes if box[0][0] <= face <= box[1][0]]
         assert len(containing) == 2
         want = min(containing, key=corner_key)[2]
@@ -270,12 +268,12 @@ class TestVolumes:
     def test_all_sat_partition(self):
         trivial = parse_csl("P>=0 [ true U[0,1] true ]")
         part = synthesize(AB, trivial, settings(0.1))
-        assert feasible_volume_fraction(part) == pytest.approx(1.0)
+        assert part.volume(LABEL_SAT) / part.theta_volume() == pytest.approx(1.0)
 
     def test_all_violating_partition(self):
         impossible = parse_csl("P>1 [ true U[0,1] (A=5) ]")
         part = synthesize(AB, impossible, settings(0.1))
-        assert feasible_volume_fraction(part) == pytest.approx(0.0)
+        assert part.volume(LABEL_SAT) / part.theta_volume() == pytest.approx(0.0)
         assert all(label == LABEL_VIOL for label in part.labels)
 
     def test_half_split_partition(self):
@@ -290,7 +288,7 @@ class TestVolumes:
             relation=">",
             volume_tolerance=0.1,
         )
-        assert feasible_volume_fraction(part) == pytest.approx(0.5)
+        assert part.volume(LABEL_SAT) / part.theta_volume() == pytest.approx(0.5)
 
 
 class TestFiles:

@@ -7,7 +7,7 @@ from crnverify import (
     ConfigError,
     Posterior,
     bayes_smc,
-    check_threshold,
+    evaluator_for,
     fit_posterior,
     majority_verdict,
     parse_crn,
@@ -183,7 +183,7 @@ class TestBayesSmc:
         results = bayes_smc(post, SIR, CASE, n_params=1, n_sims=400, rng=stream(8, 0))
         assert len(results) == 1
         point, estimate, verdict = results[0]
-        assert verdict == check_threshold(SIR, (0.002, 0.05), CASE, tol=1e-8)
+        assert verdict == CASE.compare(evaluator_for(SIR, CASE).probability((0.002, 0.05), tol=1e-8))
 
     def test_majority_verdicts_at_ground_truth_points(self):
         sat = Posterior(names=("ki", "kr"), mean=np.array([0.002, 0.05]), variance=np.array([1e-10, 1e-8]))
