@@ -26,7 +26,7 @@ theta_viol = (0.002, 0.18)
 
 for name, theta in [("satisfying", theta_sat), ("violating", theta_viol)]:
     exact = evaluator.probability(theta)
-    est = estimate_lambda(pcrn, theta, prop, 1000, stream(7, 0))
+    (est,) = estimate_lambda(pcrn, [theta], prop, 1000, [stream(7, 0)])
     decided = prop.compare(exact)
     print(
         f"{name:10s} rates {dict(zip(pcrn.params.names, theta))}: exact {exact:.4f}, "

@@ -21,7 +21,7 @@ data = observe(trajectory, np.linspace(0.5, 10.0, 10), 2.0, stream(42, 1), speci
 print("observed A counts:", np.round(data.observations[:, 0], 1))
 
 config = ExperimentConfig(seed=42, abc_particles=400, abc_rounds=6)
-batches = [abcseq(pcrn, data, config, batch=b) for b in range(3)]
+batches = abcseq(pcrn, data, config, [0, 1, 2])
 print("\nannealed thresholds per batch:")
 for b, result in enumerate(batches):
     finite = [f"{t:.1f}" for t in result.thresholds if np.isfinite(t)]

@@ -24,13 +24,22 @@ scheduling: the pending slots over the last wave's acceptance rate
 (starting at twice the slots, as the threshold is the median), at least
 one lane per slot and at most ``simulate._LANES``.
 
+Batches.  ``abcseq`` runs several batches in lockstep: each keeps its own
+rounds, waves and streams, and the next wave of every batch still
+running is simulated in one call, one generator group per wave.  A
+group draws exactly what its own call would (``simulate`` module
+docstring), so a batch's particles do not depend on which batches run
+beside it, nor on how ``infer`` shares batches among workers.
+
 Early rejection.  The simulation stops a lane once its partial distance
-exceeds the round's threshold (``simulate_distances``).  That lane would
-have been rejected anyway, so this is exact: the zero-continuation case
-of lazy ABC (Prangle, Statistics and Computing 2016).
+exceeds its batch's threshold for the round (``simulate_distances``).
+That lane would have been rejected anyway, so this is exact: the
+zero-continuation case of lazy ABC (Prangle, Statistics and Computing
+2016).
 """
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,9 +126,9 @@ def _kernel_mixture_density(new_points: np.ndarray, old_points: np.ndarray, old_
     return out
 
 
-def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) -> ParticleSet:
-    """Run one batch of the sequential ABC sampler and return its final
-    particle set.
+def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batches: Sequence[int] = (0,)) -> list[ParticleSet]:
+    """Run the given batches of the sequential ABC sampler in lockstep and
+    return each one's final particle set, in the order of ``batches``.
 
     Reads ``abc_particles``, ``abc_rounds``, ``abc_max_attempts`` and
     ``seed`` of ``config``.  The prior is uniform over ``pcrn.params``, and
@@ -130,7 +139,42 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
     round's set is returned with an "aborted" status; if the threshold
     stalls for two consecutive rounds the current set is returned flagged
     "converged-early".
+
+    The batches run in lockstep, as the module docstring states: each
+    batch's result is what a call of that batch alone returns.
     """
+    runs = [_batch(pcrn, data, config, b) for b in batches]
+    results: list = [None] * len(runs)
+    waves = {}  # run index -> (proposals, threshold, generator) of its next wave
+
+    def advance(i: int, distances) -> None:
+        try:
+            waves[i] = runs[i].send(distances)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while waves:
+        ids, requests = list(waves), list(waves.values())
+        waves.clear()
+        sizes = [len(points) for points, _, _ in requests]
+        rho = simulate_distances(
+            pcrn,
+            np.concatenate([points for points, _, _ in requests]),
+            data,
+            np.repeat([eps for _, eps, _ in requests], sizes),
+            [(rng, n) for (_, _, rng), n in zip(requests, sizes)],
+        )
+        for i, distances in zip(ids, np.split(rho, np.cumsum(sizes)[:-1])):
+            advance(i, distances)
+    return results
+
+
+def _batch(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int):
+    """One batch of ``abcseq`` as a generator: it yields each wave's
+    simulation as (proposals, threshold, generator), is sent back the
+    proposals' distances, and returns the batch's final particle set."""
     m = config.abc_particles
     space = pcrn.params
     order, lo, hi = space.names, space.lower, space.upper
@@ -138,7 +182,7 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
     # round 0: prior draws, one path each, all accepted
     rng = rngmod.stream(config.seed, rngmod.STAGE_INFER, batch, 0, 0)
     points = lo + (hi - lo) * rng.random((m, len(lo)))
-    distances = simulate_distances(pcrn, points, data, np.inf, rng)
+    distances = yield points, np.inf, rng
     attempts_total = m
     weights = np.full(m, 1.0 / m)
     thresholds = [float("inf")]
@@ -180,7 +224,7 @@ def abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batch: int = 0) 
             inside = np.all((lo <= proposals) & (proposals <= hi), axis=1)
             rho = np.full(len(slot), np.inf)
             if inside.any():
-                rho[inside] = simulate_distances(pcrn, proposals[inside], data, eps, rng)
+                rho[inside] = yield proposals[inside], eps, rng
             accepted = inside & (rho <= eps)
             # each slot's winner is its first accepted lane; its attempts
             # run up to and including it
@@ -264,8 +308,14 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
     names = tuple(header[3:-1])
     lo = meta.get("theta_lo")
     hi = meta.get("theta_hi")
-    if lo is None or hi is None:
-        raise ParseError("particle file metadata missing the parameter space")
+
+    def bounds(values) -> bool:  # one finite number per parameter
+        return type(values) is list and len(values) == len(names) and all(
+            type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max for v in values)
+
+    if not (bounds(lo) and bounds(hi) and all(a < b for a, b in zip(lo, hi))):
+        raise ParseError(f"particle file {path}: metadata 'theta_lo' and 'theta_hi' must give one finite "
+                         f"number per parameter {list(names)}, each lower bound below its upper bound")
     space = ParameterSpace(tuple(zip(names, map(float, lo), map(float, hi))))
     try:
         table = np.array(rows, dtype=float).reshape(len(rows), len(header))

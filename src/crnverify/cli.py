@@ -99,7 +99,7 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
     return partition_path, heatmap_path, partition.status
 
 
-def _run_batch(args) -> ParticleSet:
+def _run_batches(args) -> list[ParticleSet]:
     return abcseq(*args)
 
 
@@ -111,12 +111,16 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
         raise ConfigError(
             f"dataset species {data.species} do not match model species {pcrn.species_names()}"
         )
-    jobs = [(pcrn, data, config, b) for b in range(config.abc_batches)]
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batch_sets = list(pool.map(_run_batch, jobs))
+    batches = list(range(config.abc_batches))
+    workers = min(config.workers, len(batches))
+    if workers > 1:
+        # each worker runs a contiguous share of the batches in lockstep
+        shares = [batches[w * len(batches) // workers:(w + 1) * len(batches) // workers] for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batch_sets = [s for sets in pool.map(_run_batches, [(pcrn, data, config, share) for share in shares])
+                          for s in sets]
     else:
-        batch_sets = [_run_batch(job) for job in jobs]
+        batch_sets = abcseq(pcrn, data, config, batches)
     particles_path = out_dir / "particles.csv"
     save_particles(batch_sets, pcrn.params, particles_path, seed=config.seed)
     posterior_path = out_dir / "posterior.json"

@@ -5,7 +5,7 @@ that draws random numbers keys them by the seed, and ``rng.stream`` fails
 without one, so a config fully determines every output byte.
 """
 
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -85,7 +85,9 @@ class ExperimentConfig:
         if self.observation_end is not None:
             reals.append(("observation_end", self.observation_end))
         for name, value in reals:
-            if not math.isfinite(value):
+            # compared with the float range, as math.isfinite would overflow
+            # on a huge JSON integer; NaN fails both comparisons
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")

@@ -6,10 +6,11 @@ intervals rather than sampling a time grid, so verdicts carry no
 discretization error.  At a jump instant the post-jump state governs,
 matching the simulator's right-continuous convention.
 
-An estimate draws all its runs from the one generator it is given: they
-are lanes of ``simulate_visits`` calls of at most ``simulate._LANES``
-lanes each, made in turn on that generator, and are checked on the flat
-visit arrays those calls return.
+An estimate draws all its runs from the one generator it is given for
+its point: they are lanes of ``simulate_visits`` calls of at most
+``simulate._LANES`` lanes each, made in turn on that generator, and are
+checked on the flat visit arrays those calls return.  Estimates at many
+points share those calls, each point's runs forming their own groups.
 """
 
 from collections.abc import Sequence
@@ -93,32 +94,55 @@ def _check_until_visits(
 
 def estimate_lambda(
     pcrn: PCRN,
-    point: Sequence[float],
+    points: Sequence[Sequence[float]],
     formula: CslFormula,
     n_sims: int,
-    rng: np.random.Generator,
-) -> LambdaEstimate:
-    """Fraction of independent sample paths satisfying the path formula.
+    rngs: Sequence[np.random.Generator],
+) -> list[LambdaEstimate]:
+    """Fraction of ``n_sims`` independent sample paths satisfying the path
+    formula, at each of ``points``.
 
-    The runs are lanes of ``simulate_visits`` on ``rng``, in blocks of at
-    most ``_LANES``.  The half-width is the 95% normal approximation,
-    intended for diagnostics rather than guarantees.
+    Point ``i``'s runs draw from ``rngs[i]`` alone, as ``simulate_visits``
+    calls of at most ``_LANES`` lanes made in turn on it.  The points'
+    runs share calls: each call packs whole pieces of at most ``_LANES``
+    runs, in point order, one group per piece, up to ``_LANES`` lanes in
+    all.  The half-width is the 95% normal approximation, intended for
+    diagnostics rather than guarantees.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
+    if len(points) != len(rngs):
+        raise ValueError(f"{len(points)} points need as many generators, got {len(rngs)}")
     path = formula.path
-    values = point_values(pcrn.params.names, point)
-    satisfied = 0
-    for start in range(0, n_sims, _LANES):
-        lanes = min(_LANES, n_sims - start)
+    values = [point_values(pcrn.params.names, point) for point in points]
+    # pieces (point, runs), packed in order into calls of at most _LANES
+    # lanes; a point wider than _LANES fills whole calls before its last
+    # piece, so no call holds two pieces of one point
+    calls, width = [], _LANES
+    for i in range(len(values)):
+        for start in range(0, n_sims, _LANES):
+            runs = min(_LANES, n_sims - start)
+            if width + runs > _LANES:
+                calls.append([])
+                width = 0
+            calls[-1].append((i, runs))
+            width += runs
+    satisfied = np.zeros(len(values), dtype=np.int64)
+    for call in calls:
+        ids, sizes = [i for i, _ in call], [n for _, n in call]
         if path.t_hi > 0:
-            states, times, ends = simulate_visits(pcrn, [values] * lanes, path.t_hi, rng)
+            states, times, ends = simulate_visits(pcrn, np.repeat([values[i] for i in ids], sizes, axis=0),
+                                                  path.t_hi, [(rngs[i], n) for i, n in call])
         else:  # every run is its initial state alone
+            lanes = sum(sizes)
             states = np.tile(np.asarray(pcrn.initial_state, dtype=np.int64), (lanes, 1))
             times, ends = np.zeros(lanes), np.arange(1, lanes + 1)
         hits, _ = _check_until_visits(states, times, ends, path.phi1, path.phi2, path.t_lo, path.t_hi,
                                       pcrn.species_index())
-        satisfied += int(np.count_nonzero(hits))
-    mean = satisfied / n_sims
-    ci = 1.96 * float(np.sqrt(mean * (1.0 - mean) / n_sims))
-    return LambdaEstimate(mean=mean, n=n_sims, ci_halfwidth=ci)
+        satisfied[ids] += np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64)
+    estimates = []
+    for count in satisfied.tolist():
+        mean = count / n_sims
+        ci = 1.96 * float(np.sqrt(mean * (1.0 - mean) / n_sims))
+        estimates.append(LambdaEstimate(mean=mean, n=n_sims, ci_halfwidth=ci))
+    return estimates

@@ -7,22 +7,31 @@ propensity.  Observation turns a trajectory into the kind of data the
 inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
 
-Draw contract.  ``simulate_paths`` runs many paths ("lanes") in lockstep
-on one generator per call.  Lane ``j`` owns column ``j`` of every draw
-block for the whole call:
+Draw contract.  ``simulate_paths`` runs many paths ("lanes") in lockstep.
+The lanes of a call split, in order, into groups, each drawing from its
+own generator; ``simulate_paths`` makes one group of every lane, and
+``simulate_visits`` and ``simulate_distances`` also take a list of
+(generator, lanes) groups.  Lane ``j`` of a group owns column ``j`` of
+every draw block of its group for the whole call:
 
 - at the start, a (rows x lanes) block of standard exponentials, then a
-  (rows x lanes) block of uniforms, with rows = ceil(``_BLOCK`` / lanes);
+  (rows x lanes) block of uniforms, with rows = ceil(``_BLOCK`` / lanes)
+  over the group's lanes;
 - per step, a lane reads one exponential for its holding time, then one
   uniform for its reaction, from the row the call's step count selects;
-  once every row is spent, the step that needs a fresh row refills the
-  whole block, for every lane of the call, live or not;
+  once every row of a group's block is spent, the step that needs a
+  fresh row refills the whole block, for every lane of the group, live
+  or not: the exponentials if a lane of the group draws one at that
+  step, the uniforms if one of its lanes then still runs;
 - a lane whose total propensity is zero (absorbing) stops before drawing,
   and a lane whose next jump time is at or past the horizon stops after
   its exponential, without a uniform.
 
-A lane's numbers are fixed by its column, so a lane that absorbs or stops
-early never shifts another lane's path.  A one-lane call reads 256-draw
+A lane's numbers are fixed by its group and column, so a lane that
+absorbs or stops early never shifts another lane's path, and a group
+draws exactly what a call of its lanes alone would draw: its paths are
+that call's bit for bit, and its generator ends where that call leaves
+it, whatever groups run beside it.  A one-lane call reads 256-draw
 blocks from its generator in the order a one-path loop would, and leaves
 it where that loop leaves it: ``generate`` observes its path with the
 same generator.  Propensities come from ``model._falling_product`` and
@@ -32,12 +41,14 @@ one-path loop.
 ``simulate_distances`` runs the same kernel against a dataset without
 keeping paths: each lane adds its squared error at an observation time
 as its clock passes it, in the order ``discrepancy`` sums, and stops once
-its partial distance exceeds the threshold.  Partial sums of nonnegative
+its partial distance exceeds its threshold (one per call, or one per
+lane).  Partial sums of nonnegative
 terms never decrease, so a stopped lane is exactly one that would have
 been rejected, and a finished lane's distance is ``discrepancy`` of its
 path, bit for bit.
 """
 
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,7 +62,8 @@ from .model import PCRN, _falling_product, compiled_reactions, point_values
 
 _BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call overhead
 # widest call an estimate makes, which bounds its memory at O(_LANES x
-# events), and widest ABC wave unless it has more pending slots
+# events), and widest ABC wave unless it has more pending slots (a call
+# of several batches' waves keeps no paths, so its memory is O(lanes))
 _LANES = 1024
 
 
@@ -120,23 +132,33 @@ def simulate_paths(pcrn: PCRN, points, t_end: float, rng: np.random.Generator) -
     ]
 
 
-def simulate_visits(pcrn: PCRN, points, t_end: float, rng: np.random.Generator):
+def simulate_visits(pcrn: PCRN, points, t_end: float, rng):
     """The paths of ``simulate_paths`` as flat arrays, without building a
     ``Trajectory`` per lane: ``(states, times, ends)``, lane ``i``'s visits
-    in rows ``ends[i-1]:ends[i]`` (from 0 for lane 0), in step order."""
+    in rows ``ends[i-1]:ends[i]`` (from 0 for lane 0), in step order.
+    ``rng`` is one generator for every lane, or a list of (generator,
+    lanes) groups as the module docstring states."""
     values = _lane_values(pcrn, points)
-    lane_of, states, times = _lockstep(pcrn, values, float(t_end), rng)
+    lane_of, states, times = _lockstep(pcrn, values, float(t_end), _groups(rng, len(values)))
     order = np.argsort(lane_of, kind="stable")
     return states[order].astype(np.int64), times[order], np.cumsum(np.bincount(lane_of, minlength=len(values)))
 
 
-def simulate_distances(pcrn: PCRN, points, data: Dataset, eps: float, rng: np.random.Generator) -> np.ndarray:
+def simulate_distances(pcrn: PCRN, points, data: Dataset, eps, rng) -> np.ndarray:
     """``discrepancy`` between ``data`` and one path per lane, simulated up
-    to the last observation time as ``simulate_paths`` would, without
-    keeping the paths.  A lane stops as soon as its partial distance
-    exceeds ``eps`` and reads infinity; every other lane's distance is
-    that of its full path."""
-    return _lockstep(pcrn, _lane_values(pcrn, points), float(data.times[-1]), rng, data, float(eps))
+    to the last observation time as ``simulate_visits`` would, without
+    keeping the paths.  ``eps`` is one threshold for every lane or one per
+    lane.  A lane stops as soon as its partial distance exceeds its
+    threshold and reads infinity; every other lane's distance is that of
+    its full path."""
+    values = _lane_values(pcrn, points)
+    try:
+        eps = np.broadcast_to(np.asarray(eps, dtype=float), len(values))
+    except ValueError as exc:
+        raise ConfigError(f"{np.shape(eps)} thresholds for {len(values)} lanes") from exc
+    if not np.all(eps >= 0):  # NaN fails too
+        raise ConfigError("distance thresholds must be nonnegative")
+    return _lockstep(pcrn, values, float(data.times[-1]), _groups(rng, len(values)), data, eps)
 
 
 def _lane_values(pcrn: PCRN, points) -> np.ndarray:
@@ -147,17 +169,30 @@ def _lane_values(pcrn: PCRN, points) -> np.ndarray:
     return values
 
 
-def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, rng: np.random.Generator,
-              data: Dataset | None = None, eps: float = np.inf):
+def _groups(rng, m: int) -> list:
+    """One (generator, lanes) group for all ``m`` lanes, or the given
+    groups, which must split them into nonempty runs."""
+    if isinstance(rng, np.random.Generator):
+        return [(rng, m)]
+    groups = [(g, operator.index(n)) for g, n in rng]
+    if any(n < 1 for _, n in groups) or sum(n for _, n in groups) != m:
+        raise ConfigError(f"groups of {[n for _, n in groups]} lanes do not split {m} lanes")
+    return groups
+
+
+def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
+              data: Dataset | None = None, eps: np.ndarray | None = None):
     """The Gillespie kernel: every lane of ``values`` advances together as
     arrays of states (lanes, n), clocks and rates (R, lanes).  A lane leaves
     them once its next jump falls at or past ``t_end``; an absorbing
     lane's next jump is at infinity.  All active lanes have taken the same
-    number of steps, so they read the same row of the draw blocks.
+    number of steps, so each group's lanes read the same row of its draw
+    blocks.  ``groups`` splits the lanes, in order, into (generator, lanes)
+    runs.
 
     Without ``data``, returns every visit as (lane, state, entry time)
     arrays in step order.  With it, returns each lane's distance to the
-    data (infinity for a lane stopped past ``eps``).
+    data (infinity for a lane stopped past its entry of ``eps``).
     """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
@@ -170,9 +205,24 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, rng: np.random.Gener
         for i, d in changes:
             delta[j, i] = d
 
-    rows = -(-_BLOCK // m)
-    exps = rng.standard_exponential((rows, m))
-    unis = rng.random((rows, m))
+    # every group's (rows x lanes) blocks lie side by side in flat buffers,
+    # drawn as its own call draws them: lane j of group g reads row r at
+    # spans[g].start + r * sizes[g] + j
+    rngs = [rng for rng, _ in groups]
+    sizes = [n for _, n in groups]
+    rows = [-(-_BLOCK // n) for n in sizes]
+    ends = np.cumsum([r * n for r, n in zip(rows, sizes)]).tolist()
+    spans = [slice(end - r * n, end) for end, r, n in zip(ends, rows, sizes)]
+    exps, unis = np.empty(ends[-1]), np.empty(ends[-1])
+    for rng, span in zip(rngs, spans):
+        rng.standard_exponential(out=exps[span])
+        rng.random(out=unis[span])
+    group = np.repeat(np.arange(len(groups)), sizes)
+    # each lane's index in row 0 of its group's blocks, and its row stride
+    base = np.repeat([span.start - j for span, j in zip(spans, np.cumsum([0, *sizes]).tolist())], sizes) + np.arange(m)
+    width = np.repeat(sizes, sizes)
+    active = sizes  # each group's lanes still running
+    fresh_at = min(rows)  # the next step at which some group starts a fresh row
 
     # counts are exact in float64, the propensity kernel's column type
     lanes = np.arange(m)
@@ -185,57 +235,82 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, rng: np.random.Gener
         nxt = np.zeros(m, dtype=np.intp)  # each lane's next observation
         due = np.full(m, obs_times[0])  # and its time
         partial = np.zeros(m)
-    step = 0
-    while True:
-        # propensities and their running sums, added in reaction order
-        x = states.T
-        total = rates[0] * _falling_product(reactants[0], x) if compiled else np.zeros(len(lanes))
-        cum = [total]
-        for j in range(1, last + 1):
-            total = total + rates[j] * _falling_product(reactants[j], x)
-            cum.append(total)
-        # an absorbing lane draws nothing: its next jump is at infinity
-        live = total > 0.0
-        col = step % rows
-        if col == 0 and step and live.any():
-            exps = rng.standard_exponential((rows, m))
-        t_next = t + np.divide(exps[col, lanes], total, out=np.full(len(lanes), np.inf), where=live)
-        keep = t_next < t_end
-        if data is not None:
-            # the state held on [t, t_next) is the one every observation
-            # before t_next reads; a lane leaving holds it to the end
-            reach = np.where(keep, t_next, np.inf)
-            cross = due[lanes] < reach
-            if cross.any():
-                while cross.any():
-                    idx = lanes[cross]
-                    diff = observed[nxt[idx]] - states[cross]
-                    sq = diff * diff
-                    acc = partial[idx]
-                    for s in range(sq.shape[1]):
-                        acc = acc + sq[:, s]
-                    partial[idx] = acc
-                    nxt[idx] += 1
-                    due[idx] = obs_times[nxt[idx]]
-                    cross = due[lanes] < reach
-                keep &= np.sqrt(partial[lanes]) <= eps
-        if not keep.all():
-            lanes, rates, states, t_next = lanes[keep], rates[:, keep], states[keep], t_next[keep]
-            cum = [c[keep] for c in cum]
-            if not len(lanes):
-                break
-        if col == 0 and step:
-            unis = rng.random((rows, m))
-        u = unis[col, lanes] * cum[-1]
-        # the first reaction whose running sum exceeds u, else the last
-        chosen = last
-        for j in range(last - 1, -1, -1):
-            chosen = np.where(u < cum[j], j, chosen)
-        states = states + delta.take(chosen, axis=0)
-        t = t_next
-        if data is None:
-            visits.append((lanes, states, t))
-        step += 1
+    at, step, fresh = base, 0, None
+    # an absorbing lane's holding time divides by a zero total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            # propensities and their running sums, added in reaction order
+            x = states.T
+            total = rates[0] * _falling_product(reactants[0], x) if compiled else np.zeros(len(lanes))
+            cum = [total]
+            for j in range(1, last + 1):
+                total = total + rates[j] * _falling_product(reactants[j], x)
+                cum.append(total)
+            # an absorbing lane draws nothing: its next jump is at infinity
+            live = total > 0.0
+            if step == fresh_at:
+                # groups past their last row go back to row 0, and refill it
+                # if a lane of theirs still draws
+                fresh = [g for g, r in enumerate(rows) if step % r == 0]
+                fresh_at = step + min(r - step % r for r in rows)
+                if len(fresh) == len(rows):
+                    at = base
+                else:
+                    back = np.zeros(len(rows), dtype=bool)
+                    back[fresh] = True
+                    at = np.where(back[group], base, at)
+                drawing = active
+                if np.count_nonzero(live) < len(live):
+                    drawing = np.bincount(group[live], minlength=len(rows))
+                for g in fresh:
+                    if drawing[g]:
+                        rngs[g].standard_exponential(out=exps[spans[g]])
+            t_next = t + exps[at] / total
+            keep = live & (t_next < t_end)
+            if data is not None:
+                # the state held on [t, t_next) is the one every observation
+                # before t_next reads; a lane leaving holds it to the end
+                reach = np.where(keep, t_next, np.inf)
+                crossed = (due[lanes] < reach).nonzero()[0]
+                if len(crossed):
+                    cross = crossed
+                    while len(cross):
+                        idx = lanes[cross]
+                        diff = observed[nxt[idx]] - states[cross]
+                        sq = diff * diff
+                        acc = partial[idx]
+                        for s in range(sq.shape[1]):
+                            acc = acc + sq[:, s]
+                        partial[idx] = acc
+                        nxt[idx] += 1
+                        due[idx] = obs_times[nxt[idx]]
+                        cross = cross[due[idx] < reach[cross]]
+                    # only a lane that crossed has a new partial distance
+                    idx = lanes[crossed]
+                    keep[crossed] &= np.sqrt(partial[idx]) <= eps[idx]
+            if np.count_nonzero(keep) < len(keep):
+                lanes, rates, states, t_next = lanes[keep], rates[:, keep], states[keep], t_next[keep]
+                group, at, base, width = group[keep], at[keep], base[keep], width[keep]
+                cum = [c[keep] for c in cum]
+                if not len(lanes):
+                    break
+                active = np.bincount(group, minlength=len(rows))
+            if fresh is not None:
+                for g in fresh:
+                    if active[g]:
+                        rngs[g].random(out=unis[spans[g]])
+                fresh = None
+            u = unis[at] * cum[-1]
+            # the first reaction whose running sum exceeds u, else the last
+            chosen = last
+            for j in range(last - 1, -1, -1):
+                chosen = np.where(u < cum[j], j, chosen)
+            states = states + delta.take(chosen, axis=0)
+            t = t_next
+            if data is None:
+                visits.append((lanes, states, t))
+            at = at + width
+            step += 1
 
     if data is None:
         return tuple(np.concatenate(v) for v in zip(*visits))

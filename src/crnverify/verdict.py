@@ -201,6 +201,11 @@ def bayes_smc(
     plain frequency estimate against the property threshold.  The
     posterior must cover exactly the network's parameters; each point is
     returned in ``pcrn.params.names`` order, whatever the posterior's order.
+
+    Draw ``i`` takes child ``i`` of ``rng.spawn(n_params)``: its point's
+    normals, then its runs.  Every point is drawn first, and one
+    ``estimate_lambda`` call then runs all of them, so the draws share
+    simulation calls while each keeps to its own generator.
     """
     if n_params < 1 or n_sims < 1:
         raise ConfigError("n_params and n_sims must be positive")
@@ -211,18 +216,17 @@ def bayes_smc(
         )
     order = [posterior.names.index(name) for name in names]
     std = posterior.std()
-    results = []
-    for i, child in enumerate(rng.spawn(n_params)):
+    draws, points = rng.spawn(n_params), []
+    for child in draws:
         for _ in range(1000):
             values = posterior.mean + std * child.standard_normal(len(std))
             if np.all(values >= 0):
                 break
         else:
             raise ConfigError("posterior mass is almost entirely negative")
-        point = values[order]
-        estimate = estimate_lambda(pcrn, point, formula, n_sims, child)
-        results.append((point, estimate.mean, formula.compare(estimate.mean)))
-    return results
+        points.append(values[order])
+    estimates = estimate_lambda(pcrn, points, formula, n_sims, draws)
+    return [(point, e.mean, formula.compare(e.mean)) for point, e in zip(points, estimates)]
 
 
 def majority_verdict(results: list[tuple[np.ndarray, float, bool]]) -> bool:

@@ -46,6 +46,22 @@ def test_summary_of_pairs():
     assert job["median_change"] == pytest.approx(0.65 / 1.05 - 1.0)
     # a tie is not a win; one pair of four is better
     assert got["metrics"]["peak_rss_mb"]["wins"] == 1
+    # 3 wins, 1 loss: P(X >= 3), X ~ Bin(4, 1/2) = 5/16
+    assert job["sign_p"] == 5 / 16
+    # 1 win, 1 loss, 2 ties dropped: P(X >= 1), X ~ Bin(2, 1/2) = 3/4
+    assert got["metrics"]["peak_rss_mb"]["sign_p"] == 3 / 4
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 1 / 1024),
+    (9, 1, 11 / 1024),
+    (8, 2, 56 / 1024),
+    (5, 5, 638 / 1024),
+    (0, 10, 1.0),
+    (0, 0, 1.0),  # every pair tied: no evidence either way
+])
+def test_sign_test_p_values(wins, losses, p):
+    assert abpairs.sign_test(wins, losses) == p
 
 
 def test_higher_is_better_counts_the_other_way():

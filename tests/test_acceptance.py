@@ -223,7 +223,7 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
                        species=decay.species_names())
 
         # ABC weight normalization and strictly decreasing thresholds
-        res = abcseq(decay, data, ExperimentConfig(seed=8, abc_particles=200, abc_rounds=5))
+        (res,) = abcseq(decay, data, ExperimentConfig(seed=8, abc_particles=200, abc_rounds=5))
         assert abs(res.weights.sum() - 1.0) <= 1e-12
         finite = [t for t in res.thresholds if np.isfinite(t)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
@@ -231,7 +231,7 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
         # prior recovery under a threshold pinned at infinity
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(abcsmc, "adaptive_threshold", lambda distances: float("inf"))
-            res = abcseq(decay, data, ExperimentConfig(seed=1, abc_particles=400, abc_rounds=3))
+            (res,) = abcseq(decay, data, ExperimentConfig(seed=1, abc_particles=400, abc_rounds=3))
         rng = stream(1, 99)
         pts = res.points[:, 0]
         resampled = pts[rng.choice(len(pts), size=400, p=res.weights)]

@@ -318,6 +318,12 @@ def test_infer_outputs_do_not_depend_on_workers(smoke_stages, tmp_path):
                "--workers", "2", "--out-dir", str(tmp_path)) == 0
     for name in ("particles.csv", "posterior.json"):
         assert (tmp_path / name).read_bytes() == (smoke_stages / name).read_bytes()
+    # three batches: one worker runs two of them in lockstep
+    for workers in ("1", "2"):
+        assert run("infer", "--config", config, "--dataset", str(smoke_stages / "dataset.csv"), "--batches", "3",
+                   "--particles", "40", "--workers", workers, "--out-dir", str(tmp_path / workers)) == 0
+    for name in ("particles.csv", "posterior.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 POSTERIOR_CORRUPTIONS = {
@@ -398,6 +404,8 @@ PARTICLE_CORRUPTIONS = {
     "attempts-fraction": (_set_meta("attempts", [10.5, 10]), "metadata 'attempts'"),
     "status-unknown": (_set_meta("status", ["ok", "done"]), "metadata 'status'"),
     "no-status": (_drop_meta("status"), "metadata 'status'"),
+    "theta-lo-number": (_set_meta("theta_lo", 5), "metadata 'theta_lo' and 'theta_hi'"),
+    "theta-lo-extra-bound": (_set_meta("theta_lo", [0.1, 0.2]), "metadata 'theta_lo' and 'theta_hi'"),
 }
 
 

@@ -148,6 +148,7 @@ NAN, INF = float("nan"), float("inf")
         ("synth_volume_tolerance", 0.0),
         ("synth_volume_tolerance", 1.0),
         ("observation_times", [-1.0, 2.0]),
+        pytest.param("noise_sigma", 10**400, id="noise_sigma-huge-integer"),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

@@ -271,6 +271,72 @@ class TestKernelMatchesReference:
 
 
 # ---------------------------------------------------------------------------
+# Grouped calls against one call per group.
+
+
+def _group_points():
+    """Groups of 1, 3 and 300 SIR lanes, and a group of 3 whose fast
+    recovery absorbs them long before the horizon."""
+    fast = np.tile([[5e-5, 0.2]], (3, 1))
+    return [_sir_points(1, 40), _sir_points(3, 41), _sir_points(300, 42), fast]
+
+
+GROUP_EPS = [60.0, 90.0, 120.0, np.inf]  # one threshold per group
+
+
+def _assert_groups_match_own_calls(run, key):
+    """``run(points, eps, rng)`` on every group at once equals one call
+    per group, and leaves each group's generator where its own call does."""
+    groups = _group_points()
+    rngs, solos = [stream(key, g) for g in range(len(groups))], [stream(key, g) for g in range(len(groups))]
+    sizes = [len(points) for points in groups]
+    together = run(np.concatenate(groups), np.repeat(GROUP_EPS, sizes), list(zip(rngs, sizes)))
+    alone = [run(points, eps, solo) for points, eps, solo in zip(groups, GROUP_EPS, solos)]
+    for rng, solo in zip(rngs, solos):
+        assert rng.random() == solo.random()
+    return together, alone
+
+
+class TestGroupedCalls:
+    @pytest.mark.parametrize("block", [256, 60, 3])
+    def test_visits(self, monkeypatch, block):
+        # 60 and 3 draws per block refill every group's blocks mid-path
+        monkeypatch.setattr(SIM, "_BLOCK", block)
+        (states, times, ends), alone = _assert_groups_match_own_calls(
+            lambda points, eps, rng: SIM.simulate_visits(SIR, points, 150.0, rng), 30)
+        lane = 0
+        for g_states, g_times, g_ends in alone:
+            rows = slice(ends[lane - 1] if lane else 0, ends[lane + len(g_ends) - 1])
+            assert np.array_equal(states[rows], g_states) and np.array_equal(times[rows], g_times)
+            lane += len(g_ends)
+        # the fast group absorbed early: its paths end long before the horizon
+        assert times[ends[-4]:].max() < 75.0
+
+    @pytest.mark.parametrize("block", [256, 60, 3])
+    def test_distances(self, monkeypatch, block):
+        monkeypatch.setattr(SIM, "_BLOCK", block)
+        truth = reference_simulate(SIR, (0.002, 0.05), 150.0, stream(31, 0))
+        data = observe(truth, np.linspace(7.5, 150.0, 20), 0.0, stream(31, 1), species=SIR.species_names())
+        together, alone = _assert_groups_match_own_calls(
+            lambda points, eps, rng: simulate_distances(SIR, points, data, eps, rng), 32)
+        assert together.tolist() == np.concatenate(alone).tolist()
+        assert np.isinf(together).any() and np.isfinite(together).any()
+
+    def test_groups_must_split_the_lanes(self):
+        with pytest.raises(ConfigError, match="do not split"):
+            SIM.simulate_visits(DECAY, [[1.0]] * 3, 3.0, [(stream(33, 0), 2)])
+        with pytest.raises(ConfigError, match="do not split"):
+            SIM.simulate_visits(DECAY, [[1.0]] * 3, 3.0, [(stream(33, 0), 3), (stream(33, 1), 0)])
+
+    def test_thresholds_one_per_lane_and_nonnegative(self):
+        data = _dataset(DECAY, [1.0, 2.0], [[40, 10], [30, 20]])
+        with pytest.raises(ConfigError, match="thresholds"):
+            simulate_distances(DECAY, [[1.0]] * 3, data, [1.0, 2.0], stream(34, 0))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            simulate_distances(DECAY, [[1.0]] * 2, data, [1.0, np.nan], stream(34, 0))
+
+
+# ---------------------------------------------------------------------------
 # Early rejection against full distances.
 
 
@@ -354,7 +420,7 @@ class TestAbcseqMatchesReference:
         return observe(traj, np.linspace(0.3, 3.0, 10), 0.0, stream(100, 1), species=DECAY.species_names())
 
     def _check(self, data, config):
-        got = abcseq(DECAY, data, config)
+        (got,) = abcseq(DECAY, data, config)
         want = reference_abcseq(DECAY, data, config)
         assert got.status == want["status"]
         assert got.attempts == want["attempts"]
@@ -387,6 +453,26 @@ class TestAbcseqMatchesReference:
         config = ExperimentConfig(seed=2, abc_particles=40, abc_rounds=6, abc_max_attempts=max_attempts)
         got = self._check(data, config)
         assert got.status == STATUS_ABORTED and got.round == last_round
+
+
+class TestBatchesInLockstep:
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(seed=3, abc_particles=40, abc_rounds=4),
+        # tiny attempt budgets: batches abort in different rounds
+        ExperimentConfig(seed=2, abc_particles=40, abc_rounds=6, abc_max_attempts=8),
+    ])
+    def test_equal_one_call_per_batch(self, config):
+        traj = reference_simulate(DECAY, (1.0,), 3.0, stream(100, 0))
+        data = observe(traj, np.linspace(0.3, 3.0, 10), 0.0, stream(100, 1), species=DECAY.species_names())
+        together = abcseq(DECAY, data, config, [0, 1, 101])
+        for batch, got in zip([0, 1, 101], together):
+            (want,) = abcseq(DECAY, data, config, [batch])
+            assert (got.status, got.round, got.attempts, got.thresholds) == \
+                (want.status, want.round, want.attempts, want.thresholds)
+            for name in ("points", "weights", "distances"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # the batches took different numbers of waves
+        assert len({(s.round, s.attempts) for s in together}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +579,7 @@ class TestEstimateLambdaMatchesReference:
         formula = parse_csl(prop)
         path = formula.path
         point = (0.002, 0.05)
-        est = estimate_lambda(SIR, point, formula, 150, stream(11, 0))
+        (est,) = estimate_lambda(SIR, [point], formula, 150, [stream(11, 0)])
         if path.t_hi > 0:
             # the blocks are calls made in turn on the one generator
             rng = stream(11, 0)

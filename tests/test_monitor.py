@@ -99,24 +99,24 @@ class TestCheckUntil:
 class TestEstimateLambda:
     def test_trivially_true_formula(self):
         f = parse_csl("P>=0 [ true U[0,1] true ]")
-        est = estimate_lambda(SIR, (0.002, 0.05), f, 50, stream(1, 1))
+        est = estimate_lambda(SIR, [(0.002, 0.05)], f, 50, [stream(1, 1)])[0]
         assert est.mean == 1.0
         assert est.ci_halfwidth == 0.0
 
     def test_unsatisfiable_target(self):
         f = parse_csl("P>0 [ true U[0,5] (I>1000) ]")
-        est = estimate_lambda(SIR, (0.002, 0.05), f, 50, stream(2, 1))
+        est = estimate_lambda(SIR, [(0.002, 0.05)], f, 50, [stream(2, 1)])[0]
         assert est.mean == 0.0
 
     def test_reproducible_under_fixed_seed(self):
         point = (0.002, 0.05)
-        a = estimate_lambda(SIR, point, CASE, 200, stream(3, 9))
-        b = estimate_lambda(SIR, point, CASE, 200, stream(3, 9))
+        a = estimate_lambda(SIR, [point], CASE, 200, [stream(3, 9)])[0]
+        b = estimate_lambda(SIR, [point], CASE, 200, [stream(3, 9)])[0]
         assert a == b
 
     def test_mean_in_unit_interval(self):
         point = (0.001, 0.1)
-        est = estimate_lambda(SIR, point, CASE, 100, stream(4, 1))
+        est = estimate_lambda(SIR, [point], CASE, 100, [stream(4, 1)])[0]
         assert 0.0 <= est.mean <= 1.0
         assert est.n == 100
 
@@ -126,5 +126,5 @@ class TestEstimateLambda:
 
         point = (0.002, 0.05)
         exact = evaluator_for(SIR, CASE).probability(point, tol=1e-8)
-        est = estimate_lambda(SIR, point, CASE, 1000, stream(6, 2))
+        est = estimate_lambda(SIR, [point], CASE, 1000, [stream(6, 2)])[0]
         assert abs(exact - est.mean) <= est.ci_halfwidth + 0.02

@@ -48,7 +48,7 @@ def test_abc_waves_never_replay_another_stage(monkeypatch):
     monkeypatch.setattr(rngmod, "stream", recording_stream)
     config = ExperimentConfig(seed=SEED, abc_particles=4, abc_rounds=3)
     for batch in (0, 1, STAGE_GENERATE, STAGE_VERIFY, STAGE_BASELINE):
-        abcseq(DECAY, data, config, batch=batch)
+        abcseq(DECAY, data, config, [batch])
     assert len(keys) >= 5 * 2
     others = {_draws(stream(SEED, stage)) for stage in (STAGE_GENERATE, STAGE_VERIFY, STAGE_BASELINE)}
     for key in keys:

@@ -7,6 +7,7 @@ from crnverify import (
     ConfigError,
     Posterior,
     bayes_smc,
+    estimate_lambda,
     evaluator_for,
     fit_posterior,
     majority_verdict,
@@ -193,6 +194,23 @@ class TestBayesSmc:
         viol = Posterior(names=("ki", "kr"), mean=np.array([0.002, 0.18]), variance=np.array([1e-10, 1e-8]))
         results = bayes_smc(viol, SIR, CASE, n_params=20, n_sims=150, rng=stream(10, 0))
         assert sum(v for _, _, v in results) <= 1
+
+    @pytest.mark.parametrize("n_params, n_sims", [(20, 200), (3, 1500)])
+    def test_draws_equal_one_estimate_per_draw(self, n_params, n_sims):
+        # the draws share simulation calls (five draws of 200 runs a call;
+        # 1500 runs span two calls), yet each equals its own estimate
+        post = Posterior(names=("kr", "ki"), mean=np.array([0.1, 0.002]), variance=np.array([4e-3, 1e-6]))
+        results = bayes_smc(post, SIR, CASE, n_params=n_params, n_sims=n_sims, rng=stream(11, 0))
+        draws = stream(11, 0).spawn(n_params)
+        for (point, estimate, verdict), child in zip(results, draws):
+            while True:  # the posterior's redraw of a negative rate
+                values = post.mean + np.sqrt(post.variance) * child.standard_normal(2)
+                if np.all(values >= 0):
+                    break
+            assert point.tolist() == values[[1, 0]].tolist()
+            (want,) = estimate_lambda(SIR, [point], CASE, n_sims, [child])
+            assert (estimate, verdict) == (want.mean, CASE.compare(want.mean))
+        assert len({estimate for _, estimate, _ in results}) > 1
 
     def test_majority_helper(self):
         point = (1.0,)

@@ -13,13 +13,14 @@ in each tree, the base first on even pairs and the working tree first on
 odd ones, so that a drift of the host hits both sides alike.  Each run's
 last stdout line is its JSON result.  Progress goes to stderr; the last
 stdout line is one JSON summary: per end-to-end metric, the median and
-quartiles of each side, the change of the medians, and the pairs the
-working tree won.
+quartiles of each side, the change of the medians, the pairs the
+working tree won, and the one-sided sign-test p-value of those wins.
 """
 
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -37,22 +38,33 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """One-sided sign-test p-value of ``wins`` against ``losses`` (ties
+    dropped): the chance of at least ``wins`` wins in ``wins + losses``
+    fair coin flips."""
+    n = wins + losses
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """One summary of (base, change) result pairs.  ``better`` maps each
     metric to "lower" or "higher"; a pair is a win when the change's value
-    is strictly better."""
+    is strictly better, and ``sign_p`` is the one-sided sign-test p-value
+    of the wins against the losses."""
     metrics = {}
     for name, direction in better.items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
         metrics[name] = {
             "base": b,
             "change": c,
             "median_change": c["median"] / b["median"] - 1.0 if b["median"] else None,
             "wins": wins,
+            "sign_p": sign_test(wins, losses),
         }
     return {
         "pairs": len(pairs),
