@@ -1,12 +1,12 @@
-"""Networks, propensities, and exact stochastic simulation.
+"""Networks, state spaces, and exact stochastic simulation.
 
-Builds the SIR epidemic network from its text form, inspects the induced
-Markov chain, and samples a few trajectories.
+Builds the SIR epidemic network from its text form, enumerates the states
+of the induced Markov chain, and samples a few trajectories.
 """
 
 import numpy as np
 
-from crnverify import enumerate_states, load_crn, propensity, rate_matrix_row, simulate_paths
+from crnverify import enumerate_states, load_crn, simulate_visits
 from crnverify.rng import stream
 from crnverify.simulate import simulate
 
@@ -23,19 +23,21 @@ theta = (0.002, 0.05)
 # reachable set finite
 space = enumerate_states(pcrn)
 print(f"\nreachable states: {len(space)}")
-print("infection propensity at (95,5,0):", propensity(pcrn, (95, 5, 0), 0, theta))
-row = rate_matrix_row((95, 5, 0), pcrn, theta, space)
-print("outgoing transitions:", row)
-print("exit rate at (95,5,0):", sum(row.values()))
+# mass action: a reaction fires at its rate times the number of distinct
+# reactant combinations, so S + I -> I + I fires at ki * S * I
+ki, kr = theta
+print("infection propensity at (95,5,0):", ki * 95 * 5)
+print("exit rate at (95,5,0):", ki * 95 * 5 + kr * 5)
 
 # three independent sample paths, run as three lanes of one lockstep call
 # on one generator; each lane reads its own column of the call's draws, so
-# the same seed + key gives the same paths, always
+# the same seed + key gives the same paths, always.  The call returns every
+# lane's visits as flat arrays: lane i holds rows ends[i-1]:ends[i].
 print("\nsampled epidemic end states (t = 150):")
-paths = simulate_paths(pcrn, [theta] * 3, 150.0, stream(2024, 0))
-for i, traj in enumerate(paths):
-    s, infected, r = traj.states[-1]
-    print(f"  run {i}: S={s:3d} I={infected:3d} R={r:3d}   ({len(traj.times) - 1} reactions fired)")
+states, times, ends = simulate_visits(pcrn, [theta] * 3, 150.0, stream(2024, 0))
+for i, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
+    s, infected, r = states[end - 1]
+    print(f"  run {i}: S={s:3d} I={infected:3d} R={r:3d}   ({end - start - 1} reactions fired)")
 
 # molecule counts are conserved along every path
 traj = simulate(pcrn, theta, 150.0, stream(2024, 99))

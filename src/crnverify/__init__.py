@@ -31,19 +31,16 @@ from .model import (
     Species,
     StateSpace,
     enumerate_states,
-    propensity,
-    rate_matrix_row,
 )
-from .monitor import LambdaEstimate, check_until_paths, estimate_lambda
+from .monitor import LambdaEstimate, estimate_lambda
 from .simulate import (
     Dataset,
     Trajectory,
-    discrepancy,
     load_dataset,
     observe,
     save_dataset,
     simulate_distances,
-    simulate_paths,
+    simulate_visits,
     states_at,
 )
 from .synthesis import (

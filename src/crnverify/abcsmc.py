@@ -38,7 +38,6 @@ zero-continuation case of lazy ABC (Prangle, Statistics and Computing
 2016).
 """
 
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +47,7 @@ import numpy as np
 from . import rng as rngmod
 from .config import ExperimentConfig
 from .errors import ConfigError, ParseError
-from .files import read_csv, write_csv
+from .files import finite_number, read_csv, write_csv
 from .model import PCRN, ParameterSpace
 # ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
 from .simulate import _LANES, Dataset, simulate, simulate_distances  # noqa: F401
@@ -310,19 +309,23 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
     hi = meta.get("theta_hi")
 
     def bounds(values) -> bool:  # one finite number per parameter
-        return type(values) is list and len(values) == len(names) and all(
-            type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max for v in values)
+        return type(values) is list and len(values) == len(names) and all(map(finite_number, values))
 
-    if not (bounds(lo) and bounds(hi) and all(a < b for a, b in zip(lo, hi))):
+    if not (bounds(lo) and bounds(hi)):
         raise ParseError(f"particle file {path}: metadata 'theta_lo' and 'theta_hi' must give one finite "
-                         f"number per parameter {list(names)}, each lower bound below its upper bound")
-    space = ParameterSpace(tuple(zip(names, map(float, lo), map(float, hi))))
+                         f"number per parameter {list(names)}")
+    try:  # the model's own bound checks: each lower bound nonnegative and below its upper bound
+        space = ParameterSpace(tuple(zip(names, map(float, lo), map(float, hi))))
+    except ConfigError as exc:
+        raise ParseError(f"particle file {path}: metadata 'theta_lo' and 'theta_hi': {exc}") from exc
     try:
         table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     except ValueError as exc:
         raise ParseError(f"particle file {path}: malformed rows ({exc})") from exc
     if not np.isfinite(table).all():
         raise ParseError(f"particle file {path}: weights, parameter values and distances must be finite")
+    if np.any(table[:, 2] < 0):
+        raise ParseError(f"particle file {path}: weights must be nonnegative")
     n_batches = meta.get("batches")
     if type(n_batches) is not int or n_batches < 1:
         raise ParseError(f"particle file {path}: metadata must give a positive batch count")
@@ -340,8 +343,7 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
         return values
 
     def threshold_list(ts) -> bool:  # null stands for the infinite first threshold
-        return type(ts) is list and all(t is None or (type(t) in (int, float) and 0 <= t <= sys.float_info.max)
-                                        for t in ts)
+        return type(ts) is list and all(t is None or (finite_number(t) and t >= 0) for t in ts)
 
     thresholds = per_batch("thresholds", "a list of finite nonnegative thresholds or null", threshold_list)
     attempts = per_batch("attempts", "a nonnegative integer", lambda a: type(a) is int and a >= 0)

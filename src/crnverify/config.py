@@ -5,14 +5,14 @@ that draws random numbers keys them by the seed, and ``rng.stream`` fails
 without one, so a config fully determines every output byte.
 """
 
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .files import read_json
+from .files import finite_number, read_json
+from .model import ParameterSpace
 
 
 @dataclass
@@ -69,9 +69,13 @@ class ExperimentConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a JSON object, got {value!r}")
         for k, pair in self.param_bounds.items():
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and {type(v) for v in pair} <= {int, float}):
-                raise ConfigError(f"param_bounds[{k!r}] must be a [lower, upper] pair of numbers, got {pair!r}")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(finite_number, pair))):
+                raise ConfigError(f"param_bounds[{k!r}] must be a [lower, upper] pair of finite numbers, got {pair!r}")
         self.param_bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in self.param_bounds.items()}
+        try:  # the model's own bound checks, before any stage runs
+            ParameterSpace(tuple((k, lo, hi) for k, (lo, hi) in self.param_bounds.items()))
+        except ConfigError as exc:
+            raise ConfigError(f"param_bounds: {exc}") from exc
         reals = [
             ("noise_sigma", self.noise_sigma),
             ("slice_scale", self.slice_scale),
@@ -79,16 +83,13 @@ class ExperimentConfig:
             ("synth_margin", self.synth_margin),
             ("synth_transient_tol", self.synth_transient_tol),
             *((f"true_point[{k!r}]", v) for k, v in self.true_point.items()),
-            *((f"param_bounds[{k!r}]", v) for k, pair in self.param_bounds.items() for v in pair),
             *(("observation_times", v) for v in self.observation_times or ()),
         ]
         if self.observation_end is not None:
             reals.append(("observation_end", self.observation_end))
         for name, value in reals:
-            # compared with the float range, as math.isfinite would overflow
-            # on a huge JSON integer; NaN fails both comparisons
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if not finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
         if self.synth_margin < 0:

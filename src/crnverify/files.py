@@ -8,11 +8,21 @@ format, so every file crnverify reads or writes is checked in one place.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import ParseError
 
 FORMAT_VERSION = 1
+
+
+def finite_number(value) -> bool:
+    """Whether a value read from JSON is a finite number: an int or float
+    but not a bool (JSON true/false load as bool, a subclass of int),
+    within the float range.  The range test, unlike ``math.isfinite``,
+    cannot overflow on a huge JSON integer, and NaN fails it."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def write_json(path: str | Path, doc: dict) -> None:

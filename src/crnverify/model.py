@@ -83,6 +83,8 @@ class ParameterSpace:
                 raise ConfigError(f"parameter {name!r} bounds must be finite")
             if not lo < hi:
                 raise ConfigError(f"parameter {name!r} needs lower < upper bound")
+            if lo < 0:  # every parameter is a rate constant
+                raise ConfigError(f"parameter {name!r} is a rate: its lower bound {lo} must be nonnegative")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -243,14 +245,6 @@ def point_values(names: tuple[str, ...], point: Sequence[float]) -> list[float]:
     return values.tolist()
 
 
-def propensity(pcrn: PCRN, state, reaction_index: int, point: Sequence[float]) -> float:
-    """Mass-action propensity of ``pcrn.reactions[reaction_index]`` at ``state``:
-    its rate times the falling-factorial reactant count, zero whenever a
-    reactant count is below its required multiplicity."""
-    reactants, _, k = compiled_reactions(pcrn)[reaction_index]
-    return point_values(pcrn.params.names, point)[k] * _falling_product(reactants, state)
-
-
 def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Breadth-first closure of the reachable state set.
 
@@ -294,28 +288,3 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
     for a in (states, radices, keys):
         a.setflags(write=False)
     return StateSpace(states=states, radices=radices, keys=keys)
-
-
-def rate_matrix_row(state, pcrn: PCRN, point: Sequence[float], space: StateSpace) -> dict[tuple[int, ...], float]:
-    """Outgoing transition rates from ``state`` as a map target -> rate.
-
-    Reactions with the same net effect are summed.  A positive-propensity
-    target missing from ``space`` means the enumeration was capped short,
-    which is an error; targets leaving the conserved manifold are dropped.
-    """
-    row: dict[tuple[int, ...], float] = {}
-    state = tuple(int(c) for c in state)
-    for j, (_, delta, _) in enumerate(compiled_reactions(pcrn)):
-        a = propensity(pcrn, state, j, point)
-        if a <= 0.0:
-            continue
-        target = list(state)
-        for i, d in delta:
-            target[i] += d
-        target = tuple(target)
-        if space.ordinals([target])[0] < 0:
-            if pcrn.conserved_total is not None and sum(target) > pcrn.conserved_total:
-                continue
-            raise StateSpaceCapError(f"transition target {target} missing from enumerated space")
-        row[target] = row.get(target, 0.0) + a
-    return row

@@ -9,8 +9,9 @@ matching the simulator's right-continuous convention.
 An estimate draws all its runs from the one generator it is given for
 its point: they are lanes of ``simulate_visits`` calls of at most
 ``simulate._LANES`` lanes each, made in turn on that generator, and are
-checked on the flat visit arrays those calls return.  Estimates at many
-points share those calls, each point's runs forming their own groups.
+checked on the flat visit arrays those calls return, never built into a
+``Trajectory`` each.  Estimates at many points share those calls, each
+point's runs forming their own groups.
 """
 
 from collections.abc import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from .csl import CslFormula, StateFormula
 from .model import PCRN, point_values
 # ``simulate`` is unused here but stays importable: crnperf/spans.py wraps it by name
-from .simulate import _LANES, Trajectory, simulate, simulate_visits  # noqa: F401
+from .simulate import _LANES, simulate, simulate_visits  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -31,33 +32,6 @@ class LambdaEstimate:
     mean: float
     n: int
     ci_halfwidth: float
-
-
-def check_until_paths(
-    paths: Sequence[Trajectory],
-    phi1: StateFormula,
-    phi2: StateFormula,
-    t_lo: float,
-    t_hi: float,
-    index: dict[str, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check  phi1 U[t_lo, t_hi] phi2  on every path at once.
-
-    A path satisfies it iff some witness time tau in [t_lo, t_hi] has phi2
-    at the state occupied at tau and phi1 at every strictly earlier time.
-    Returns ``(satisfied, witness)``, one entry per path; the witness is the
-    earliest fulfilling time, NaN where the formula fails.  Each state row
-    opens the interval [a, b) up to the next jump; the last interval of a
-    path ends past ``t_hi``, so it covers the closed window end.  A path is
-    satisfied iff its first witnessing interval comes no later than its
-    first interval where phi1 fails: phi1 on [0, a) held before it.
-    """
-    if any(p.horizon < t_hi for p in paths):
-        raise ValueError(f"trajectory horizon {min(p.horizon for p in paths)} ends before t'={t_hi}")
-    ends = np.cumsum([len(p.times) for p in paths])
-    states = np.concatenate([p.states for p in paths])
-    times = np.concatenate([p.times for p in paths])
-    return _check_until_visits(states, times, ends, phi1, phi2, t_lo, t_hi, index)
 
 
 def _check_until_visits(
@@ -70,9 +44,20 @@ def _check_until_visits(
     t_hi: float,
     index: dict[str, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``check_until_paths`` on paths given as flat visit arrays: path
-    ``i`` holds rows ``ends[i-1]:ends[i]`` (from 0 for path 0) of
-    ``states`` and their entry times ``a``, and reaches ``t_hi``."""
+    """Check  phi1 U[t_lo, t_hi] phi2  on every path at once.  Path ``i``
+    holds rows ``ends[i-1]:ends[i]`` (from 0 for path 0) of ``states`` and
+    their entry times ``a``, and reaches ``t_hi``.
+
+    A path satisfies the formula iff some witness time tau in [t_lo, t_hi]
+    has phi2 at the state occupied at tau and phi1 at every strictly
+    earlier time.  Returns ``(satisfied, witness)``, one entry per path;
+    the witness is the earliest fulfilling time, NaN where the formula
+    fails.  Each state row opens the interval [a, b) up to the next jump;
+    the last interval of a path ends past ``t_hi``, so it covers the
+    closed window end.  A path is satisfied iff its first witnessing
+    interval comes no later than its first interval where phi1 fails:
+    phi1 on [0, a) held before it.
+    """
     starts = np.append(0, ends[:-1])
     b = np.append(a[1:], 0.0)
     b[ends - 1] = t_hi + 1.0

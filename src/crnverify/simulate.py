@@ -7,10 +7,10 @@ propensity.  Observation turns a trajectory into the kind of data the
 inference machinery consumes: molecule counts at chosen times plus
 independent Gaussian noise.
 
-Draw contract.  ``simulate_paths`` runs many paths ("lanes") in lockstep.
+Draw contract.  ``simulate_visits`` runs many paths ("lanes") in lockstep.
 The lanes of a call split, in order, into groups, each drawing from its
-own generator; ``simulate_paths`` makes one group of every lane, and
-``simulate_visits`` and ``simulate_distances`` also take a list of
+own generator: a call given one generator makes one group of every lane,
+and ``simulate_visits`` and ``simulate_distances`` also take a list of
 (generator, lanes) groups.  Lane ``j`` of a group owns column ``j`` of
 every draw block of its group for the whole call:
 
@@ -31,25 +31,25 @@ A lane's numbers are fixed by its group and column, so a lane that
 absorbs or stops early never shifts another lane's path, and a group
 draws exactly what a call of its lanes alone would draw: its paths are
 that call's bit for bit, and its generator ends where that call leaves
-it, whatever groups run beside it.  A one-lane call reads 256-draw
-blocks from its generator in the order a one-path loop would, and leaves
-it where that loop leaves it: ``generate`` observes its path with the
-same generator.  Propensities come from ``model._falling_product`` and
-their totals and the reaction choice from sequential sums, as in a
-one-path loop.
+it, whatever groups run beside it.  A one-lane call (``simulate``) reads
+256-draw blocks from its generator in the order a one-path loop would,
+and leaves it where that loop leaves it: ``generate`` observes its path
+with the same generator.  Propensities come from
+``model._falling_product`` and their totals and the reaction choice from
+sequential sums, as in a one-path loop.
 
 ``simulate_distances`` runs the same kernel against a dataset without
-keeping paths: each lane adds its squared error at an observation time
-as its clock passes it, in the order ``discrepancy`` sums, and stops once
-its partial distance exceeds its threshold (one per call, or one per
-lane).  Partial sums of nonnegative
-terms never decrease, so a stopped lane is exactly one that would have
-been rejected, and a finished lane's distance is ``discrepancy`` of its
-path, bit for bit.
+keeping paths.  A lane's distance is the Euclidean distance between the
+observations and its states at the observation times: each lane adds its
+squared errors at an observation time as its clock passes it,
+observation by observation and species in order, and stops once its
+partial distance exceeds its threshold (one per call, or one per lane).
+Partial sums of nonnegative terms never decrease, so a stopped lane is
+exactly one that would have been rejected, and a finished lane's
+distance is the same bits as that sum taken over its stored path.
 """
 
 import operator
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .files import read_csv, write_csv
+from .files import finite_number, read_csv, write_csv
 from .model import PCRN, _falling_product, compiled_reactions, point_values
 
 _BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call overhead
@@ -112,32 +112,22 @@ class Dataset:
 def simulate(pcrn: PCRN, point: Sequence[float], t_end: float, rng: np.random.Generator) -> Trajectory:
     """Sample one exact path of the chain instantiated at ``point`` (rates in
     ``pcrn.params.names`` order) on [0, t_end]: the one-lane call of
-    ``simulate_paths``.
+    ``simulate_visits``.
 
     Absorbing states simply hold to the horizon.  Identical generator state
     and inputs reproduce the trajectory bit-exactly.
     """
-    return simulate_paths(pcrn, [point_values(pcrn.params.names, point)], t_end, rng)[0]
-
-
-def simulate_paths(pcrn: PCRN, points, t_end: float, rng: np.random.Generator) -> list[Trajectory]:
-    """Sample one exact path per lane on [0, t_end]: lane ``i`` runs the
-    chain at ``points[i]`` (rates in ``pcrn.params.names`` order), all lanes
-    drawing from ``rng`` as the module docstring states."""
-    states, times, ends = simulate_visits(pcrn, points, t_end, rng)
-    ends = ends.tolist()
-    return [
-        Trajectory(states=states[start:end], times=times[start:end], horizon=float(t_end))
-        for start, end in zip([0, *ends], ends)
-    ]
+    states, times, _ = simulate_visits(pcrn, [point_values(pcrn.params.names, point)], t_end, rng)
+    return Trajectory(states=states, times=times, horizon=float(t_end))
 
 
 def simulate_visits(pcrn: PCRN, points, t_end: float, rng):
-    """The paths of ``simulate_paths`` as flat arrays, without building a
-    ``Trajectory`` per lane: ``(states, times, ends)``, lane ``i``'s visits
-    in rows ``ends[i-1]:ends[i]`` (from 0 for lane 0), in step order.
-    ``rng`` is one generator for every lane, or a list of (generator,
-    lanes) groups as the module docstring states."""
+    """Sample one exact path per lane on [0, t_end], lane ``i`` running the
+    chain at ``points[i]`` (rates in ``pcrn.params.names`` order), as flat
+    arrays rather than a ``Trajectory`` per lane: ``(states, times,
+    ends)``, lane ``i``'s visits in rows ``ends[i-1]:ends[i]`` (from 0 for
+    lane 0), in step order.  ``rng`` is one generator for every lane, or a
+    list of (generator, lanes) groups as the module docstring states."""
     values = _lane_values(pcrn, points)
     lane_of, states, times = _lockstep(pcrn, values, float(t_end), _groups(rng, len(values)))
     order = np.argsort(lane_of, kind="stable")
@@ -145,9 +135,9 @@ def simulate_visits(pcrn: PCRN, points, t_end: float, rng):
 
 
 def simulate_distances(pcrn: PCRN, points, data: Dataset, eps, rng) -> np.ndarray:
-    """``discrepancy`` between ``data`` and one path per lane, simulated up
-    to the last observation time as ``simulate_visits`` would, without
-    keeping the paths.  ``eps`` is one threshold for every lane or one per
+    """The distance between ``data`` and one path per lane, simulated up to
+    the last observation time as ``simulate_visits`` would, without keeping
+    the paths.  ``eps`` is one threshold for every lane or one per
     lane.  A lane stops as soon as its partial distance exceeds its
     threshold and reads infinity; every other lane's distance is that of
     its full path."""
@@ -342,23 +332,6 @@ def observe(
     return Dataset(times=times, observations=y, species=species, sigma=float(sigma))
 
 
-def discrepancy(data: Dataset, sim: Trajectory) -> float:
-    """Euclidean distance between observed and simulated counts.
-
-    Square root of the sum, over every observation time and component, of
-    squared differences, added observation by observation.  The simulated path must reach the last
-    observation time.
-    """
-    last = float(data.times[-1])
-    if sim.horizon < last:
-        raise ValueError(f"simulation horizon {sim.horizon} ends before last observation at {last}")
-    x = states_at(sim, data.times).astype(float)
-    diff = data.observations - x
-    # added in sequence, observation by observation and species in order,
-    # as ``simulate_distances`` adds them
-    return float(np.sqrt(np.cumsum(diff * diff)[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Dataset file format: versioned CSV, one row per observation time.
 
@@ -384,9 +357,7 @@ def load_dataset(path: str | Path) -> Dataset:
     if not rows:
         raise ParseError("dataset file contains no observations")
     sigma = comments.get("meta-sigma", 0.0)
-    # type(...), not isinstance: JSON true/false arrive as bool; the upper
-    # bound rejects infinity, and NaN fails every comparison
-    if type(sigma) not in (int, float) or not 0 <= sigma <= sys.float_info.max:
+    if not (finite_number(sigma) and sigma >= 0):
         raise ParseError(f"dataset file {path}: meta-sigma must be a finite nonnegative number, got {sigma!r}")
     try:
         arr = np.array(rows, dtype=float).reshape(len(rows), len(header))

@@ -70,18 +70,16 @@ class UniformizedChain:
 
     @classmethod
     def from_rate_matrix(cls, rates: sparse.spmatrix | np.ndarray) -> "UniformizedChain":
-        """Build from off-diagonal transition rates (diagonal entries ignored)."""
-        R = sparse.csr_matrix(rates, dtype=float)
-        R.setdiag(0.0)
-        R.eliminate_zeros()
+        """Build from off-diagonal transition rates (diagonal entries ignored):
+        the one-lane jump matrix of ``_LanePattern`` with the rates as its
+        one basis matrix, at theta = 1."""
+        R = sparse.coo_matrix(rates, dtype=float)
+        keep = (R.row != R.col) & (R.data != 0)
         n = R.shape[0]
-        outflow = _row_sums(R.data[None, :], _row_ranks(np.repeat(np.arange(n), np.diff(R.indptr)), n), n)[0]
-        q = RATE_MARGIN * float(outflow.max()) if outflow.size and outflow.max() > 0 else 0.0
-        if q == 0.0:
-            P = sparse.identity(n, format="csr")
-        else:
-            P = (R / q + sparse.diags(1.0 - outflow / q)).tocsr()
-        return cls(q=q, P=P)
+        R = sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n))
+        lanes = _LanePattern((R,), n)
+        P, q = lanes.jump(np.ones((1, 1)))
+        return cls(q=float(q[0]), P=sparse.csr_matrix((P[0], lanes.indices, lanes.indptr), shape=(n, n)))
 
 
 def _row_ranks(rows: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -95,8 +93,8 @@ def _row_ranks(rows: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _row_sums(values: np.ndarray, ranks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
     """Each of n rows' sums, per lane of ``values`` (lanes, entries),
-    adding the row's entries in index order (``_row_ranks`` groups them).
-    Every chain builder sums rows here, so they agree bit for bit."""
+    adding the row's entries in index order (``_row_ranks`` groups them),
+    as a sequential loop along the row would."""
     sums = np.zeros((len(values), n))
     for rows, entries in ranks:  # at most one entry per row
         sums[:, rows] += values[:, entries]
@@ -226,14 +224,6 @@ def _chain_basis(pcrn: PCRN):
     return space, tuple(basis)
 
 
-def _combine(basis: tuple, rates: list[float]) -> sparse.csr_matrix:
-    acc = None
-    for B, value in zip(basis, rates):
-        term = B * value
-        acc = term if acc is None else acc + term
-    return acc
-
-
 class UntilEvaluator:
     """Reusable two-phase evaluator for one network and one until formula.
 
@@ -318,16 +308,15 @@ class _LanePattern:
     """The jump matrices P = I + R/q of one phase for many parameter points
     at once: every lane shares one CSR pattern, the union of the basis
     patterns plus the diagonal, and a block's values are one (lanes x
-    entries) array.
+    entries) array.  This is the package's one chain builder:
+    ``UniformizedChain.from_rate_matrix`` is its one-lane call.
 
-    The values are the bits ``UniformizedChain.from_rate_matrix(_combine(
-    basis, rates))`` stores.  An off-diagonal entry is sum_k theta_k B_k,
-    added in basis order, times 1/q; a diagonal entry is 1 - outflow/q,
-    with the outflow summed along the row in index order; q is the margin
-    times the largest outflow, and a lane with q = 0 is the identity.  An
-    entry whose rates are all zero stays in the pattern as an explicit
-    zero, which adds +0.0 to its row's sums and leaves their bits as they
-    are.
+    An off-diagonal entry is sum_k theta_k B_k, added in basis order, times
+    1/q; a diagonal entry is 1 - outflow/q, with the outflow summed along
+    the row in index order; q is the margin times the largest outflow, and
+    a lane with q = 0 is the identity.  An entry whose rates are all zero
+    stays in the pattern as an explicit zero, which adds +0.0 to its row's
+    sums and leaves their bits as they are.
     """
 
     def __init__(self, basis: tuple, n: int):
@@ -343,13 +332,14 @@ class _LanePattern:
         off = np.flatnonzero(rows != self.indices)
         self.ranks = [(r, off[e]) for r, e in _row_ranks(rows[off], n)]
 
-    def series(self, theta: np.ndarray, V: np.ndarray, t: float, tol: float, cols: slice = slice(None)) -> np.ndarray:
-        """One phase's series over time t, one lane per row of ``theta``."""
+    def jump(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of P (lanes x entries) and each lane's q, one lane
+        per row of ``theta``."""
         rates = np.zeros((len(theta), len(self.indices)))
         for k, (slots, values) in enumerate(zip(self.slots, self.data)):
             rates[:, slots] += theta[:, k, None] * values
         outflow = _row_sums(rates, self.ranks, self.n)
-        top = outflow.max(axis=1)
+        top = outflow.max(axis=1, initial=0.0)
         q = np.where(top > 0, RATE_MARGIN * top, 0.0)
         live = q > 0
         P = np.zeros((len(theta), len(self.indices)))
@@ -357,6 +347,11 @@ class _LanePattern:
         scale = 1 / q[live]
         P[live] = rates[live] * scale[:, None]
         P[np.ix_(live, self.diag)] = 1.0 - outflow[live] / q[live, None]
+        return P, q
+
+    def series(self, theta: np.ndarray, V: np.ndarray, t: float, tol: float, cols: slice = slice(None)) -> np.ndarray:
+        """One phase's series over time t, one lane per row of ``theta``."""
+        P, q = self.jump(theta)
         return _poisson_series(self.indptr, self.indices, P, V, (q * t).tolist(), tol, cols)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .csl import CslFormula
 from .errors import ConfigError, ParseError
-from .files import write_json
+from .files import finite_number, write_json
 from .model import PCRN
 from .monitor import estimate_lambda
 from .synthesis import LABEL_SAT, LABEL_UNDECIDED, RegionPartition, classify_points
@@ -256,7 +256,7 @@ def posterior_from_doc(doc: dict, path: str | Path) -> Posterior:
         raise ParseError(f"posterior {path}: 'mu' and 'sigma' must be objects over the same parameters")
     names = tuple(mu)
     values = [*mu.values(), *sigma.values()]
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in values) or min(sigma.values(), default=1) <= 0:
+    if not all(map(finite_number, values)) or min(sigma.values(), default=1) <= 0:
         raise ParseError(f"posterior {path}: 'mu' and 'sigma' must hold finite numbers, every sigma positive")
     std = np.array([sigma[n] for n in names])
     return Posterior(names=names, mean=np.array([mu[n] for n in names]), variance=std**2)

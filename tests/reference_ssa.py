@@ -1,13 +1,19 @@
 """The one-path Gillespie loop, kept as the tests' reference for the
-lockstep kernel.
+lockstep kernel, and the path-list forms of the kernel's results.
 
-``reference_call`` runs each lane of a ``simulate_paths`` call alone: a
+``reference_call`` runs each lane of a ``simulate_visits`` call alone: a
 lane reads only its own column of the call's shared draw blocks (the
 ``simulate.py`` docstring states the contract), so it gives that lane's
 path bits whatever the other lanes do, and the generator ends where the
 call leaves it.  ``reference_simulate`` is the one-lane call.  Tests
 compare the kernel against them, and use the one-lane call wherever they
 need many one-path draws from one shared generator fast.
+
+The package keeps paths as flat visit arrays.  ``simulate_paths`` and
+``check_until_paths`` are thin wrappers that cut those arrays into a
+``Trajectory`` per lane and back, and ``discrepancy`` is the distance
+``simulate_distances`` adds up, computed from a stored path by lookup
+rather than as the kernel's clock passes each observation.
 """
 
 import numpy as np
@@ -15,6 +21,41 @@ import numpy as np
 import crnverify.simulate as SIM
 from crnverify import Trajectory
 from crnverify.model import _falling_product, compiled_reactions, point_values
+from crnverify.monitor import _check_until_visits
+
+
+def simulate_paths(pcrn, points, t_end, rng) -> list[Trajectory]:
+    """The lanes of one ``simulate_visits`` call, a ``Trajectory`` each."""
+    states, times, ends = SIM.simulate_visits(pcrn, points, t_end, rng)
+    ends = ends.tolist()
+    return [
+        Trajectory(states=states[start:end], times=times[start:end], horizon=float(t_end))
+        for start, end in zip([0, *ends], ends)
+    ]
+
+
+def check_until_paths(paths, phi1, phi2, t_lo, t_hi, index):
+    """``monitor._check_until_visits`` on a list of paths, each reaching
+    ``t_hi``."""
+    if any(p.horizon < t_hi for p in paths):
+        raise ValueError(f"trajectory horizon {min(p.horizon for p in paths)} ends before t'={t_hi}")
+    ends = np.cumsum([len(p.times) for p in paths])
+    states = np.concatenate([p.states for p in paths])
+    times = np.concatenate([p.times for p in paths])
+    return _check_until_visits(states, times, ends, phi1, phi2, t_lo, t_hi, index)
+
+
+def discrepancy(data, sim: Trajectory) -> float:
+    """Euclidean distance between observed and simulated counts: the
+    square root of the sum, over every observation time and component, of
+    squared differences, added observation by observation and species in
+    order.  The simulated path must reach the last observation time."""
+    last = float(data.times[-1])
+    if sim.horizon < last:
+        raise ValueError(f"simulation horizon {sim.horizon} ends before last observation at {last}")
+    x = SIM.states_at(sim, data.times).astype(float)
+    diff = data.observations - x
+    return float(np.sqrt(np.cumsum(diff * diff)[-1]))
 
 
 class _DrawBuffer:

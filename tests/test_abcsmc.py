@@ -10,7 +10,6 @@ from crnverify import (
     ParticleSet,
     abcseq,
     adaptive_threshold,
-    discrepancy,
     fit_posterior,
     observe,
     parse_crn,
@@ -21,7 +20,7 @@ from crnverify import abcsmc
 from crnverify.abcsmc import STATUS_ABORTED, kernel_covariance, save_particles, load_particles
 from crnverify.rng import stream
 from crnverify.simulate import simulate
-from reference_ssa import reference_simulate
+from reference_ssa import discrepancy, reference_simulate
 
 DECAY = parse_crn(
     "format=1; species A B; param k in [0.1, 10];"

@@ -3,12 +3,13 @@ keys up by name.
 
 ``crnperf/spans.py`` wraps the functions its ``WRAPS`` table names, on the
 module where each caller looks them up, and ``crnperf/job.py`` imports a
-few more.  ``crnperf/workloads.py`` writes config files, and
-``crnperf/checks.py`` reads ``verdict.json``.  These files are only parsed
-here, never run, so a rename or deletion in the package fails this test
-instead of the benchmark's runs.
+few more.  ``crnperf/workloads.py`` writes config files and runs CLI
+commands with flags, and ``crnperf/checks.py`` reads ``verdict.json``.
+These files are only parsed here, never run, so a rename or deletion in
+the package fails this test instead of the benchmark's runs.
 """
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import crnverify
+from crnverify.cli import build_parser
 from crnverify.config import ExperimentConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -84,6 +86,29 @@ def _config_keys():
     return keys
 
 
+def _command_flags():
+    """Every (subcommand, ``--flag``) pair in the argument lists that the
+    workloads' ``commands`` methods return: each list literal there whose
+    first element is a string names its subcommand."""
+    tree = ast.parse((CRNPERF / "workloads.py").read_text())
+    pairs = set()
+    for method in ast.walk(tree):
+        if not (isinstance(method, ast.FunctionDef) and method.name == "commands"):
+            continue
+        for node in ast.walk(method):
+            if not (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)):
+                continue
+            strings = [e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            pairs.update((node.elts[0].value, s) for s in strings if s.startswith("--"))
+            pairs.add((node.elts[0].value, None))  # the subcommand itself
+    return pairs
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def _verdict_reads():
     """Every ``verdict[...]`` key ``checks.py`` reads: string subscripts, and
     a comprehension variable's subscripts over its tuple of strings."""
@@ -123,6 +148,7 @@ WRAPPED = _wrapped_names()
 IMPORTED = _imported_names()
 CONFIG_KEYS = sorted(_config_keys() - {"format"})
 VERDICT_READS = sorted(_verdict_reads())
+COMMAND_FLAGS = sorted(_command_flags(), key=lambda pair: (pair[0], pair[1] or ""))
 
 
 def test_tables_were_parsed():
@@ -132,6 +158,8 @@ def test_tables_were_parsed():
     assert {"transient", "simulate"} <= set(SUBMODULES)
     assert {"seed", "abc_particles", "slice_samples", "synth_volume_tolerance"} <= set(CONFIG_KEYS)
     assert {"C", "n_samples", "mass_outside", "posterior"} <= set(VERDICT_READS)
+    assert {("verify", "--samples"), ("verify", "--scale"), ("baseline", "--n-params"),
+            ("baseline", "--n-sims"), ("pipeline", None), ("synth", "--config")} <= set(COMMAND_FLAGS)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -166,3 +194,11 @@ def test_written_config_key_is_a_setting(key):
 @pytest.mark.parametrize("key", VERDICT_READS)
 def test_checked_verdict_key_is_written(key):
     assert key in _report_keys()
+
+
+@pytest.mark.parametrize("command, flag", COMMAND_FLAGS)
+def test_workload_flag_exists(command, flag):
+    parsers = _subcommands()
+    assert command in parsers, f"workloads run an unknown subcommand {command!r}"
+    if flag is not None:
+        assert flag in parsers[command]._option_string_actions, f"{command} has no flag {flag}"

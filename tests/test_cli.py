@@ -195,6 +195,15 @@ class TestExitCodes:
         # the partial partition is still written
         assert (workspace / "out" / "partition.json").exists()
 
+    def test_negative_rate_bound_in_model(self, workspace, capsys):
+        text = (workspace / "models" / "decay.crn").read_text()
+        assert "param k in [0.1, 10];" in text
+        (workspace / "models" / "negative.crn").write_text(text.replace("[0.1, 10]", "[-1, 1]"))
+        assert run("synth", "--model", "models/negative.crn", "--property", "P>0.5 [ true U[0,1] (B>=25) ]",
+                   "--out-dir", "out") == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not (workspace / "out" / "partition.json").exists()
+
     def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
         assert "missing --property" in capsys.readouterr().err
@@ -331,6 +340,7 @@ POSTERIOR_CORRUPTIONS = {
     "sigma-of-other-parameter": lambda doc: doc.update(sigma={"q": 0.1}),
     "string-mean": lambda doc: doc["mu"].update(k="1.0"),
     "nan-mean": lambda doc: doc["mu"].update(k=float("nan")),
+    "mu-huge-integer": lambda doc: doc["mu"].update(k=10**400),
 }
 
 
@@ -406,6 +416,9 @@ PARTICLE_CORRUPTIONS = {
     "no-status": (_drop_meta("status"), "metadata 'status'"),
     "theta-lo-number": (_set_meta("theta_lo", 5), "metadata 'theta_lo' and 'theta_hi'"),
     "theta-lo-extra-bound": (_set_meta("theta_lo", [0.1, 0.2]), "metadata 'theta_lo' and 'theta_hi'"),
+    "theta-lo-negative": (_set_meta("theta_lo", [-1.0]), "lower bound -1.0 must be nonnegative"),
+    "negative-weight": (_edit_rows(lambda rows: rows[0].__setitem__(2, repr(-3 * float(rows[0][2])))),
+                        "weights must be nonnegative"),
 }
 
 

@@ -149,6 +149,8 @@ NAN, INF = float("nan"), float("inf")
         ("synth_volume_tolerance", 1.0),
         ("observation_times", [-1.0, 2.0]),
         pytest.param("noise_sigma", 10**400, id="noise_sigma-huge-integer"),
+        pytest.param("param_bounds", {"ki": [-1.0, 0.003]}, id="param_bounds-negative-lower"),
+        pytest.param("param_bounds", {"ki": [5e-5, 10**400]}, id="param_bounds-huge-integer"),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

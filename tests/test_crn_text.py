@@ -63,6 +63,14 @@ def test_undeclared_species_in_reaction_names_it():
         parse_crn("format=1; species A; param k in [0, 1]; reaction r: Z -> A @ k; init A=1;")
 
 
+def test_negative_rate_bound_rejected():
+    # every parameter is a rate constant, so a box reaching below zero
+    # would let inference propose negative propensities
+    with pytest.raises(ParseError, match="lower bound -1.0 must be nonnegative"):
+        parse_crn("format=1; species A; param k in [-1, 1]; reaction r: A -> 0 @ k; init A=1;")
+    parse_crn("format=1; species A; param k in [0, 1]; reaction r: A -> 0 @ k; init A=1;")
+
+
 def test_duplicate_parameter_rejected():
     with pytest.raises(ParseError, match="duplicate parameter"):
         parse_crn("format=1; species A; param k in [0, 1]; param k in [0, 2]; init A=1;")

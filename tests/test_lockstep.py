@@ -4,7 +4,7 @@ against one-path reference implementations.
 The references are the one-path Gillespie loop (``reference_ssa``), which
 reads only its own lane's column of a call's draw blocks, a sampler that
 runs the wave contract one attempt at a time, and the interval scan
-below.  Every lane of ``simulate_paths`` must equal the reference path bit
+below.  Every lane of ``simulate_visits`` must equal the reference path bit
 for bit; a one-lane call must also leave its generator where the loop
 does.  Early rejection must accept exactly the lanes a run without it
 accepts, with the same distances.  Every path's until verdict and witness
@@ -23,7 +23,6 @@ from crnverify import (
     ExperimentConfig,
     Trajectory,
     abcseq,
-    discrepancy,
     estimate_lambda,
     observe,
     parse_crn,
@@ -38,10 +37,16 @@ from crnverify.abcsmc import (
     adaptive_threshold,
     kernel_covariance,
 )
-from crnverify.monitor import check_until_paths
 from crnverify.rng import STAGE_INFER, stream
-from crnverify.simulate import simulate, simulate_distances, simulate_paths
-from reference_ssa import _DrawBuffer, reference_call, reference_simulate
+from crnverify.simulate import simulate, simulate_distances
+from reference_ssa import (
+    _DrawBuffer,
+    check_until_paths,
+    discrepancy,
+    reference_call,
+    reference_simulate,
+    simulate_paths,
+)
 
 DECAY = parse_crn(
     "format=1; species A B; param k in [0.1, 10];"
@@ -225,6 +230,20 @@ class TestKernelMatchesReference:
         assert np.array_equal(path.states, ref.states) and np.array_equal(path.times, ref.times)
         # the generator sits where the one-path loop left it
         assert rng.random() == solo.random()
+
+    @pytest.mark.parametrize("pcrn, point, t_end", [
+        (SIR, (0.002, 0.05), 150.0),
+        (SHORT_DECAY, (3.0,), 5.0),  # absorbs before the horizon
+        (DECAY, (0.1,), 3.0),
+    ])
+    def test_simulate_is_lane_0_of_simulate_paths(self, pcrn, point, t_end):
+        rng, paths_rng = stream(13, 0), stream(13, 0)
+        path = simulate(pcrn, point, t_end, rng)
+        (lane,) = simulate_paths(pcrn, [point], t_end, paths_rng)
+        assert path.states.dtype == lane.states.dtype and path.horizon == lane.horizon
+        assert np.array_equal(path.states, lane.states) and np.array_equal(path.times, lane.times)
+        # the generator sits where the paths call left it
+        assert rng.random(4).tolist() == paths_rng.random(4).tolist()
 
     @pytest.mark.parametrize("block", [256, 3])
     def test_one_lane_call_draws_single_blocks(self, monkeypatch, block):

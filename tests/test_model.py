@@ -12,10 +12,9 @@ from crnverify import (
     StateSpaceCapError,
     enumerate_states,
     parse_crn,
-    propensity,
-    rate_matrix_row,
 )
 from crnverify.transient import _chain_basis
+from reference_model import propensity, rate_matrix_row
 
 SIR_SOURCE = """
 format=1;

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from crnverify import Trajectory, check_until_paths, estimate_lambda, parse_crn, parse_csl
+from crnverify import Trajectory, estimate_lambda, parse_crn, parse_csl
 from crnverify.rng import stream
+from reference_ssa import check_until_paths
 
 SIR = parse_crn(
     "format=1; species S I R;"

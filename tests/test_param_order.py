@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from crnverify import ConfigError, parse_crn, parse_csl, propensity
+from crnverify import ConfigError, parse_crn, parse_csl
 from crnverify.cli import main
 from crnverify.files import write_json
 from crnverify.rng import stream
 from crnverify.simulate import simulate
 from crnverify.transient import evaluator_for
+from reference_model import propensity
 
 REPO = Path(__file__).resolve().parents[1]
 SIR_TEXT = (REPO / "models" / "sir.crn").read_text()

@@ -7,16 +7,15 @@ from scipy import stats
 from crnverify import (
     Dataset,
     Trajectory,
-    discrepancy,
     load_dataset,
     observe,
     parse_crn,
     save_dataset,
-    simulate_paths,
     states_at,
 )
 from crnverify.rng import stream
 from crnverify.simulate import simulate
+from reference_ssa import check_until_paths, discrepancy, simulate_paths
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
 SIR = parse_crn(
@@ -56,7 +55,7 @@ class TestSimulate:
         assert tuple(states_at(traj, [10.0])[0]) == (3,)
 
     def test_sir_case_study_satisfaction_rate_exceeds_bound(self):
-        from crnverify import check_until_paths, parse_csl
+        from crnverify import parse_csl
 
         f = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
         paths = simulate_paths(SIR, [THETA_PHI] * 1000, 150.0, stream(7, 1))

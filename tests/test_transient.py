@@ -1,5 +1,7 @@
 """Uniformization against closed forms, a dense matrix-exponential oracle,
-and the one-lane Poisson series the package ran before its lanes."""
+and the one-lane Poisson series the package ran before its lanes; the
+chain builder against an independent one made of scipy's sparse
+constructors."""
 
 import subprocess
 import sys
@@ -7,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 import crnverify.transient as TRANSIENT
-from crnverify import CrnVerifyError, enumerate_states, parse_crn, parse_csl, rate_matrix_row
+from crnverify import CrnVerifyError, enumerate_states, parse_crn, parse_csl
 from crnverify.csl import BoolLiteral, Comparison
 from crnverify.model import point_values
-from crnverify.transient import UniformizedChain, UntilEvaluator, _combine, _poisson_weights, evaluator_for, transient
+from crnverify.transient import UniformizedChain, UntilEvaluator, _poisson_weights, evaluator_for, transient
+from reference_chain import combine, reference_chain
+from reference_model import rate_matrix_row
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -91,6 +96,35 @@ class TestTransient:
             assert np.abs(chain.P.sum(axis=1) - 1.0).max() <= 1e-12
             assert chain.P.min() >= 0.0
             assert chain.P.max() <= 1.0
+
+
+class TestChainBuilder:
+    """``from_rate_matrix`` is the lane builder's one-lane call; it must
+    store what the scipy-constructor reference stores, bit for bit."""
+
+    @staticmethod
+    def _assert_same_chain(rates):
+        got, want = UniformizedChain.from_rate_matrix(rates), reference_chain(rates)
+        assert got.q == want.q
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.P, name), getattr(want.P, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        return got
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            R = rng.uniform(0.0, 5.0, (n, n)) * (rng.random((n, n)) < rng.random())
+            if trial % 2:  # a given diagonal is ignored
+                np.fill_diagonal(R, rng.uniform(0.0, 5.0, n))
+            self._assert_same_chain(R if trial % 3 else sparse.csr_matrix(R))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_rates_give_the_identity(self, n):
+        for R in (np.zeros((n, n)), np.diag(np.arange(1.0, n + 1))):
+            chain = self._assert_same_chain(R)
+            assert chain.q == 0.0 and chain.P.toarray().tolist() == np.eye(n).tolist()
 
 
 class TestPoissonWeights:
@@ -275,10 +309,11 @@ def reference_series(M, v, qt, tol):
 
 def reference_until(evaluator, point, tol):
     """One point's until probability from ``reference_series``, both
-    phases on chains built by ``UniformizedChain.from_rate_matrix``."""
+    phases on chains built by ``reference_chain``, which shares no code
+    with the lanes' builder."""
     rates = point_values(evaluator.pcrn.params.names, point)
     init = evaluator.init_idx
-    chain2 = UniformizedChain.from_rate_matrix(_combine(evaluator._basis2, rates))
+    chain2 = reference_chain(combine(evaluator._basis2, rates))
     values = reference_series(
         chain2.P, evaluator.mask2.astype(float), chain2.q * (evaluator.t_hi - evaluator.t_lo), tol
     )
@@ -289,7 +324,7 @@ def reference_until(evaluator, point, tol):
         elif not evaluator.mask1[init]:
             result = 0.0
     else:
-        chain1 = UniformizedChain.from_rate_matrix(_combine(evaluator._basis1, rates))
+        chain1 = reference_chain(combine(evaluator._basis1, rates))
         result = reference_series(chain1.P, evaluator.mask1 * values, chain1.q * evaluator.t_lo, tol)[init]
     return float(min(max(result, 0.0), 1.0))
 
@@ -335,7 +370,7 @@ class TestLanesMatchReference:
     def test_unsorted_lanes_of_different_lengths(self):
         points = [(0.5,), (9.0,), (2.0,), (0.05,), (7.0,), (0.5,)]
         evaluator = _assert_lanes_match_reference(DECAY, DECAY_FORMULAS[0], points)
-        qs = [UniformizedChain.from_rate_matrix(_combine(evaluator._basis2, p)).q for p in points]
+        qs = [reference_chain(combine(evaluator._basis2, p)).q for p in points]
         assert len({len(_poisson_weights(q, 1e-8)) for q in qs}) == 5
 
     @pytest.mark.parametrize("formula", DECAY_FORMULAS)
