@@ -334,6 +334,8 @@ def load_particles(path: str | Path) -> tuple[list[ParticleSet], ParameterSpace,
         raise ParseError(f"particle file {path}: batch ids must be integers in 0..{n_batches - 1}")
     if np.any(np.bincount(batch, minlength=n_batches) == 0):
         raise ParseError(f"particle file {path}: a declared batch has no rows")
+    if np.any(np.bincount(batch, weights=table[:, 2], minlength=n_batches) == 0):
+        raise ParseError(f"particle file {path}: a batch's weights sum to zero")
 
     def per_batch(key: str, what: str, valid) -> list:
         """Metadata list ``key``: one entry per batch, each ``valid``."""

@@ -13,13 +13,13 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import rng as rngmod
-from .abcsmc import ParticleSet, abcseq, load_particles, pool_batches, save_particles
-from .config import ExperimentConfig, load_config
+from .abcsmc import abcseq, load_particles, pool_batches, save_particles
+from .config import ExperimentConfig, load_config, worker_map
 from .crn_text import load_crn
 from .csl import parse_csl
 from .errors import ConfigError, CrnVerifyError, ParseError, ToleranceUnmetError
@@ -99,10 +99,6 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
     return partition_path, heatmap_path, partition.status
 
 
-def _run_batches(args) -> list[ParticleSet]:
-    return abcseq(*args)
-
-
 def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tuple[Path, Path]:
     """Run batched sequential ABC and write particles plus a posterior summary."""
     pcrn = _model_with_bounds(config)
@@ -113,14 +109,10 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
         )
     batches = list(range(config.abc_batches))
     workers = min(config.workers, len(batches))
-    if workers > 1:
-        # each worker runs a contiguous share of the batches in lockstep
-        shares = [batches[w * len(batches) // workers:(w + 1) * len(batches) // workers] for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch_sets = [s for sets in pool.map(_run_batches, [(pcrn, data, config, share) for share in shares])
-                          for s in sets]
-    else:
-        batch_sets = abcseq(pcrn, data, config, batches)
+    # each worker runs a contiguous share of the batches in lockstep
+    shares = [batches[w * len(batches) // workers:(w + 1) * len(batches) // workers] for w in range(workers)]
+    with worker_map(workers) as map_:
+        batch_sets = [s for sets in map_(partial(abcseq, pcrn, data, config), shares) for s in sets]
     particles_path = out_dir / "particles.csv"
     save_particles(batch_sets, pcrn.params, particles_path, seed=config.seed)
     posterior_path = out_dir / "posterior.json"
@@ -243,11 +235,14 @@ def cmd_pipeline(config: ExperimentConfig, out_dir: Path) -> None:
 # Argument parsing and dispatch.
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, workers: bool = False):
+    """The flags every command takes, plus ``--workers`` for the commands
+    that spread their work over processes."""
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--out-dir", default="out", help="output directory (default: out)")
-    p.add_argument("--workers", type=int, help="max concurrent worker processes")
+    if workers:
+        p.add_argument("--workers", type=int, help="max concurrent worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("synth", help="partition the parameter space by the property threshold")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--model", help="network .crn file (overrides config)")
     p.add_argument("--property", help="property string (overrides config)")
     p.add_argument("--tolerance", dest="synth_volume_tolerance", type=float, help="undecided-volume tolerance")
 
     p = sub.add_parser("infer", help="sequential ABC over observed data")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--model", help="network .crn file (overrides config)")
     p.add_argument("--dataset", required=True, help="observations CSV from 'generate'")
     p.add_argument("--particles", dest="abc_particles", type=int, help="particles per batch")
@@ -293,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sims", type=int, default=1000, help="simulations per draw")
 
     p = sub.add_parser("pipeline", help="run generate, synth, infer, and verify in order")
-    _add_common(p)
+    _add_common(p, workers=True)
 
     return parser
 

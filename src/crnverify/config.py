@@ -5,6 +5,8 @@ that draws random numbers keys them by the seed, and ``rng.stream`` fails
 without one, so a config fully determines every output byte.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -125,6 +127,19 @@ class ExperimentConfig:
         q = len(self.observation_times) if self.observation_times is not None else self.observation_count
         noise = "with noise" if self.noise_sigma > 0 else "without noise"
         return f"{q} obs {noise}"
+
+
+@contextmanager
+def worker_map(workers: int):
+    """A ``map`` that spreads its calls over ``workers`` processes: the
+    built-in ``map`` for one worker, a process pool's ``map`` otherwise.
+    Either returns the results in call order.  This is the package's one
+    process pool."""
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:

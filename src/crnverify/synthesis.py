@@ -28,11 +28,13 @@ box's lattice points are its children's corners and the cache keeps every
 value.  The ``evaluations`` count in the partition header is the number
 of points actually evaluated.
 
-A stage's points are evaluated together, as lanes of one Poisson series
-(``UntilEvaluator.probabilities``), or in contiguous chunks across the
-worker processes.  Labels are decided purely by evaluations at lattice
-points, and each lane's value is the same bits as that point evaluated
-alone, so the result is identical however the points are scheduled.
+A stage's points are split into contiguous chunks of at most one block
+of lanes (``UntilEvaluator.block_lanes``), fewer points a chunk when that
+spreads them over more of the ``workers`` processes, and each chunk runs
+as lanes of one Poisson series (``UntilEvaluator.probabilities``).  Labels
+are decided purely by evaluations at lattice points, and each lane's
+value is the same bits as that point evaluated alone, so the result is
+identical however the points are chunked and scheduled.
 The margin scheme is heuristic: labels assume the
 satisfaction probability varies smoothly between lattice points, and the
 statistical audit in the test suite quantifies that gap rather than
@@ -40,18 +42,18 @@ certifying it away.
 """
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, worker_map
 from .csl import CslFormula, format_csl
 from .errors import ConfigError, ParseError
 from .files import read_json, write_csv, write_json
 from .model import PCRN
-from .transient import UntilEvaluator, evaluator_for
+from .transient import evaluator_for
 
 LABEL_SAT = "T"
 LABEL_VIOL = "F"
@@ -106,16 +108,11 @@ def _vacuous_label(relation: str, p: float) -> str | None:
     return None
 
 
-_WORKER_EVALUATOR: UntilEvaluator | None = None
-
-
-def _worker_init(pcrn, formula):
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator_for(pcrn, formula)
-
-
-def _worker_eval(points, tol):
-    return _WORKER_EVALUATOR.probabilities(points, tol).tolist()
+def _evaluate(pcrn: PCRN, formula: CslFormula, points: list[tuple[float, ...]], tol: float) -> list[float]:
+    """Until probabilities of one chunk of points, from this process's
+    evaluator: a forked worker inherits its parent's, and a worker started
+    any other way builds its own on its first chunk."""
+    return evaluator_for(pcrn, formula).probabilities(points, tol).tolist()
 
 
 def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -129,35 +126,26 @@ def _lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _refine(pcrn, formula, config, theta_lo, theta_hi):
     """Boxes, labels, status and evaluation count of the refinement."""
-    evaluator = evaluator_for(pcrn, formula)
+    # built before any worker starts, so forked workers inherit it
+    block_lanes = evaluator_for(pcrn, formula).block_lanes
     widths = theta_hi - theta_lo
     total_volume = float(np.prod(widths))
     # gap >= margin satisfies, gap <= -margin violates
     sign = 1.0 if formula.relation in (">", ">=") else -1.0
 
     cache: dict[tuple[float, ...], float] = {}
-    pool = None
-    if config.workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_worker_init,
-            initargs=(pcrn, formula),
-        )
 
     def evaluate_all(points: list[tuple[float, ...]]):
         todo = sorted(set(points) - cache.keys())
         if not todo:
             return
-        if pool is not None:
-            # contiguous chunks of at most one block of lanes each, handed
-            # out one at a time as workers free up
-            size = max(1, min(evaluator.block_lanes, -(-len(todo) // config.workers)))
-            chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-            tols = itertools.repeat(config.synth_transient_tol)
-            results = itertools.chain.from_iterable(pool.map(_worker_eval, chunks, tols))
-        else:
-            results = evaluator.probabilities(todo, config.synth_transient_tol).tolist()
-        cache.update(zip(todo, results))
+        # contiguous chunks of at most one block of lanes each, handed out
+        # one at a time as workers free up; one worker runs the blocks
+        # ``probabilities`` would
+        size = max(1, min(block_lanes, -(-len(todo) // config.workers)))
+        chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+        results = map_(partial(_evaluate, pcrn, formula, tol=config.synth_transient_tol), chunks)
+        cache.update(zip(todo, itertools.chain.from_iterable(results)))
 
     def gaps(points: list[tuple[float, ...]], boxes: int) -> np.ndarray:
         """sign * (value - bound) per box and lattice point, NaN where the
@@ -170,7 +158,7 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
     margin = config.synth_margin
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level
     lo, hi = theta_lo[None, :], theta_hi[None, :]
-    try:
+    with worker_map(config.workers) as map_:
         for depth in itertools.count():
             if depth >= MIN_LABEL_DEPTH:
                 points = list(map(tuple, _lattices(lo, hi).reshape(-1, lo.shape[1]).tolist()))
@@ -202,9 +190,6 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
             lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
             hi[2 * rows, dims] = mid
             lo[2 * rows + 1, dims] = mid
-    finally:
-        if pool is not None:
-            pool.shutdown()
     lo, hi, labels = (np.concatenate(parts) for parts in zip(*out))
     return lo, hi, labels, status, len(cache)
 

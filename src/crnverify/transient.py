@@ -82,25 +82,6 @@ class UniformizedChain:
         return cls(q=float(q[0]), P=sparse.csr_matrix((P[0], lanes.indices, lanes.indptr), shape=(n, n)))
 
 
-def _row_ranks(rows: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Entries grouped by their place within their row: group r holds the
-    rows and entry positions of every row's (r+1)-th entry.  ``rows`` gives
-    each entry's row, ascending, over n rows."""
-    counts = np.bincount(rows, minlength=n)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return [(rows[rank == r], np.flatnonzero(rank == r)) for r in range(counts.max(initial=0))]
-
-
-def _row_sums(values: np.ndarray, ranks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Each of n rows' sums, per lane of ``values`` (lanes, entries),
-    adding the row's entries in index order (``_row_ranks`` groups them),
-    as a sequential loop along the row would."""
-    sums = np.zeros((len(values), n))
-    for rows, entries in ranks:  # at most one entry per row
-        sums[:, rows] += values[:, entries]
-    return sums
-
-
 def _poisson_weights(qt: float, tol: float) -> np.ndarray:
     """Poisson(qt) probabilities of 0..K, with the tail mass beyond K below tol.
 
@@ -323,14 +304,16 @@ class _LanePattern:
         coords = [(np.repeat(np.arange(n), np.diff(B.indptr)) * n + B.indices) for B in basis]
         keys = np.unique(np.concatenate([*coords, np.arange(n) * (n + 1)]))
         rows = keys // n
-        self.n = n
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
         self.indices = keys % n
         self.data = [B.data for B in basis]
         self.slots = [np.searchsorted(keys, c) for c in coords]
         self.diag = np.searchsorted(keys, np.arange(n) * (n + 1))
+        # row i of ``outflow`` picks row i's off-diagonal entries: its
+        # product adds them in index order, starting from zero
         off = np.flatnonzero(rows != self.indices)
-        self.ranks = [(r, off[e]) for r, e in _row_ranks(rows[off], n)]
+        starts = np.searchsorted(rows[off], np.arange(n + 1))
+        self.outflow = sparse.csr_matrix((np.ones(len(off)), off, starts), shape=(n, len(keys)))
 
     def jump(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The values of P (lanes x entries) and each lane's q, one lane
@@ -338,7 +321,7 @@ class _LanePattern:
         rates = np.zeros((len(theta), len(self.indices)))
         for k, (slots, values) in enumerate(zip(self.slots, self.data)):
             rates[:, slots] += theta[:, k, None] * values
-        outflow = _row_sums(rates, self.ranks, self.n)
+        outflow = (self.outflow @ rates.T).T
         top = outflow.max(axis=1, initial=0.0)
         q = np.where(top > 0, RATE_MARGIN * top, 0.0)
         live = q > 0
@@ -355,8 +338,10 @@ class _LanePattern:
         return _poisson_series(self.indptr, self.indices, P, V, (q * t).tolist(), tol, cols)
 
 
+@cache
 def evaluator_for(pcrn: PCRN, formula: CslFormula) -> UntilEvaluator:
     """The evaluator of ``formula``'s until path on ``pcrn``; ``formula.compare``
-    decides the threshold on a value it returns."""
+    decides the threshold on a value it returns.  Built once per process
+    for equal arguments, so a forked worker inherits its parent's."""
     path = formula.path
     return UntilEvaluator(pcrn, path.phi1, path.phi2, path.t_lo, path.t_hi)

@@ -4,7 +4,8 @@ keys up by name.
 ``crnperf/spans.py`` wraps the functions its ``WRAPS`` table names, on the
 module where each caller looks them up, and ``crnperf/job.py`` imports a
 few more.  ``crnperf/workloads.py`` writes config files and runs CLI
-commands with flags, and ``crnperf/checks.py`` reads ``verdict.json``.
+commands with flags, ``crnperf/run.py`` runs ``synth`` to build the
+cached SIR partition, and ``crnperf/checks.py`` reads ``verdict.json``.
 These files are only parsed here, never run, so a rename or deletion in
 the package fails this test instead of the benchmark's runs.
 """
@@ -86,6 +87,15 @@ def _config_keys():
     return keys
 
 
+def _strings(node: ast.List) -> list[str]:
+    return [e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
+def _flags(command: str, strings: list[str]) -> set:
+    """The subcommand itself and its ``--flag`` arguments."""
+    return {(command, None)} | {(command, s) for s in strings if s.startswith("--")}
+
+
 def _command_flags():
     """Every (subcommand, ``--flag``) pair in the argument lists that the
     workloads' ``commands`` methods return: each list literal there whose
@@ -96,11 +106,22 @@ def _command_flags():
         if not (isinstance(method, ast.FunctionDef) and method.name == "commands"):
             continue
         for node in ast.walk(method):
-            if not (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)):
-                continue
-            strings = [e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
-            pairs.update((node.elts[0].value, s) for s in strings if s.startswith("--"))
-            pairs.add((node.elts[0].value, None))  # the subcommand itself
+            if isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant):
+                pairs |= _flags(node.elts[0].value, _strings(node))
+    return pairs
+
+
+def _partition_build_flags():
+    """The (subcommand, ``--flag``) pairs of the ``-m crnverify.cli``
+    argument list that ``run.py``'s ``ensure_partition`` runs: the string
+    after the module names the subcommand."""
+    tree = ast.parse((CRNPERF / "run.py").read_text())
+    build = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "ensure_partition")
+    pairs = set()
+    for node in ast.walk(build):
+        if isinstance(node, ast.List) and "crnverify.cli" in _strings(node):
+            strings = _strings(node)
+            pairs |= _flags(strings[strings.index("crnverify.cli") + 1], strings)
     return pairs
 
 
@@ -148,7 +169,7 @@ WRAPPED = _wrapped_names()
 IMPORTED = _imported_names()
 CONFIG_KEYS = sorted(_config_keys() - {"format"})
 VERDICT_READS = sorted(_verdict_reads())
-COMMAND_FLAGS = sorted(_command_flags(), key=lambda pair: (pair[0], pair[1] or ""))
+COMMAND_FLAGS = sorted(_command_flags() | _partition_build_flags(), key=lambda pair: (pair[0], pair[1] or ""))
 
 
 def test_tables_were_parsed():
@@ -160,6 +181,7 @@ def test_tables_were_parsed():
     assert {"C", "n_samples", "mass_outside", "posterior"} <= set(VERDICT_READS)
     assert {("verify", "--samples"), ("verify", "--scale"), ("baseline", "--n-params"),
             ("baseline", "--n-sims"), ("pipeline", None), ("synth", "--config")} <= set(COMMAND_FLAGS)
+    assert {("synth", "--workers"), ("synth", "--out-dir")} <= _partition_build_flags()
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

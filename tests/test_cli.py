@@ -228,6 +228,21 @@ def test_every_flag_sets_a_config_field_or_is_command_only():
                 assert action.dest in settings | COMMAND_ONLY, f"{name}: {action.option_strings or action.dest}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "smoke.json"],
+    ["verify", "out/partition.json", "out/particles.csv", "--seed", "1"],
+    ["baseline", "out/particles.csv", "--config", "smoke.json"],
+])
+def test_workers_only_where_work_is_spread(workspace, capsys, argv):
+    # generate, verify and baseline run in one process: --workers is an
+    # unknown flag there, and argparse exits 2 before any work
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--workers", "2", "--out-dir", "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def smoke_stages(tmp_path_factory):
     """A smoke-config partition and particle file, built once."""
@@ -419,6 +434,8 @@ PARTICLE_CORRUPTIONS = {
     "theta-lo-negative": (_set_meta("theta_lo", [-1.0]), "lower bound -1.0 must be nonnegative"),
     "negative-weight": (_edit_rows(lambda rows: rows[0].__setitem__(2, repr(-3 * float(rows[0][2])))),
                         "weights must be nonnegative"),
+    "zero-weight-batch": (_edit_rows(lambda rows: [row.__setitem__(2, "0.0") for row in rows if row[0] == "0"]),
+                          "a batch's weights sum to zero"),
 }
 
 

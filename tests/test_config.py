@@ -1,6 +1,8 @@
 """Experiment configuration loading and validation."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +159,22 @@ def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):
     # json writes NaN and Infinity literals, which the loader accepts
     with pytest.raises(ConfigError, match=key):
         load_config(write(tmp_path, {**BASE, key: value}))
+
+
+def _names(tree):
+    """Every name, attribute and imported name in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_one_module_starts_processes():
+    # config.worker_map is the package's one process pool: every stage that
+    # spreads work maps through it, at one worker as at many
+    src = Path(__file__).resolve().parents[1] / "src" / "crnverify"
+    naming = {path.name for path in src.glob("*.py") if "ProcessPoolExecutor" in _names(ast.parse(path.read_text()))}
+    assert naming == {"config.py"}

@@ -329,10 +329,8 @@ def reference_until(evaluator, point, tol):
     return float(min(max(result, 0.0), 1.0))
 
 
-DECAY = parse_crn(
-    "format=1; species A B; param k in [0, 10];"
-    "reaction decay: A -> B @ k; init A=50; conserve 50;"
-)
+DECAY_TEXT = "format=1; species A B; param k in [0, 10]; reaction decay: A -> B @ k; init A=50; conserve 50;"
+DECAY = parse_crn(DECAY_TEXT)
 SIR = parse_crn(
     "format=1; species S I R;"
     "param ki in [5e-5, 0.003]; param kr in [0.005, 0.2];"
@@ -390,6 +388,14 @@ class TestLanesMatchReference:
         points[[4, 17]] = 0.0
         for formula in DECAY_FORMULAS:
             _assert_lanes_match_reference(DECAY, formula, points)
+
+    def test_evaluator_is_built_once_per_process(self):
+        # a network and a property parsed anew are equal keys: the second
+        # call returns the first call's evaluator, so a forked worker reuses
+        # its parent's
+        first = evaluator_for(DECAY, parse_csl(DECAY_FORMULAS[0]))
+        assert evaluator_for(parse_crn(DECAY_TEXT), parse_csl(DECAY_FORMULAS[0])) is first
+        assert evaluator_for(DECAY, parse_csl(DECAY_FORMULAS[1])) is not first
 
     def test_probability_is_the_one_lane_call(self):
         evaluator = evaluator_for(SIR, parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]"))
