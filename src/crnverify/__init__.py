@@ -40,6 +40,7 @@ from .simulate import (
     observe,
     save_dataset,
     simulate_distances,
+    simulate_until,
     simulate_visits,
     states_at,
 )

@@ -25,7 +25,7 @@ from .csl import parse_csl
 from .errors import ConfigError, CrnVerifyError, ParseError, ToleranceUnmetError
 from .files import read_json, write_json
 from .model import PCRN
-from .simulate import observe, save_dataset, simulate, load_dataset
+from .simulate import Dataset, observe, save_dataset, simulate, load_dataset
 from .synthesis import (
     STATUS_OK,
     save_heatmap_grid,
@@ -99,6 +99,13 @@ def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]
     return partition_path, heatmap_path, partition.status
 
 
+def _abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batches: list[int]):
+    """``abcseq``, looked up when called: a pool pickles this function by
+    name, which still works where ``abcseq`` has been replaced by a
+    wrapper."""
+    return abcseq(pcrn, data, config, batches)
+
+
 def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tuple[Path, Path]:
     """Run batched sequential ABC and write particles plus a posterior summary."""
     pcrn = _model_with_bounds(config)
@@ -112,7 +119,7 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
     # each worker runs a contiguous share of the batches in lockstep
     shares = [batches[w * len(batches) // workers:(w + 1) * len(batches) // workers] for w in range(workers)]
     with worker_map(workers) as map_:
-        batch_sets = [s for sets in map_(partial(abcseq, pcrn, data, config), shares) for s in sets]
+        batch_sets = [s for sets in map_(partial(_abcseq, pcrn, data, config), shares) for s in sets]
     particles_path = out_dir / "particles.csv"
     save_particles(batch_sets, pcrn.params, particles_path, seed=config.seed)
     posterior_path = out_dir / "posterior.json"

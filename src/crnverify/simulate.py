@@ -10,9 +10,9 @@ independent Gaussian noise.
 Draw contract.  ``simulate_visits`` runs many paths ("lanes") in lockstep.
 The lanes of a call split, in order, into groups, each drawing from its
 own generator: a call given one generator makes one group of every lane,
-and ``simulate_visits`` and ``simulate_distances`` also take a list of
-(generator, lanes) groups.  Lane ``j`` of a group owns column ``j`` of
-every draw block of its group for the whole call:
+and ``simulate_visits``, ``simulate_distances`` and ``simulate_until``
+also take a list of (generator, lanes) groups.  Lane ``j`` of a group
+owns column ``j`` of every draw block of its group for the whole call:
 
 - at the start, a (rows x lanes) block of standard exponentials, then a
   (rows x lanes) block of uniforms, with rows = ceil(``_BLOCK`` / lanes)
@@ -47,6 +47,20 @@ partial distance exceeds its threshold (one per call, or one per lane).
 Partial sums of nonnegative terms never decrease, so a stopped lane is
 exactly one that would have been rejected, and a finished lane's
 distance is the same bits as that sum taken over its stored path.
+
+``simulate_until`` runs the same kernel up to t' and decides a bounded
+until  phi1 U[t, t'] phi2  on each lane as it runs, without keeping
+paths.  Every step applies ``_until_step`` to the interval each lane
+holds, its state on [entry time, next jump), the next jump at infinity
+for a lane that leaves: a witness (phi2 at max(entry, t) <= t', phi1 on
+any stretch before it) satisfies the run, and phi1 failing violates it;
+a run still undecided when it leaves is violated.  A decided lane stops
+at once, with its exponential drawn and no uniform, unless its group
+holds: a group whose generator is read after the call keeps every lane
+running as ``simulate_visits`` would, so that the generator ends where
+that call leaves it.  A lane's verdict is the rule's over its stored
+path, since the rule reads the intervals in order and the first
+decision is final; a stopped lane only ends its group's draws earlier.
 """
 
 import operator
@@ -56,14 +70,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .csl import BoundedUntil
 from .errors import ConfigError, ParseError
 from .files import finite_number, read_csv, write_csv
 from .model import PCRN, _falling_product, compiled_reactions, point_values
 
 _BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call overhead
-# widest call an estimate makes, which bounds its memory at O(_LANES x
-# events), and widest ABC wave unless it has more pending slots (a call
-# of several batches' waves keeps no paths, so its memory is O(lanes))
+# widest call an estimate makes, and widest ABC wave unless it has more
+# pending slots; neither keeps paths, so a call's memory is O(lanes)
 _LANES = 1024
 
 
@@ -151,6 +165,40 @@ def simulate_distances(pcrn: PCRN, points, data: Dataset, eps, rng) -> np.ndarra
     return _lockstep(pcrn, values, float(data.times[-1]), _groups(rng, len(values)), data, eps)
 
 
+def simulate_until(pcrn: PCRN, points, path: BoundedUntil, rng, hold=False) -> np.ndarray:
+    """Whether one path per lane, simulated up to ``path.t_hi`` as
+    ``simulate_visits`` would, satisfies ``path``, decided as the lane
+    runs, as the module docstring states, without keeping the paths.
+    ``hold`` is one flag for every group or one per group: a held group's
+    lanes run to their ends, so that its generator ends where
+    ``simulate_visits`` leaves it; any other lane stops once its verdict
+    is known.  At t' = 0 every run is its initial state alone, which the
+    rule decides without a draw."""
+    values = _lane_values(pcrn, points)
+    groups = _groups(rng, len(values))
+    if path.t_hi == 0:
+        initial, index = np.asarray([pcrn.initial_state], dtype=np.int64), pcrn.species_index()
+        witness, _ = _until_step(path, path.phi1.mask(initial, index), path.phi2.mask(initial, index),
+                                 np.zeros(1), np.full(1, np.inf))
+        return np.repeat(witness, len(values))
+    held = np.broadcast_to(np.asarray(hold, dtype=bool), len(groups))
+    return _lockstep(pcrn, values, float(path.t_hi), groups, path=path, held=held)
+
+
+def _until_step(path: BoundedUntil, m1: np.ndarray, m2: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The until rule on intervals: interval ``i`` is [a[i], b[i]), held
+    in a state where phi1 is ``m1[i]`` and phi2 is ``m2[i]``.  Returns
+    (witness, failure).  The interval witnesses ``path`` when phi2 holds
+    at lo = max(a, t_lo) <= t_hi, lo falls before b, and phi1 holds on
+    the stretch [a, lo) if it is not empty; it fails when phi1 does not
+    hold and a <= t_hi.  A path satisfies ``path`` iff its first
+    witnessing interval comes no later than its first failing one."""
+    lo = np.maximum(a, path.t_lo)
+    witness = m2 & (lo <= path.t_hi) & (lo < b) & ((lo == a) | m1)
+    failure = ~m1 & (a <= path.t_hi)
+    return witness, failure
+
+
 def _lane_values(pcrn: PCRN, points) -> np.ndarray:
     names = pcrn.params.names
     values = np.asarray(points, dtype=float)
@@ -171,7 +219,8 @@ def _groups(rng, m: int) -> list:
 
 
 def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
-              data: Dataset | None = None, eps: np.ndarray | None = None):
+              data: Dataset | None = None, eps: np.ndarray | None = None,
+              path: BoundedUntil | None = None, held: np.ndarray | None = None):
     """The Gillespie kernel: every lane of ``values`` advances together as
     arrays of states (lanes, n), clocks and rates (R, lanes).  A lane leaves
     them once its next jump falls at or past ``t_end``; an absorbing
@@ -180,9 +229,11 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
     blocks.  ``groups`` splits the lanes, in order, into (generator, lanes)
     runs.
 
-    Without ``data``, returns every visit as (lane, state, entry time)
-    arrays in step order.  With it, returns each lane's distance to the
-    data (infinity for a lane stopped past its entry of ``eps``).
+    With ``data``, returns each lane's distance to the data (infinity for
+    a lane stopped past its entry of ``eps``).  With ``path``, returns
+    whether each lane satisfies it (``t_end`` is its t'), a lane leaving
+    once decided unless ``held`` holds its group.  With neither, returns
+    every visit as (lane, state, entry time) arrays in step order.
     """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
@@ -220,6 +271,9 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
     states = np.tile(np.asarray(pcrn.initial_state, dtype=float), (m, 1))
     t = np.zeros(m)
     visits = [(lanes, states, t)]
+    if path is not None:
+        index = pcrn.species_index()
+        satisfied, undecided = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
     if data is not None:
         obs_times, observed = np.append(data.times, np.inf), data.observations
         nxt = np.zeros(m, dtype=np.intp)  # each lane's next observation
@@ -278,10 +332,26 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
                     # only a lane that crossed has a new partial distance
                     idx = lanes[crossed]
                     keep[crossed] &= np.sqrt(partial[idx]) <= eps[idx]
+            elif path is not None:
+                # the state held on [t, t_next), to the end for a lane
+                # leaving; only a state outside phi1 or in phi2 decides
+                x = states.astype(np.int64)
+                m1, m2 = path.phi1.mask(x, index), path.phi2.mask(x, index)
+                if m2.any() or not m1.all():
+                    witness, failure = _until_step(path, m1, m2, t, np.where(keep, t_next, np.inf))
+                    decided = (witness | failure) & undecided[lanes]
+                    if decided.any():
+                        idx = lanes[decided]
+                        satisfied[idx] = witness[decided]
+                        undecided[idx] = False
+                        keep &= ~decided | held[group]
             if np.count_nonzero(keep) < len(keep):
-                lanes, rates, states, t_next = lanes[keep], rates[:, keep], states[keep], t_next[keep]
-                group, at, base, width = group[keep], at[keep], base[keep], width[keep]
-                cum = [c[keep] for c in cum]
+                # one index array and take() cost less than a boolean mask
+                # applied to each array
+                sel = keep.nonzero()[0]
+                lanes, t_next, group, at, base, width = (v.take(sel) for v in (lanes, t_next, group, at, base, width))
+                rates, states = rates.take(sel, axis=1), states.take(sel, axis=0)
+                cum = [c.take(sel) for c in cum]
                 if not len(lanes):
                     break
                 active = np.bincount(group, minlength=len(rows))
@@ -290,18 +360,22 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
                     if active[g]:
                         rngs[g].random(out=unis[spans[g]])
                 fresh = None
-            u = unis[at] * cum[-1]
-            # the first reaction whose running sum exceeds u, else the last
-            chosen = last
-            for j in range(last - 1, -1, -1):
-                chosen = np.where(u < cum[j], j, chosen)
+            # the first reaction whose running sum exceeds u, else the last;
+            # one row of delta per lane, as a broadcast row adds far slower
+            chosen = np.full(len(lanes), last)
+            if last:
+                u = unis[at] * cum[-1]
+                for j in range(last - 1, -1, -1):
+                    chosen = np.where(u < cum[j], j, chosen)
             states = states + delta.take(chosen, axis=0)
             t = t_next
-            if data is None:
+            if data is None and path is None:
                 visits.append((lanes, states, t))
             at = at + width
             step += 1
 
+    if path is not None:
+        return satisfied
     if data is None:
         return tuple(np.concatenate(v) for v in zip(*visits))
     distances = np.sqrt(partial)

@@ -9,19 +9,21 @@ call leaves it.  ``reference_simulate`` is the one-lane call.  Tests
 compare the kernel against them, and use the one-lane call wherever they
 need many one-path draws from one shared generator fast.
 
-The package keeps paths as flat visit arrays.  ``simulate_paths`` and
-``check_until_paths`` are thin wrappers that cut those arrays into a
-``Trajectory`` per lane and back, and ``discrepancy`` is the distance
-``simulate_distances`` adds up, computed from a stored path by lookup
-rather than as the kernel's clock passes each observation.
+The package keeps paths as flat visit arrays.  ``simulate_paths`` cuts
+those arrays into a ``Trajectory`` per lane.  ``check_until_visits`` is
+the stored-path form of the verdicts ``simulate_until`` reaches as its
+lanes run: the kernel's until rule (``simulate._until_step``) applied to
+every interval of every path at once, and ``check_until_paths`` is it on
+a list of paths.  ``discrepancy`` is the distance ``simulate_distances``
+adds up, computed from a stored path by lookup rather than as the
+kernel's clock passes each observation.
 """
 
 import numpy as np
 
 import crnverify.simulate as SIM
-from crnverify import Trajectory
+from crnverify import BoundedUntil, Trajectory
 from crnverify.model import _falling_product, compiled_reactions, point_values
-from crnverify.monitor import _check_until_visits
 
 
 def simulate_paths(pcrn, points, t_end, rng) -> list[Trajectory]:
@@ -34,15 +36,42 @@ def simulate_paths(pcrn, points, t_end, rng) -> list[Trajectory]:
     ]
 
 
+def check_until_visits(states, a, ends, phi1, phi2, t_lo, t_hi, index):
+    """Check  phi1 U[t_lo, t_hi] phi2  on every stored path at once.  Path
+    ``i`` holds rows ``ends[i-1]:ends[i]`` (from 0 for path 0) of
+    ``states`` and their entry times ``a``, and reaches ``t_hi``.
+
+    A path satisfies the formula iff some witness time tau in [t_lo, t_hi]
+    has phi2 at the state occupied at tau and phi1 at every strictly
+    earlier time.  Returns ``(satisfied, witness)``, one entry per path;
+    the witness is the earliest fulfilling time, NaN where the formula
+    fails.  Each state row opens the interval [a, b) up to the next jump;
+    the last interval of a path ends at infinity, so it covers the closed
+    window end.  A path is satisfied iff its first witnessing interval
+    comes no later than its first failing one.
+    """
+    path = BoundedUntil(phi1=phi1, phi2=phi2, t_lo=t_lo, t_hi=t_hi)
+    starts = np.append(0, ends[:-1])
+    b = np.append(a[1:], 0.0)
+    b[ends - 1] = np.inf
+    witnesses, failures = SIM._until_step(path, phi1.mask(states, index), phi2.mask(states, index), a, b)
+    row, none = np.arange(len(a)), len(a)
+    first_witness = np.minimum.reduceat(np.where(witnesses, row, none), starts)
+    first_failure = np.minimum.reduceat(np.where(failures, row, none), starts)
+    satisfied = (first_witness < none) & (first_witness <= first_failure)
+    witness = np.full(len(ends), np.nan)
+    witness[satisfied] = np.maximum(a, t_lo)[first_witness[satisfied]]
+    return satisfied, witness
+
+
 def check_until_paths(paths, phi1, phi2, t_lo, t_hi, index):
-    """``monitor._check_until_visits`` on a list of paths, each reaching
-    ``t_hi``."""
+    """``check_until_visits`` on a list of paths, each reaching ``t_hi``."""
     if any(p.horizon < t_hi for p in paths):
         raise ValueError(f"trajectory horizon {min(p.horizon for p in paths)} ends before t'={t_hi}")
     ends = np.cumsum([len(p.times) for p in paths])
     states = np.concatenate([p.states for p in paths])
     times = np.concatenate([p.times for p in paths])
-    return _check_until_visits(states, times, ends, phi1, phi2, t_lo, t_hi, index)
+    return check_until_visits(states, times, ends, phi1, phi2, t_lo, t_hi, index)
 
 
 def discrepancy(data, sim: Trajectory) -> float:

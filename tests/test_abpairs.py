@@ -69,6 +69,40 @@ def test_higher_is_better_counts_the_other_way():
     assert abpairs.summarize(pairs, {"job_s": "higher"})["metrics"]["job_s"]["wins"] == 1
 
 
+def _pairs(base, change):
+    return [(line(b, 100.0), line(c, 100.0)) for b, c in zip(base, change)]
+
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.9825-1.0175
+
+
+@pytest.mark.parametrize("change, gain", [
+    ([b - 0.1 for b in BASE], True),  # 10 of 10 wins, median 0.1 below: past the 0.035 IQR
+    ([b - 0.1 for b in BASE[:9]] + [1.5], True),  # 9 of 10 wins
+    ([b - 0.1 for b in BASE[:8]] + [1.5, 1.5], False),  # 8 of 10 wins
+    ([b - 0.01 for b in BASE], False),  # 10 wins, but the medians differ by less than the IQR
+])
+def test_gain_needs_nine_of_ten_wins_and_a_median_past_the_iqr(change, gain):
+    got = abpairs.summarize(_pairs(BASE, change), {"job_s": "lower"})["metrics"]["job_s"]
+    assert got["gain"] is gain
+    # without a bound there is no regression verdict
+    assert got["regression"] is None
+
+
+@pytest.mark.parametrize("factor, regression", [(1.30, True), (1.20, False), (0.70, False)])
+def test_regression_is_a_median_worse_by_more_than_the_bound(factor, regression):
+    got = abpairs.summarize(_pairs(BASE, [b * factor for b in BASE]), {"job_s": "lower"}, {"job_s": 0.25})
+    assert got["metrics"]["job_s"]["regression"] is regression
+
+
+def test_higher_is_better_verdicts():
+    # a rate that fell by 30% regresses; one that rose by 30% gains
+    fell = abpairs.summarize(_pairs(BASE, [b * 0.7 for b in BASE]), {"job_s": "higher"}, {"job_s": 0.25})
+    rose = abpairs.summarize(_pairs(BASE, [b * 1.3 for b in BASE]), {"job_s": "higher"}, {"job_s": 0.25})
+    assert (fell["metrics"]["job_s"]["gain"], fell["metrics"]["job_s"]["regression"]) == (False, True)
+    assert (rose["metrics"]["job_s"]["gain"], rose["metrics"]["job_s"]["regression"]) == (True, False)
+
+
 def git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=repo, check=True,
                    capture_output=True)

@@ -6,6 +6,7 @@ exercises the wiring.
 """
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -348,6 +349,26 @@ def test_infer_outputs_do_not_depend_on_workers(smoke_stages, tmp_path):
                    "--particles", "40", "--workers", workers, "--out-dir", str(tmp_path / workers)) == 0
     for name in ("particles.csv", "posterior.json"):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def test_infer_runs_with_abcseq_wrapped(smoke_stages, tmp_path, monkeypatch):
+    # a tracer replaces cli.abcseq with a wrapper that copies its name; the
+    # pool must not pickle the wrapper by that name
+    import crnverify.cli as cli
+
+    real = cli.abcseq
+
+    @functools.wraps(real)
+    def wrapped(*args, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "abcseq", wrapped)
+    config = str(smoke_stages.parent / "smoke.json")
+    for workers in ("1", "2"):
+        assert run("infer", "--config", config, "--dataset", str(smoke_stages / "dataset.csv"),
+                   "--workers", workers, "--out-dir", str(tmp_path / workers)) == 0
+    assert (tmp_path / "2" / "particles.csv").read_bytes() == (tmp_path / "1" / "particles.csv").read_bytes()
+    assert (tmp_path / "1" / "particles.csv").read_bytes() == (smoke_stages / "particles.csv").read_bytes()
 
 
 POSTERIOR_CORRUPTIONS = {

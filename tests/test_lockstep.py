@@ -8,7 +8,8 @@ below.  Every lane of ``simulate_visits`` must equal the reference path bit
 for bit; a one-lane call must also leave its generator where the loop
 does.  Early rejection must accept exactly the lanes a run without it
 accepts, with the same distances.  Every path's until verdict and witness
-must equal the scan's.
+must equal the scan's, and the verdicts ``simulate_until`` reaches as its
+lanes run must equal those of the stored paths.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import pytest
 
 import crnverify.simulate as SIM
 from crnverify import (
+    BoundedUntil,
     ConfigError,
     Dataset,
     ExperimentConfig,
@@ -356,6 +358,133 @@ class TestGroupedCalls:
 
 
 # ---------------------------------------------------------------------------
+# Verdicts decided in the kernel against the stored paths.
+
+# per network: the case property, t_lo = 0, true U, an initial state
+# outside phi1, and U[0,0] both ways
+UNTIL_PROPS = {
+    "decay": (DECAY, [
+        "(B<25) U[0.5,1.5] (B>=25)", "(B<25) U[0,1.5] (B>=25)", "true U[0.5,1.5] (B>=25)",
+        "(B>0) U[0.5,1.5] (B>=25)", "(B<25) U[0,0] (A>=50)", "(B<25) U[0,0] (B>=25)",
+    ]),
+    # A = 4 absorbs at [0, 4], at the fast rates long before t'
+    "short-decay": (SHORT_DECAY, [
+        "(A>0) U[2,5] (A=0)", "(A>0) U[0,5] (B>=3)", "true U[4,5] (A=0)",
+        "(B>0) U[1,5] (A=0)", "(A>0) U[0,0] (A=4)", "(A>0) U[0,0] (A=0)",
+    ]),
+    "sir": (SIR, [
+        "(I>0) U[100,150] (I=0)", "(I>0) U[0,40] (I<=2)", "true U[100,150] (I=0)",
+        "(I>5) U[10,150] (I=0)", "(I>0) U[0,0] (I=5)", "(I>0) U[0,0] (I=0)",
+    ]),
+}
+
+
+def _random_points(pcrn, n, rng):
+    lo, hi = pcrn.params.lower, pcrn.params.upper
+    return lo + (hi - lo) * rng.random((n, len(lo)))
+
+
+def _stored_verdicts(pcrn, points, path, rng):
+    """Each lane's verdict on its stored path from one call on ``rng``, by
+    the moved checker, which must agree with the interval scan."""
+    if path.t_hi > 0:
+        paths = simulate_paths(pcrn, points, path.t_hi, rng)
+    else:  # every run is its initial state alone
+        start = Trajectory(states=np.array([pcrn.initial_state]), times=np.array([0.0]), horizon=0.0)
+        paths = [start] * len(points)
+    index = pcrn.species_index()
+    stored, _ = check_until_paths(paths, path.phi1, path.phi2, path.t_lo, path.t_hi, index)
+    assert stored.tolist() == [reference_until(p, path.phi1, path.phi2, path.t_lo, path.t_hi, index)[0]
+                               for p in paths]
+    return stored
+
+
+class TestUntilMatchesStoredPaths:
+    @pytest.mark.parametrize("network", list(UNTIL_PROPS))
+    def test_random_points(self, network):
+        pcrn, props = UNTIL_PROPS[network]
+        rng = np.random.default_rng(707)
+        for k, prop in enumerate(props):
+            path = parse_csl(f"P>0.1 [ {prop} ]").path
+            points = _random_points(pcrn, int(rng.integers(1, 90)), rng)
+            want = _stored_verdicts(pcrn, points, path, stream(40, k))
+            for hold in (False, True):
+                got = SIM.simulate_until(pcrn, points, path, stream(40, k), hold)
+                assert got.dtype == bool and got.tolist() == want.tolist(), (prop, hold)
+
+    @pytest.mark.parametrize("network", list(UNTIL_PROPS))
+    def test_case_property_decides_both_ways(self, network):
+        pcrn, props = UNTIL_PROPS[network]
+        path = parse_csl(f"P>0.1 [ {props[0]} ]").path
+        points = _random_points(pcrn, 200, np.random.default_rng(708))
+        got = SIM.simulate_until(pcrn, points, path, stream(41, 0))
+        assert got.tolist() == _stored_verdicts(pcrn, points, path, stream(41, 0)).tolist()
+        assert got.any() and not got.all()
+
+    @pytest.mark.parametrize("block", [256, 3])
+    def test_groups_with_and_without_hold(self, monkeypatch, block):
+        # a held group ends its call where a full-length call of its lanes
+        # would; no verdict depends on which groups hold
+        monkeypatch.setattr(SIM, "_BLOCK", block)
+        groups = _group_points()
+        sizes = [len(points) for points in groups]
+        want = np.concatenate([_stored_verdicts(SIR, points, CASE, stream(45, g)) for g, points in enumerate(groups)])
+        assert want.any() and not want.all()
+        for pattern in ([True, False, True, False], [False] * 4, [True] * 4):
+            rngs = [stream(45, g) for g in range(len(groups))]
+            got = SIM.simulate_until(SIR, np.concatenate(groups), CASE, list(zip(rngs, sizes)), pattern)
+            assert got.tolist() == want.tolist(), pattern
+            for g, (points, held) in enumerate(zip(groups, pattern)):
+                if held:
+                    alone = stream(45, g)
+                    SIM.simulate_visits(SIR, points, CASE.t_hi, alone)
+                    assert rngs[g].random() == alone.random(), (pattern, g)
+
+    def test_later_piece_starts_where_a_full_call_ends(self, monkeypatch):
+        # 20 runs from one generator at 7 lanes a call: pieces of 7, 7 and
+        # 6, the first two held; one row per block refills it every step
+        monitor = importlib.import_module("crnverify.monitor")
+        monkeypatch.setattr(monitor, "_LANES", 7)
+        monkeypatch.setattr(SIM, "_BLOCK", 3)
+        holds = []
+
+        def spy(pcrn, points, path, groups, hold):
+            holds.append(list(hold))
+            return SIM.simulate_until(pcrn, points, path, groups, hold)
+
+        monkeypatch.setattr(monitor, "simulate_until", spy)
+        # B reaches 25 near t = ln 2 / k = 0.5: about half the runs satisfy
+        formula = parse_csl("P>0.1 [ (B<25) U[0.5,1.5] (B>=25) ]")
+        rng, solo = stream(47, 0), stream(47, 0)
+        (est,) = estimate_lambda(DECAY, [(1.39,)], formula, 20, [rng])
+        assert holds == [[True], [True], [False]]
+        hits = sum(int(_stored_verdicts(DECAY, [(1.39,)] * runs, formula.path, solo).sum()) for runs in (7, 7, 6))
+        assert est.mean == hits / 20 and 0 < hits < 20
+
+    def test_decided_lane_stops_at_once(self, monkeypatch):
+        # phi1 fails at time 0: the lane leaves on its first step, before its
+        # uniform, so the generator moves past the two first blocks only
+        monkeypatch.setattr(SIM, "_BLOCK", 3)
+        path = parse_csl("P>0.1 [ (B>0) U[0.5,1.5] (B>=25) ]").path
+        rng, plain, held = stream(43, 0), stream(43, 0), stream(43, 0)
+        assert SIM.simulate_until(DECAY, [[1.0]], path, rng).tolist() == [False]
+        plain.standard_exponential(3)
+        plain.random(3)
+        assert rng.random() == plain.random()
+        # held, the lane runs to t', as simulate does
+        assert SIM.simulate_until(DECAY, [[1.0]], path, held, True).tolist() == [False]
+        full = stream(43, 0)
+        simulate(DECAY, (1.0,), 1.5, full)
+        assert held.random() == full.random()
+
+    def test_t_hi_zero_draws_nothing(self):
+        path = parse_csl("P>0.1 [ (I>0) U[0,0] (I=5) ]").path
+        rng = stream(44, 0)
+        assert SIM.simulate_until(SIR, _sir_points(5, 44), path, rng).tolist() == [True] * 5
+        assert rng.random() == stream(44, 0).random()
+
+
+# ---------------------------------------------------------------------------
 # Early rejection against full distances.
 
 
@@ -583,6 +712,55 @@ class TestArrayUntilCheck:
         paths = simulate_paths(SIR, [(0.002, 0.05)] * 200, 150.0, stream(10, 0))
         sat, _ = _assert_array_check_matches(paths, PHI1, PHI2, 100.0, 150.0)
         assert 0 < sat.sum() < 200
+
+
+def stepwise_until(traj, phi1, phi2, t_lo, t_hi):
+    """The kernel's reading of a stored path: the production rule
+    (``simulate._until_step``) on one interval at a time, in order, the
+    first decision final and a path that ends undecided violated."""
+    path = BoundedUntil(phi1=phi1, phi2=phi2, t_lo=t_lo, t_hi=t_hi)
+    times = traj.times
+    for i in range(len(times)):
+        b = times[i + 1] if i + 1 < len(times) else np.inf
+        state = traj.states[i:i + 1]
+        witness, failure = SIM._until_step(path, phi1.mask(state, INDEX), phi2.mask(state, INDEX), times[i:i + 1],
+                                           np.array([b]))
+        if witness[0] or failure[0]:
+            return bool(witness[0])
+    return False
+
+
+class TestUntilStepOnIntervals:
+    @pytest.mark.parametrize("rows, t_lo, t_hi, want", [
+        ([(0, 5), (100, 0)], 100.0, 150.0, True),  # witness exactly at t_lo
+        ([(0, 5), (150, 0)], 100.0, 150.0, True),  # jump exactly at t'
+        ([(0, 5), (150.5, 0)], 100.0, 150.0, False),  # just past the window
+        ([(0, 0), (20, 3)], 10.0, 150.0, False),  # phi1 false at time 0
+        ([(0, 0)], 10.0, 150.0, False),
+        ([(0, 0), (20, 3)], 0.0, 150.0, True),  # ... which a witness at 0 beats
+        ([(0, 0)], 0.0, 150.0, True),
+        ([(0, 4), (3, 0)], 0.0, 5.0, True),
+        ([(0, 4), (3, 1), (9, 2)], 0.0, 5.0, False),
+        ([(0, 2)], 0.0, 0.0, False),  # the one-state paths of t' = 0
+        ([(0, 0)], 0.0, 0.0, True),
+    ])
+    def test_hand_built_paths(self, rows, t_lo, t_hi, want):
+        traj = path_of(rows)
+        assert stepwise_until(traj, PHI1, PHI2, t_lo, t_hi) == want
+        assert reference_until(traj, PHI1, PHI2, t_lo, t_hi, INDEX)[0] == want
+        (stored,), _ = check_until_paths([traj], PHI1, PHI2, t_lo, t_hi, INDEX)
+        assert stored == want
+
+    def test_random_paths(self):
+        rng = np.random.default_rng(717)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            times = np.unique(np.concatenate([[0.0], rng.uniform(0, 190, size=n - 1)]))
+            traj = path_of(list(zip(times, rng.integers(0, 3, size=len(times)))))
+            for t_lo, t_hi in ((100.0, 150.0), (0.0, 50.0), (30.0, 30.0)):
+                for phi1 in (PHI1, TRUE):
+                    want = reference_until(traj, phi1, PHI2, t_lo, t_hi, INDEX)[0]
+                    assert stepwise_until(traj, phi1, PHI2, t_lo, t_hi) == want
 
 
 class TestEstimateLambdaMatchesReference:

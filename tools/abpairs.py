@@ -14,7 +14,15 @@ odd ones, so that a drift of the host hits both sides alike.  Each run's
 last stdout line is its JSON result.  Progress goes to stderr; the last
 stdout line is one JSON summary: per end-to-end metric, the median and
 quartiles of each side, the change of the medians, the pairs the
-working tree won, and the one-sided sign-test p-value of those wins.
+working tree won, the one-sided sign-test p-value of those wins, and two
+verdicts:
+
+- ``gain``: the working tree won at least 9 of 10 pairs, and its median
+  is better than the base's by more than the base's inter-quartile
+  distance;
+- ``regression``: its median is worse than the base's by more than the
+  metric's ``bound`` in ``BENCHMARK.json``, a fraction of the base's
+  median.
 """
 
 import argparse
@@ -46,11 +54,14 @@ def sign_test(wins: int, losses: int) -> float:
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """One summary of (base, change) result pairs.  ``better`` maps each
     metric to "lower" or "higher"; a pair is a win when the change's value
     is strictly better, and ``sign_p`` is the one-sided sign-test p-value
-    of the wins against the losses."""
+    of the wins against the losses.  ``gain`` and ``regression`` are the
+    module docstring's verdicts; ``regression`` is None for a metric
+    without a bound in ``bounds``."""
     metrics = {}
     for name, direction in better.items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -59,12 +70,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
+        # how much worse the change's median is, in the metric's units
+        worse = sign * (c["median"] - b["median"])
+        bound = (bounds or {}).get(name)
         metrics[name] = {
             "base": b,
             "change": c,
             "median_change": c["median"] / b["median"] - 1.0 if b["median"] else None,
             "wins": wins,
             "sign_p": sign_test(wins, losses),
+            "gain": 10 * wins >= 9 * len(pairs) and -worse > b["q3"] - b["q1"],
+            "regression": None if bound is None else worse > bound * abs(b["median"]),
         }
     return {
         "pairs": len(pairs),
@@ -114,7 +130,9 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=50.0)
     args = parser.parse_args()
 
-    better = {m["name"]: m["better"] for m in json.loads(Path(BENCHMARK).read_text())["end_to_end"]}
+    end_to_end = json.loads(Path(BENCHMARK).read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
         base_tree, change_tree = export(args.base, Path(tmp) / "base"), snapshot(Path(tmp) / "change")
@@ -126,7 +144,7 @@ def main() -> int:
             print(json.dumps({"seed": seed, "base": pair[0]["metrics"], "change": pair[1]["metrics"]}),
                   file=sys.stderr)
     print(json.dumps({"workload": args.workload, "base": args.base, "seeds": args.seeds,
-                      **summarize(pairs, better)}))
+                      **summarize(pairs, better, bounds)}))
     return 0
 
 
