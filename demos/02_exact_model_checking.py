@@ -7,14 +7,15 @@ window [100, 150] with probability above 0.1.
 
 import numpy as np
 
-from crnverify import estimate_lambda, load_crn, parse_csl
-from crnverify.transient import UniformizedChain, evaluator_for, transient
+from crnverify import estimate_lambda, load_crn, parse_crn, parse_csl
+from crnverify.transient import evaluator_for
 from crnverify.rng import stream
 
-# warm-up: a 2-state chain with a closed form, P(B at t) = 1 - exp(-t)
-chain = UniformizedChain.from_rate_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-pi = transient(chain, np.array([1.0, 0.0]), 1.0)
-print(f"2-state closed form: {pi[1]:.9f}  vs  {1 - np.exp(-1):.9f}")
+# warm-up: a 2-state network A -> B at rate 1 with a closed form,
+# P(B by t) = 1 - exp(-t)
+two_state = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
+reached = evaluator_for(two_state, parse_csl("P>0.5 [ true U[0,1] (B=1) ]")).probability((1.0,))
+print(f"2-state closed form: {reached:.9f}  vs  {1 - np.exp(-1):.9f}")
 
 pcrn = load_crn("models/sir.crn")
 prop = parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")

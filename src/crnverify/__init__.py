@@ -51,7 +51,7 @@ from .synthesis import (
     save_partition,
     synthesize,
 )
-from .transient import UniformizedChain, UntilEvaluator, evaluator_for
+from .transient import UntilEvaluator, evaluator_for
 from .verdict import (
     Posterior,
     VerdictReport,

@@ -96,8 +96,11 @@ class ExperimentConfig:
             raise ConfigError("noise_sigma must be nonnegative")
         if self.synth_margin < 0:
             raise ConfigError("synth_margin must be nonnegative")
-        if not 0 < self.synth_transient_tol < 1:
-            raise ConfigError("synth_transient_tol must lie strictly between 0 and 1")
+        # below machine epsilon, 1 - tol rounds to 1 and no series length
+        # meets the tolerance
+        floor = float(np.finfo(float).eps)
+        if not floor <= self.synth_transient_tol < 1:
+            raise ConfigError(f"synth_transient_tol must be at least machine epsilon {floor!r} and below 1")
         if self.observation_end is not None and self.observation_end <= 0:
             raise ConfigError("observation_end must be positive")
         if any(v < 0 for v in self.true_point.values()):

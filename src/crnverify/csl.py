@@ -49,11 +49,15 @@ class Comparison(StateFormula):
     constant: int
 
     def mask(self, states, index):
-        lhs = np.zeros(len(states), dtype=np.int64)
+        """Each row's truth.  The terms are summed in the dtype of
+        ``states``, which is exact for float states while every partial
+        sum stays below 2**53 in magnitude."""
+        lhs = None
         for name, coeff in self.terms:
             if name not in index:
                 raise ParseError(f"unknown species {name!r} in property")
-            lhs += coeff * states[:, index[name]]
+            term = coeff * states[:, index[name]]
+            lhs = term if lhs is None else lhs + term
         match self.op:
             case "=":
                 return lhs == self.constant

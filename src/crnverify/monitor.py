@@ -8,11 +8,12 @@ discretization error, and the run stops once its verdict is known.  At a
 jump instant the post-jump state governs, matching the simulator's
 right-continuous convention.
 
-An estimate draws all its runs from the one generator it is given for
-its point: they are lanes of ``simulate_until`` calls of at most
-``simulate._LANES`` lanes each, made in turn on that generator.
-Estimates at many points share those calls, each point's runs forming
-their own groups.  No run's path is kept.
+An estimate splits its runs into pieces of at most ``simulate._LANES``
+runs, each a group of lanes in a ``simulate_until`` call on a generator
+of its own: the first piece draws from the generator the estimate is
+given for its point, and each later piece from a child spawned off it.
+Estimates at many points share those calls.  No run's path is kept, and
+no generator is read after its piece's call.
 """
 
 from collections.abc import Sequence
@@ -45,40 +46,36 @@ def estimate_lambda(
     """Fraction of ``n_sims`` independent sample paths satisfying the path
     formula, at each of ``points``.
 
-    Point ``i``'s runs draw from ``rngs[i]`` alone, as ``simulate_until``
-    calls of at most ``_LANES`` lanes made in turn on it.  The points'
-    runs share calls: each call packs whole pieces of at most ``_LANES``
-    runs, in point order, one group per piece, up to ``_LANES`` lanes in
-    all.  A piece with a later piece holds its group, so the later piece
-    starts where a full-length call would leave the generator; the runs
-    of a point's last piece stop once decided, and leave ``rngs[i]``
-    wherever they stop drawing.  The half-width is the 95% normal
-    approximation, intended for diagnostics rather than guarantees.
+    Point ``i``'s runs come in pieces of at most ``_LANES`` runs: piece 0
+    draws from ``rngs[i]``, and piece p >= 1 from child p - 1 of
+    ``rngs[i].spawn(pieces - 1)``, so a later piece exists only when
+    ``n_sims`` exceeds ``_LANES``.  The points' pieces, in order, are
+    packed greedily into ``simulate_until`` calls of at most ``_LANES``
+    lanes, one group per piece; each run stops once decided.  The
+    half-width is the 95% normal approximation, intended for diagnostics
+    rather than guarantees.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
     if len(points) != len(rngs):
         raise ValueError(f"{len(points)} points need as many generators, got {len(rngs)}")
     values = [point_values(pcrn.params.names, point) for point in points]
-    # pieces (point, runs, whether a later piece follows), packed in order
-    # into calls of at most _LANES lanes; a point wider than _LANES fills
-    # whole calls before its last piece, so no call holds two pieces of one
-    # point
+    pieces = -(-n_sims // _LANES)
     calls, width = [], _LANES
     for i in range(len(values)):
-        for start in range(0, n_sims, _LANES):
+        for start, rng in zip(range(0, n_sims, _LANES), [rngs[i], *rngs[i].spawn(pieces - 1)]):
             runs = min(_LANES, n_sims - start)
             if width + runs > _LANES:
                 calls.append([])
                 width = 0
-            calls[-1].append((i, runs, start + runs < n_sims))
+            calls[-1].append((i, rng, runs))
             width += runs
     satisfied = np.zeros(len(values), dtype=np.int64)
     for call in calls:
-        ids, sizes = [i for i, _, _ in call], [n for _, n, _ in call]
+        ids, sizes = [i for i, _, _ in call], [n for _, _, n in call]
         hits = simulate_until(pcrn, np.repeat([values[i] for i in ids], sizes, axis=0), formula.path,
-                              [(rngs[i], n) for i, n, _ in call], [later for _, _, later in call])
-        satisfied[ids] += np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64)
+                              [(rng, n) for _, rng, n in call])
+        np.add.at(satisfied, ids, np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64))
     estimates = []
     for count in satisfied.tolist():
         mean = count / n_sims

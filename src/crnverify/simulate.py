@@ -55,12 +55,11 @@ holds, its state on [entry time, next jump), the next jump at infinity
 for a lane that leaves: a witness (phi2 at max(entry, t) <= t', phi1 on
 any stretch before it) satisfies the run, and phi1 failing violates it;
 a run still undecided when it leaves is violated.  A decided lane stops
-at once, with its exponential drawn and no uniform, unless its group
-holds: a group whose generator is read after the call keeps every lane
-running as ``simulate_visits`` would, so that the generator ends where
-that call leaves it.  A lane's verdict is the rule's over its stored
-path, since the rule reads the intervals in order and the first
-decision is final; a stopped lane only ends its group's draws earlier.
+at once, with its exponential drawn and no uniform.  A lane's verdict is
+the rule's over its stored path, since the rule reads the intervals in
+order and the first decision is final; a stopped lane only ends its
+group's draws earlier, so a group's generator ends wherever its lanes
+stop drawing, and the caller reads it no further.
 """
 
 import operator
@@ -165,15 +164,12 @@ def simulate_distances(pcrn: PCRN, points, data: Dataset, eps, rng) -> np.ndarra
     return _lockstep(pcrn, values, float(data.times[-1]), _groups(rng, len(values)), data, eps)
 
 
-def simulate_until(pcrn: PCRN, points, path: BoundedUntil, rng, hold=False) -> np.ndarray:
+def simulate_until(pcrn: PCRN, points, path: BoundedUntil, rng) -> np.ndarray:
     """Whether one path per lane, simulated up to ``path.t_hi`` as
     ``simulate_visits`` would, satisfies ``path``, decided as the lane
-    runs, as the module docstring states, without keeping the paths.
-    ``hold`` is one flag for every group or one per group: a held group's
-    lanes run to their ends, so that its generator ends where
-    ``simulate_visits`` leaves it; any other lane stops once its verdict
-    is known.  At t' = 0 every run is its initial state alone, which the
-    rule decides without a draw."""
+    runs, as the module docstring states, without keeping the paths: a
+    lane stops once its verdict is known.  At t' = 0 every run is its
+    initial state alone, which the rule decides without a draw."""
     values = _lane_values(pcrn, points)
     groups = _groups(rng, len(values))
     if path.t_hi == 0:
@@ -181,8 +177,7 @@ def simulate_until(pcrn: PCRN, points, path: BoundedUntil, rng, hold=False) -> n
         witness, _ = _until_step(path, path.phi1.mask(initial, index), path.phi2.mask(initial, index),
                                  np.zeros(1), np.full(1, np.inf))
         return np.repeat(witness, len(values))
-    held = np.broadcast_to(np.asarray(hold, dtype=bool), len(groups))
-    return _lockstep(pcrn, values, float(path.t_hi), groups, path=path, held=held)
+    return _lockstep(pcrn, values, float(path.t_hi), groups, path=path)
 
 
 def _until_step(path: BoundedUntil, m1: np.ndarray, m2: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -220,7 +215,7 @@ def _groups(rng, m: int) -> list:
 
 def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
               data: Dataset | None = None, eps: np.ndarray | None = None,
-              path: BoundedUntil | None = None, held: np.ndarray | None = None):
+              path: BoundedUntil | None = None):
     """The Gillespie kernel: every lane of ``values`` advances together as
     arrays of states (lanes, n), clocks and rates (R, lanes).  A lane leaves
     them once its next jump falls at or past ``t_end``; an absorbing
@@ -232,8 +227,8 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
     With ``data``, returns each lane's distance to the data (infinity for
     a lane stopped past its entry of ``eps``).  With ``path``, returns
     whether each lane satisfies it (``t_end`` is its t'), a lane leaving
-    once decided unless ``held`` holds its group.  With neither, returns
-    every visit as (lane, state, entry time) arrays in step order.
+    once decided.  With neither, returns every visit as (lane, state,
+    entry time) arrays in step order.
     """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
@@ -335,8 +330,7 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
             elif path is not None:
                 # the state held on [t, t_next), to the end for a lane
                 # leaving; only a state outside phi1 or in phi2 decides
-                x = states.astype(np.int64)
-                m1, m2 = path.phi1.mask(x, index), path.phi2.mask(x, index)
+                m1, m2 = path.phi1.mask(states, index), path.phi2.mask(states, index)
                 if m2.any() or not m1.all():
                     witness, failure = _until_step(path, m1, m2, t, np.where(keep, t_next, np.inf))
                     decided = (witness | failure) & undecided[lanes]
@@ -344,7 +338,7 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
                         idx = lanes[decided]
                         satisfied[idx] = witness[decided]
                         undecided[idx] = False
-                        keep &= ~decided | held[group]
+                        keep &= ~decided
             if np.count_nonzero(keep) < len(keep):
                 # one index array and take() cost less than a boolean mask
                 # applied to each array

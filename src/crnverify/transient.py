@@ -2,11 +2,10 @@
 
 The chain is uniformized: with q at least the largest exit rate, the
 transient operator exp(Qt) is the Poisson(qt)-weighted sum of powers of
-the discrete matrix P = I + Q/q.  One series, sum_k pois(k; qt) M^k v,
-serves every use: with M = P it runs backward, giving per-state expected
-values of v at time t; with M = P^T it runs forward, carrying a
-distribution.  The series is truncated once the Poisson tail mass drops
-below the requested tolerance, and terms accumulate in ascending order.
+the discrete matrix P = I + Q/q.  One series, sum_k pois(k; qt) P^k v,
+runs backward and gives per-state expected values of v at time t.  It
+is truncated once the Poisson tail mass drops below the requested
+tolerance, and terms accumulate in ascending order.
 
 The series runs many chains ("lanes") at once, each with its own matrix,
 vector and qt.  The lanes share one sparsity pattern, and their values
@@ -36,7 +35,6 @@ matrix per parameter.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -59,27 +57,6 @@ RATE_MARGIN = 1.02  # uniformization rate = margin * max exit rate
 # stored entries of one block of lanes: bounds its memory and keeps a large
 # chain's block cache-sized
 _BLOCK_NNZ = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class UniformizedChain:
-    """Row-stochastic jump matrix P = I + Q/q plus its uniformization rate."""
-
-    q: float
-    P: sparse.csr_matrix
-
-    @classmethod
-    def from_rate_matrix(cls, rates: sparse.spmatrix | np.ndarray) -> "UniformizedChain":
-        """Build from off-diagonal transition rates (diagonal entries ignored):
-        the one-lane jump matrix of ``_LanePattern`` with the rates as its
-        one basis matrix, at theta = 1."""
-        R = sparse.coo_matrix(rates, dtype=float)
-        keep = (R.row != R.col) & (R.data != 0)
-        n = R.shape[0]
-        R = sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n))
-        lanes = _LanePattern((R,), n)
-        P, q = lanes.jump(np.ones((1, 1)))
-        return cls(q=float(q[0]), P=sparse.csr_matrix((P[0], lanes.indices, lanes.indptr), shape=(n, n)))
 
 
 def _poisson_weights(qt: float, tol: float) -> np.ndarray:
@@ -149,25 +126,6 @@ def _poisson_series(
     out = np.empty_like(acc)
     out[order] = acc
     return out
-
-
-def transient(
-    chain: UniformizedChain,
-    initial: np.ndarray,
-    t: float,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Distribution over states at time t, starting from ``initial``.
-
-    Returns the raw truncated series: entries sum to 1 minus a defect of at
-    most ``tol``.  Renormalize only for reporting.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    # P^T as CSR sums each row in the column order P^T's CSC form does
-    v = np.array(initial, dtype=float)
-    PT = chain.P.T.tocsr()
-    return _poisson_series(PT.indptr, PT.indices, PT.data[None, :], v[None, :], [chain.q * t], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +247,7 @@ class _LanePattern:
     """The jump matrices P = I + R/q of one phase for many parameter points
     at once: every lane shares one CSR pattern, the union of the basis
     patterns plus the diagonal, and a block's values are one (lanes x
-    entries) array.  This is the package's one chain builder:
-    ``UniformizedChain.from_rate_matrix`` is its one-lane call.
+    entries) array.  This is the package's one chain builder.
 
     An off-diagonal entry is sum_k theta_k B_k, added in basis order, times
     1/q; a diagonal entry is 1 - outflow/q, with the outflow summed along

@@ -203,7 +203,8 @@ def bayes_smc(
     returned in ``pcrn.params.names`` order, whatever the posterior's order.
 
     Draw ``i`` takes child ``i`` of ``rng.spawn(n_params)``: its point's
-    normals, then its runs.  Every point is drawn first, and one
+    normals, then its runs, whose later pieces ``estimate_lambda`` draws
+    from children of that child.  Every point is drawn first, and one
     ``estimate_lambda`` call then runs all of them, so the draws share
     simulation calls while each keeps to its own generator.
     """

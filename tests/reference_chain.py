@@ -12,12 +12,13 @@ must store the same ``q`` and the same P, pattern and values, bit for bit.
 import numpy as np
 from scipy import sparse
 
-from crnverify.transient import RATE_MARGIN, UniformizedChain
+from crnverify.transient import RATE_MARGIN
 
 
-def reference_chain(rates) -> UniformizedChain:
-    """P = I + R/q from off-diagonal rates (diagonal entries ignored), with
-    q the margin times the largest row sum, and the identity when q = 0."""
+def reference_chain(rates) -> tuple[float, sparse.csr_matrix]:
+    """(q, P): P = I + R/q from off-diagonal rates (diagonal entries
+    ignored), with q the margin times the largest row sum, and the identity
+    when q = 0."""
     R = sparse.csr_matrix(rates, dtype=float)
     R.setdiag(0.0)
     R.eliminate_zeros()
@@ -34,7 +35,7 @@ def reference_chain(rates) -> UniformizedChain:
         P = sparse.identity(n, format="csr")
     else:
         P = (R / q + sparse.diags(1.0 - outflow / q)).tocsr()
-    return UniformizedChain(q=q, P=P)
+    return q, P
 
 
 def combine(basis: tuple, rates) -> sparse.csr_matrix:

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 from scipy.linalg import expm
 
 from crnverify import (
     ExperimentConfig,
     Posterior,
-    UniformizedChain,
     abcseq,
     load_crn,
     load_partition,
@@ -35,7 +34,7 @@ from crnverify.config import load_config
 from crnverify.rng import stream
 from crnverify.simulate import simulate
 from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL, classify_points
-from crnverify.transient import evaluator_for, transient
+from crnverify.transient import _LanePattern, evaluator_for
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -101,23 +100,20 @@ def test_criterion_1_transient_oracle_equivalence():
             R = rng.uniform(0.1, 5.0, size=(n, n))
             R[rng.random((n, n)) < 0.25] = 0.0
             np.fill_diagonal(R, 0.0)
-            chain = UniformizedChain.from_rate_matrix(R)
-            pi0 = rng.dirichlet(np.ones(n))
+            # the series every until evaluation runs, one lane with R as its
+            # one basis matrix at theta = 1
+            lanes = _LanePattern((sparse.csr_matrix(R),), n)
+            v = rng.dirichlet(np.ones(n))
             Q = R - np.diag(R.sum(axis=1))
             for t in (0.1, 1.0, 10.0):
-                got = transient(chain, pi0, t)
-                want = pi0 @ expm(Q * t)
+                got = lanes.series(np.ones((1, 1)), v[None, :], t, 1e-10)[0]
+                want = expm(Q * t) @ v
                 assert np.max(np.abs(got - want)) < 1e-8
         assert time.perf_counter() - t0 < 60.0
 
 
 def test_criterion_2_closed_forms():
     with criterion(2, "two-state closed forms at 1e-9"):
-        R = np.array([[0.0, 1.0], [0.0, 0.0]])
-        chain = UniformizedChain.from_rate_matrix(R)
-        pi = transient(chain, np.array([1.0, 0.0]), 1.0, tol=1e-12)
-        assert pi[1] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
-
         single = (
             "format=1; species A B; param k in [0.1, 10];"
             "reaction decay: A -> B @ k; init A=1;"
@@ -125,8 +121,9 @@ def test_criterion_2_closed_forms():
         from crnverify import parse_crn
 
         net = parse_crn(single)
-        f = parse_csl("P>0.5 [ true U[1,2] (B=1) ]")
-        got = evaluator_for(net, f).probability((1.0,), tol=1e-12)
+        got = evaluator_for(net, parse_csl("P>0.5 [ true U[0,1] (B=1) ]")).probability((1.0,), tol=1e-12)
+        assert got == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
+        got = evaluator_for(net, parse_csl("P>0.5 [ true U[1,2] (B=1) ]")).probability((1.0,), tol=1e-12)
         assert got == pytest.approx(1.0 - np.exp(-2.0), abs=1e-9)
 
 

@@ -153,6 +153,7 @@ NAN, INF = float("nan"), float("inf")
         pytest.param("noise_sigma", 10**400, id="noise_sigma-huge-integer"),
         pytest.param("param_bounds", {"ki": [-1.0, 0.003]}, id="param_bounds-negative-lower"),
         pytest.param("param_bounds", {"ki": [5e-5, 10**400]}, id="param_bounds-huge-integer"),
+        ("synth_transient_tol", 1e-17),
     ],
 )
 def test_nonfinite_or_out_of_range_settings_rejected(tmp_path, key, value):

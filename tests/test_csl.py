@@ -131,6 +131,19 @@ class TestEvaluation:
         index = {"S": 0, "I": 1, "R": 2}
         assert f.path.phi1.mask(states, index).tolist() == [True, False]
 
+    @pytest.mark.parametrize("op, want", [
+        ("=", [True, False, False]), ("!=", [False, True, True]), ("<", [False, False, True]),
+        ("<=", [True, False, True]), (">", [False, True, False]), (">=", [True, True, False]),
+    ])
+    def test_float_states(self, op, want):
+        # the simulator's states are float counts: with a negative
+        # coefficient, every operator answers as on integer states
+        f = parse_csl(f"P>0 [ (S-3*I{op}80) U[0,1] true ]")
+        states = np.array([[95, 5, 0], [95, 4, 1], [90, 5, 5]])
+        index = {"S": 0, "I": 1, "R": 2}
+        for x in (states, states.astype(float)):
+            assert f.path.phi1.mask(x, index).tolist() == want
+
     def test_unknown_species_raises(self):
         f = parse_csl("P>0 [ (Z>0) U[0,1] true ]")
         with pytest.raises(ParseError, match="Z"):

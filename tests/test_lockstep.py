@@ -343,6 +343,17 @@ class TestGroupedCalls:
         assert together.tolist() == np.concatenate(alone).tolist()
         assert np.isinf(together).any() and np.isfinite(together).any()
 
+    @pytest.mark.parametrize("block", [256, 60, 3])
+    def test_until(self, monkeypatch, block):
+        # runs stop once decided, and each group still draws what its own
+        # call draws
+        monkeypatch.setattr(SIM, "_BLOCK", block)
+        together, alone = _assert_groups_match_own_calls(
+            lambda points, eps, rng: SIM.simulate_until(SIR, points, CASE, rng), 45)
+        stored = [_stored_verdicts(SIR, points, CASE, stream(45, g)) for g, points in enumerate(_group_points())]
+        assert together.tolist() == np.concatenate(alone).tolist() == np.concatenate(stored).tolist()
+        assert together.any() and not together.all()
+
     def test_groups_must_split_the_lanes(self):
         with pytest.raises(ConfigError, match="do not split"):
             SIM.simulate_visits(DECAY, [[1.0]] * 3, 3.0, [(stream(33, 0), 2)])
@@ -408,9 +419,8 @@ class TestUntilMatchesStoredPaths:
             path = parse_csl(f"P>0.1 [ {prop} ]").path
             points = _random_points(pcrn, int(rng.integers(1, 90)), rng)
             want = _stored_verdicts(pcrn, points, path, stream(40, k))
-            for hold in (False, True):
-                got = SIM.simulate_until(pcrn, points, path, stream(40, k), hold)
-                assert got.dtype == bool and got.tolist() == want.tolist(), (prop, hold)
+            got = SIM.simulate_until(pcrn, points, path, stream(40, k))
+            assert got.dtype == bool and got.tolist() == want.tolist(), prop
 
     @pytest.mark.parametrize("network", list(UNTIL_PROPS))
     def test_case_property_decides_both_ways(self, network):
@@ -421,61 +431,16 @@ class TestUntilMatchesStoredPaths:
         assert got.tolist() == _stored_verdicts(pcrn, points, path, stream(41, 0)).tolist()
         assert got.any() and not got.all()
 
-    @pytest.mark.parametrize("block", [256, 3])
-    def test_groups_with_and_without_hold(self, monkeypatch, block):
-        # a held group ends its call where a full-length call of its lanes
-        # would; no verdict depends on which groups hold
-        monkeypatch.setattr(SIM, "_BLOCK", block)
-        groups = _group_points()
-        sizes = [len(points) for points in groups]
-        want = np.concatenate([_stored_verdicts(SIR, points, CASE, stream(45, g)) for g, points in enumerate(groups)])
-        assert want.any() and not want.all()
-        for pattern in ([True, False, True, False], [False] * 4, [True] * 4):
-            rngs = [stream(45, g) for g in range(len(groups))]
-            got = SIM.simulate_until(SIR, np.concatenate(groups), CASE, list(zip(rngs, sizes)), pattern)
-            assert got.tolist() == want.tolist(), pattern
-            for g, (points, held) in enumerate(zip(groups, pattern)):
-                if held:
-                    alone = stream(45, g)
-                    SIM.simulate_visits(SIR, points, CASE.t_hi, alone)
-                    assert rngs[g].random() == alone.random(), (pattern, g)
-
-    def test_later_piece_starts_where_a_full_call_ends(self, monkeypatch):
-        # 20 runs from one generator at 7 lanes a call: pieces of 7, 7 and
-        # 6, the first two held; one row per block refills it every step
-        monitor = importlib.import_module("crnverify.monitor")
-        monkeypatch.setattr(monitor, "_LANES", 7)
-        monkeypatch.setattr(SIM, "_BLOCK", 3)
-        holds = []
-
-        def spy(pcrn, points, path, groups, hold):
-            holds.append(list(hold))
-            return SIM.simulate_until(pcrn, points, path, groups, hold)
-
-        monkeypatch.setattr(monitor, "simulate_until", spy)
-        # B reaches 25 near t = ln 2 / k = 0.5: about half the runs satisfy
-        formula = parse_csl("P>0.1 [ (B<25) U[0.5,1.5] (B>=25) ]")
-        rng, solo = stream(47, 0), stream(47, 0)
-        (est,) = estimate_lambda(DECAY, [(1.39,)], formula, 20, [rng])
-        assert holds == [[True], [True], [False]]
-        hits = sum(int(_stored_verdicts(DECAY, [(1.39,)] * runs, formula.path, solo).sum()) for runs in (7, 7, 6))
-        assert est.mean == hits / 20 and 0 < hits < 20
-
     def test_decided_lane_stops_at_once(self, monkeypatch):
         # phi1 fails at time 0: the lane leaves on its first step, before its
         # uniform, so the generator moves past the two first blocks only
         monkeypatch.setattr(SIM, "_BLOCK", 3)
         path = parse_csl("P>0.1 [ (B>0) U[0.5,1.5] (B>=25) ]").path
-        rng, plain, held = stream(43, 0), stream(43, 0), stream(43, 0)
+        rng, plain = stream(43, 0), stream(43, 0)
         assert SIM.simulate_until(DECAY, [[1.0]], path, rng).tolist() == [False]
         plain.standard_exponential(3)
         plain.random(3)
         assert rng.random() == plain.random()
-        # held, the lane runs to t', as simulate does
-        assert SIM.simulate_until(DECAY, [[1.0]], path, held, True).tolist() == [False]
-        full = stream(43, 0)
-        simulate(DECAY, (1.0,), 1.5, full)
-        assert held.random() == full.random()
 
     def test_t_hi_zero_draws_nothing(self):
         path = parse_csl("P>0.1 [ (I>0) U[0,0] (I=5) ]").path
@@ -763,6 +728,12 @@ class TestUntilStepOnIntervals:
                     assert stepwise_until(traj, phi1, PHI2, t_lo, t_hi) == want
 
 
+def _piece_generators(rng, n_sims, lanes):
+    """Each piece's generator under ``estimate_lambda``'s draw contract:
+    piece 0 draws from ``rng``, piece p >= 1 from child p - 1 of it."""
+    return [rng, *rng.spawn(-(-n_sims // lanes) - 1)]
+
+
 class TestEstimateLambdaMatchesReference:
     @pytest.mark.parametrize("prop", [
         "P>0.1 [ (I>0) U[100,150] (I=0) ]",
@@ -771,17 +742,15 @@ class TestEstimateLambdaMatchesReference:
     ])
     @pytest.mark.parametrize("lanes", [1024, 7])
     def test_same_count_as_one_path_at_a_time(self, prop, lanes, monkeypatch):
-        # seven lanes per block: the 150 runs span 22 calls
+        # seven lanes per piece: the 150 runs span 22 pieces and calls
         monkeypatch.setattr(importlib.import_module("crnverify.monitor"), "_LANES", lanes)
         formula = parse_csl(prop)
         path = formula.path
         point = (0.002, 0.05)
         (est,) = estimate_lambda(SIR, [point], formula, 150, [stream(11, 0)])
         if path.t_hi > 0:
-            # the blocks are calls made in turn on the one generator
-            rng = stream(11, 0)
             paths = []
-            for start in range(0, 150, lanes):
+            for start, rng in zip(range(0, 150, lanes), _piece_generators(stream(11, 0), 150, lanes)):
                 paths += reference_call(SIR, [point] * min(lanes, 150 - start), path.t_hi, rng)
         else:
             start = Trajectory(states=np.array([SIR.initial_state]), times=np.array([0.0]), horizon=0.0)
@@ -789,3 +758,26 @@ class TestEstimateLambdaMatchesReference:
         hits = sum(reference_until(p, path.phi1, path.phi2, path.t_lo, path.t_hi, INDEX)[0] for p in paths)
         assert est.mean == hits / 150
 
+    def test_later_pieces_draw_from_spawned_children(self, monkeypatch):
+        # 20 runs per point at 7 lanes a call: pieces of 7, 7 and 6, each a
+        # call of its own; one row per block refills it every step
+        monitor = importlib.import_module("crnverify.monitor")
+        monkeypatch.setattr(monitor, "_LANES", 7)
+        monkeypatch.setattr(SIM, "_BLOCK", 3)
+        calls = []
+
+        def spy(pcrn, points, path, groups):
+            seeds = [rng.bit_generator.seed_seq for rng, _ in groups]
+            calls.append([(ss.entropy, ss.spawn_key, n) for ss, (_, n) in zip(seeds, groups)])
+            return SIM.simulate_until(pcrn, points, path, groups)
+
+        monkeypatch.setattr(monitor, "simulate_until", spy)
+        # B reaches 25 near t = ln 2 / k = 0.5: about half the runs satisfy
+        formula = parse_csl("P>0.1 [ (B<25) U[0.5,1.5] (B>=25) ]")
+        points = [(1.39,), (1.2,)]
+        estimates = estimate_lambda(DECAY, points, formula, 20, [stream(47, i) for i in range(2)])
+        assert calls == [[((47, i), key, runs)] for i in range(2) for key, runs in (((), 7), ((0,), 7), ((1,), 6))]
+        for i, (point, est) in enumerate(zip(points, estimates)):
+            pieces = zip(_piece_generators(stream(47, i), 20, 7), (7, 7, 6))
+            hits = sum(int(_stored_verdicts(DECAY, [point] * runs, formula.path, rng).sum()) for rng, runs in pieces)
+            assert est.mean == hits / 20 and 0 < hits < 20

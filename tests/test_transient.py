@@ -16,7 +16,7 @@ import crnverify.transient as TRANSIENT
 from crnverify import CrnVerifyError, enumerate_states, parse_crn, parse_csl
 from crnverify.csl import BoolLiteral, Comparison
 from crnverify.model import point_values
-from crnverify.transient import UniformizedChain, UntilEvaluator, _poisson_weights, evaluator_for, transient
+from crnverify.transient import DEFAULT_TOL, UntilEvaluator, _LanePattern, _poisson_weights, evaluator_for
 from reference_chain import combine, reference_chain
 from reference_model import rate_matrix_row
 
@@ -40,76 +40,92 @@ def expm_distribution(R, pi0, t):
     return pi0 @ expm(Q * t)
 
 
+def lane_chain(rates):
+    """The lane builder's one-lane call on off-diagonal rates (diagonal
+    entries and zeros dropped), the rates its one basis matrix at
+    theta = 1: (pattern, q, P as CSR)."""
+    R = sparse.coo_matrix(rates, dtype=float)
+    keep = (R.row != R.col) & (R.data != 0)
+    n = R.shape[0]
+    lanes = _LanePattern((sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=(n, n)),), n)
+    P, q = lanes.jump(np.ones((1, 1)))
+    return lanes, float(q[0]), sparse.csr_matrix((P[0], lanes.indices, lanes.indptr), shape=(n, n))
+
+
+def lane_series(rates, v, t, tol=DEFAULT_TOL):
+    """The one-lane backward series sum_k pois(k; qt) P^k v of ``rates``."""
+    lanes, _, _ = lane_chain(rates)
+    return lanes.series(np.ones((1, 1)), np.asarray(v, dtype=float)[None, :], t, tol)[0]
+
+
 class TestTransient:
+    """The series every until evaluation runs, one lane at theta = 1,
+    against closed forms and exp(Qt) v."""
+
     def test_time_zero_returns_initial(self):
         R = np.array([[0.0, 2.0], [1.0, 0.0]])
-        chain = UniformizedChain.from_rate_matrix(R)
-        pi0 = np.array([0.3, 0.7])
-        assert np.array_equal(transient(chain, pi0, 0.0), pi0)
+        v = np.array([0.3, 0.7])
+        assert np.array_equal(lane_series(R, v, 0.0), v)
 
     def test_two_state_closed_form(self):
         R = np.array([[0.0, 1.0], [0.0, 0.0]])
-        chain = UniformizedChain.from_rate_matrix(R)
-        pi = transient(chain, np.array([1.0, 0.0]), 1.0, tol=1e-12)
-        assert pi[1] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
+        values = lane_series(R, np.array([0.0, 1.0]), 1.0, tol=1e-12)
+        assert values[0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
 
     def test_three_state_birth_chain_vs_expm(self):
         R = np.zeros((3, 3))
         R[0, 1] = 1.3
         R[1, 2] = 0.4
-        chain = UniformizedChain.from_rate_matrix(R)
-        pi0 = np.array([1.0, 0.0, 0.0])
-        got = transient(chain, pi0, 0.7, tol=1e-12)
-        want = expm_distribution(R, pi0, 0.7)
+        v = np.array([0.2, 0.5, 1.0])
+        got = lane_series(R, v, 0.7, tol=1e-12)
+        want = expm_distribution(R, np.eye(3), 0.7) @ v
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_no_transitions_returns_initial(self):
-        chain = UniformizedChain.from_rate_matrix(np.zeros((3, 3)))
-        pi0 = np.array([0.2, 0.5, 0.3])
-        assert np.array_equal(transient(chain, pi0, 5.0), pi0)
+        v = np.array([0.2, 0.5, 0.3])
+        assert np.array_equal(lane_series(np.zeros((3, 3)), v, 5.0), v)
 
     def test_matches_expm_oracle_on_random_chains(self):
         rng = np.random.default_rng(1234)
         for trial in range(120):
             n = int(rng.integers(2, 7))
             R = random_generator_matrix(rng, n)
-            chain = UniformizedChain.from_rate_matrix(R)
-            pi0 = rng.dirichlet(np.ones(n))
+            v = rng.dirichlet(np.ones(n))
             for t in (0.1, 1.0, 10.0):
-                got = transient(chain, pi0, t)
-                want = expm_distribution(R, pi0, t)
+                got = lane_series(R, v, t)
+                want = expm_distribution(R, np.eye(n), t) @ v
                 assert np.max(np.abs(got - want)) < 1e-8
 
     def test_probability_conservation_before_renormalization(self):
+        # exp(Qt) 1 = 1: each state's truncated sum misses 1 by at most the
+        # tail mass plus rounding
         rng = np.random.default_rng(77)
         tol = 1e-10
         for _ in range(20):
-            R = random_generator_matrix(rng, 5)
-            chain = UniformizedChain.from_rate_matrix(R)
-            pi = transient(chain, np.eye(5)[0], 3.0, tol=tol)
-            assert abs(pi.sum() - 1.0) <= 2 * tol
+            values = lane_series(random_generator_matrix(rng, 5), np.ones(5), 3.0, tol=tol)
+            assert np.abs(values - 1.0).max() <= 2 * tol
 
     def test_row_stochastic_within_tolerance(self):
         rng = np.random.default_rng(88)
         for _ in range(20):
-            chain = UniformizedChain.from_rate_matrix(random_generator_matrix(rng, 6))
-            assert np.abs(chain.P.sum(axis=1) - 1.0).max() <= 1e-12
-            assert chain.P.min() >= 0.0
-            assert chain.P.max() <= 1.0
+            _, _, P = lane_chain(random_generator_matrix(rng, 6))
+            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+            assert P.min() >= 0.0
+            assert P.max() <= 1.0
 
 
 class TestChainBuilder:
-    """``from_rate_matrix`` is the lane builder's one-lane call; it must
-    store what the scipy-constructor reference stores, bit for bit."""
+    """``_LanePattern.jump``'s one-lane call must store what the
+    scipy-constructor reference stores, bit for bit."""
 
     @staticmethod
     def _assert_same_chain(rates):
-        got, want = UniformizedChain.from_rate_matrix(rates), reference_chain(rates)
-        assert got.q == want.q
+        (_, q, P), (want_q, want_P) = lane_chain(rates), reference_chain(rates)
+        assert q == want_q
         for name in ("indptr", "indices", "data"):
-            a, b = getattr(got.P, name), getattr(want.P, name)
+            a, b = getattr(P, name), getattr(want_P, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
-        return got
+        return q, P
 
     def test_random_chains(self):
         rng = np.random.default_rng(9)
@@ -123,8 +139,8 @@ class TestChainBuilder:
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_rates_give_the_identity(self, n):
         for R in (np.zeros((n, n)), np.diag(np.arange(1.0, n + 1))):
-            chain = self._assert_same_chain(R)
-            assert chain.q == 0.0 and chain.P.toarray().tolist() == np.eye(n).tolist()
+            q, P = self._assert_same_chain(R)
+            assert q == 0.0 and P.toarray().tolist() == np.eye(n).tolist()
 
 
 class TestPoissonWeights:
@@ -278,7 +294,7 @@ class TestNumericalDefect:
 
     def test_error_names_the_bad_lane(self, monkeypatch):
         # every lane's series reads 0.5 except the lane at k = 3
-        bad_qt = UniformizedChain.from_rate_matrix(np.array([[0.0, 3.0], [0.0, 0.0]])).q
+        _, bad_qt, _ = lane_chain(np.array([[0.0, 3.0], [0.0, 0.0]]))
         monkeypatch.setattr(
             TRANSIENT, "_poisson_series",
             lambda indptr, indices, data, V, qts, tol, cols=slice(None):
@@ -313,10 +329,8 @@ def reference_until(evaluator, point, tol):
     with the lanes' builder."""
     rates = point_values(evaluator.pcrn.params.names, point)
     init = evaluator.init_idx
-    chain2 = reference_chain(combine(evaluator._basis2, rates))
-    values = reference_series(
-        chain2.P, evaluator.mask2.astype(float), chain2.q * (evaluator.t_hi - evaluator.t_lo), tol
-    )
+    q2, P2 = reference_chain(combine(evaluator._basis2, rates))
+    values = reference_series(P2, evaluator.mask2.astype(float), q2 * (evaluator.t_hi - evaluator.t_lo), tol)
     if evaluator.t_lo == 0:
         result = values[init]
         if evaluator.mask2[init]:
@@ -324,8 +338,8 @@ def reference_until(evaluator, point, tol):
         elif not evaluator.mask1[init]:
             result = 0.0
     else:
-        chain1 = reference_chain(combine(evaluator._basis1, rates))
-        result = reference_series(chain1.P, evaluator.mask1 * values, chain1.q * evaluator.t_lo, tol)[init]
+        q1, P1 = reference_chain(combine(evaluator._basis1, rates))
+        result = reference_series(P1, evaluator.mask1 * values, q1 * evaluator.t_lo, tol)[init]
     return float(min(max(result, 0.0), 1.0))
 
 
@@ -368,7 +382,7 @@ class TestLanesMatchReference:
     def test_unsorted_lanes_of_different_lengths(self):
         points = [(0.5,), (9.0,), (2.0,), (0.05,), (7.0,), (0.5,)]
         evaluator = _assert_lanes_match_reference(DECAY, DECAY_FORMULAS[0], points)
-        qs = [reference_chain(combine(evaluator._basis2, p)).q for p in points]
+        qs = [reference_chain(combine(evaluator._basis2, p))[0] for p in points]
         assert len({len(_poisson_weights(q, 1e-8)) for q in qs}) == 5
 
     @pytest.mark.parametrize("formula", DECAY_FORMULAS)
@@ -402,19 +416,19 @@ class TestLanesMatchReference:
         assert evaluator.probability((0.002, 0.05), 1e-8) == reference_until(evaluator, (0.002, 0.05), 1e-8)
 
     def test_transient_matches_reference(self):
+        # the one-lane series against the loop through scipy's ``P @ v``
         rng = np.random.default_rng(4)
         for _ in range(30):
             n = int(rng.integers(2, 9))
-            chain = UniformizedChain.from_rate_matrix(random_generator_matrix(rng, n))
-            pi0 = rng.dirichlet(np.ones(n))
+            lanes, q, P = lane_chain(random_generator_matrix(rng, n))
+            v = rng.dirichlet(np.ones(n))
             for t in (0.0, 0.3, 4.0):
-                want = reference_series(chain.P.T, pi0, chain.q * t, 1e-10)
-                assert transient(chain, pi0, t, tol=1e-10).tolist() == want.tolist()
+                got = lanes.series(np.ones((1, 1)), v[None, :], t, 1e-10)[0]
+                assert got.tolist() == reference_series(P, v, q * t, 1e-10).tolist()
 
     def test_transient_rejects_mismatched_initial(self):
-        chain = UniformizedChain.from_rate_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="length 3"):
-            transient(chain, np.ones(3) / 3, 1.0)
+            lane_series(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(3) / 3, 1.0)
 
 
 THREE_WAY = parse_crn(
