@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .files import finite_number, read_json
 from .model import ParameterSpace
+from .transient import check_tol
 
 
 @dataclass
@@ -96,11 +97,7 @@ class ExperimentConfig:
             raise ConfigError("noise_sigma must be nonnegative")
         if self.synth_margin < 0:
             raise ConfigError("synth_margin must be nonnegative")
-        # below machine epsilon, 1 - tol rounds to 1 and no series length
-        # meets the tolerance
-        floor = float(np.finfo(float).eps)
-        if not floor <= self.synth_transient_tol < 1:
-            raise ConfigError(f"synth_transient_tol must be at least machine epsilon {floor!r} and below 1")
+        check_tol(self.synth_transient_tol, "synth_transient_tol")
         if self.observation_end is not None and self.observation_end <= 0:
             raise ConfigError("observation_end must be positive")
         if any(v < 0 for v in self.true_point.values()):

@@ -18,15 +18,18 @@ Thresholds that hold vacuously (such as "at least probability zero") label
 the whole space in one step with no evaluations.
 
 A level evaluates its lattice in two stages, the box corners first, then
-the other points.  Before each stage a box stays open only while every
-value already known on its lattice clears the margin on the same side;
-only open boxes' unknown points are evaluated.  A closed box holds a
-value that rules it undecided whatever its other points hold, so skipping
-them changes no label: a box still missing a value is undecided, and it
-was undecided anyway.  Deferred points cost nothing later either, since a
-box's lattice points are its children's corners and the cache keeps every
-value.  The ``evaluations`` count in the partition header is the number
-of points actually evaluated.
+the other points, or in one stage when all its unknown points fit in one
+block of lanes: on a small chain one ``probabilities`` call costs about a
+whole series whatever its lane count, so a second call costs more than
+the points the corners would rule out.  Before each stage a box stays
+open only while every value already known on its lattice clears the
+margin on the same side; only open boxes' unknown points are evaluated.
+A closed box holds a value that rules it undecided whatever its other
+points hold, so skipping them changes no label: a box still missing a
+value is undecided, and it was undecided anyway.  Deferred points cost
+nothing later either, since a box's lattice points are its children's
+corners and the cache keeps every value.  The ``evaluations`` count in
+the partition header is the number of points actually evaluated.
 
 A stage's points are split into contiguous chunks of at most one block
 of lanes (``UntilEvaluator.block_lanes``), fewer points a chunk when that
@@ -155,6 +158,7 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
 
     # the lattice positions that are box corners: no midpoint coordinate
     corners = np.array([1 not in pick for pick in itertools.product(range(3), repeat=len(theta_lo))])
+    two_stages, one_stage = (corners, ~corners), (np.ones_like(corners),)
     margin = config.synth_margin
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lo, hi, labels) per level
     lo, hi = theta_lo[None, :], theta_hi[None, :]
@@ -164,8 +168,11 @@ def _refine(pcrn, formula, config, theta_lo, theta_hi):
                 points = list(map(tuple, _lattices(lo, hi).reshape(-1, lo.shape[1]).tolist()))
                 # corners first, then the rest, each only for boxes whose known
                 # values all clear the margin on one side (an unknown value
-                # clears both); a closed box is undecided whatever the rest is
-                for stage in (corners, ~corners):
+                # clears both); a closed box is undecided whatever the rest is.
+                # Unknown points that fit in one block run as one stage: a
+                # second call on a small chain costs a whole series
+                fits = len(set(points) - cache.keys()) <= block_lanes
+                for stage in one_stage if fits else two_stages:
                     gap = gaps(points, len(lo))
                     open_ = np.all(~(gap < margin), axis=1) | np.all(~(gap > -margin), axis=1)
                     evaluate_all(list(itertools.compress(points, (open_[:, None] & stage).ravel())))

@@ -15,13 +15,16 @@ sparse mat-vec into preallocated buffers, so the per-call cost of a
 small chain is paid once per step rather than once per lane.  Lanes are
 sorted by series length, longest first, so the lanes still running are
 a prefix of the rows; a lane whose series has ended drops out of the
-mat-vec and the sum.  A row
+mat-vec and the sum.  A step's zero-fill, mat-vec, weighting and sum run
+on views of that prefix, rebuilt only when a lane ends.  A row
 of the stacked product sums the same entries in the same order as its
 lane's own product, and each lane adds its own weight times its own
 vector, so every lane's result is the same bits as the lane run alone,
 whatever lanes share its block.  Callers cap a block at about
 ``_BLOCK_NNZ`` stored entries, which bounds its memory and keeps a large
-chain's block cache-sized.
+chain's block cache-sized.  A call whose weight table (series terms x
+lanes) would pass ``_MAX_WEIGHTS`` fails with a ``ConfigError`` before
+any weight exists, and so does a tolerance the series cannot meet.
 
 Time-bounded until probabilities phi1 U[t,t'] phi2 use the standard
 two-phase reduction, both phases run backward.  Phase 2 takes, from each
@@ -57,6 +60,39 @@ RATE_MARGIN = 1.02  # uniformization rate = margin * max exit rate
 # stored entries of one block of lanes: bounds its memory and keeps a large
 # chain's block cache-sized
 _BLOCK_NNZ = 1 << 16
+
+# Poisson weights of one series call, terms x lanes: 128 MiB of them.  A
+# SIR block (4 lanes of at most 2 391 terms) and a smoke decay block (862
+# lanes of at most 644) stay far below it
+_MAX_WEIGHTS = 1 << 24
+
+# below machine epsilon, 1 - tol rounds to 1 and no series length meets
+# the tolerance
+_MIN_TOL = float(np.finfo(float).eps)
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """A ``ConfigError`` unless ``tol`` is a truncation tolerance the
+    series can meet: at least machine epsilon and below 1."""
+    if not _MIN_TOL <= tol < 1:
+        raise ConfigError(f"{name} must be at least machine epsilon {_MIN_TOL!r} and below 1, got {tol!r}")
+
+
+def _check_series_size(qts: Sequence[float], tol: float) -> None:
+    """A ``ConfigError`` when one call's weight table would hold more than
+    ``_MAX_WEIGHTS`` weights, checked before any weight exists.  A lane
+    counts one term past its (1 - tol)-quantile, the fewest
+    ``_poisson_weights`` returns; where ``pdtrik`` finds no quantile (qt
+    near 1e12 and beyond) it counts qt terms, the series' mean length."""
+    if not any(qts):
+        return
+    terms = float(np.fmax(np.ceil(special.pdtrik(1.0 - tol, qts)) + 1.0, qts).max())
+    if not terms * len(qts) <= _MAX_WEIGHTS:
+        raise ConfigError(
+            f"a Poisson series call needs about {terms:.3g} terms x {len(qts)} lane(s) of weights (uniformization "
+            f"rate x time up to {max(qts):.3g}), more than its bound of {_MAX_WEIGHTS}: narrow the rate bounds "
+            "or the time window"
+        )
 
 
 def _poisson_weights(qt: float, tol: float) -> np.ndarray:
@@ -95,6 +131,7 @@ def _poisson_series(
     m, n = V.shape
     if len(indptr) != n + 1:  # the kernel does not check bounds
         raise ValueError(f"vectors of length {n} do not match a matrix of {len(indptr) - 1} rows")
+    _check_series_size(qts, tol)
     weights = [_poisson_weights(qt, tol) if qt else np.ones(1) for qt in qts]
     order = sorted(range(m), key=lambda j: -len(weights[j]))
     lengths = [len(weights[j]) for j in order]
@@ -113,16 +150,24 @@ def _poisson_series(
     assert x.flags.c_contiguous and y.flags.c_contiguous
     width = len(range(n)[cols])
     term, acc = np.empty((m, width)), np.zeros((m, width))
-    active = m
-    for k in range(len(W)):
+    k, active = 0, m
+    while k < len(W):
+        # lanes 0..active-1 run steps k..end-1: the views of their rows
+        # are built once per lane that ends, not once per step
         while lengths[active - 1] <= k:
             active -= 1
-        if k:
-            y[:active] = 0.0  # the kernel adds each row's sum to y
-            _csr_matvec(active * n, active * n, indptr, indices, data, x.ravel(), y.ravel())
-            x, y = y, x
-        np.multiply(W[k, :active, None], x[:active, cols], out=term[:active])
-        acc[:active] += term[:active]
+        end, rows = lengths[active - 1], active * n
+        x_flat, y_flat = x.ravel()[:rows], y.ravel()[:rows]
+        x_cols, y_cols = x[:active, cols], y[:active, cols]
+        t, a = term[:active], acc[:active]
+        for w in W[k:end, :active, None]:
+            if k:
+                y_flat.fill(0.0)  # the kernel adds each row's sum to y
+                _csr_matvec(rows, rows, indptr, indices, data, x_flat, y_flat)
+                x, y, x_flat, y_flat, x_cols, y_cols = y, x, y_flat, x_flat, y_cols, x_cols
+            np.multiply(w, x_cols, out=t)
+            a += t
+            k += 1
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -212,6 +257,7 @@ class UntilEvaluator:
         point evaluated alone.  Points run as lanes of the Poisson series,
         phase 2 and then phase 1, in blocks of at most ``_BLOCK_NNZ``
         stored matrix entries."""
+        check_tol(tol)
         rates = [point_values(self.pcrn.params.names, point) for point in points]
         lanes = self.block_lanes
         result = np.empty(len(rates))

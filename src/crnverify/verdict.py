@@ -21,6 +21,9 @@ from .model import PCRN
 from .monitor import estimate_lambda
 from .synthesis import LABEL_SAT, LABEL_UNDECIDED, RegionPartition, classify_points
 
+# uniforms the slice sampler draws from its generator at a time
+_UNIFORM_BLOCK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class Posterior:
@@ -33,7 +36,7 @@ class Posterior:
     def __post_init__(self):
         if np.any(self.variance <= 0):
             raise ConfigError("posterior variances must be positive")
-        # once, as Python floats, for logpdf
+        # once, as Python floats, for logpdf and slice_sample
         object.__setattr__(self, "_moments", tuple(zip(self.mean.tolist(), self.variance.tolist())))
         object.__setattr__(self, "_log_norm", float(np.sum(np.log(2.0 * np.pi * self.variance))))
 
@@ -105,6 +108,13 @@ def slice_sample(
     current point, steps it out until both ends leave the slice, then
     shrinks toward the current point until a draw lands inside.  Total for
     any positive density; no tuning beyond the scale is needed.
+
+    The uniforms come from ``rng`` ``_UNIFORM_BLOCK`` at a time, in the
+    order one ``rng.random()`` call per uniform returns them, and the
+    density adds its terms in ``Posterior.logpdf``'s order, so the draws
+    are those of that one-call-per-uniform sampler bit for bit.  The
+    generator is left past the last uniform of the last block, beyond the
+    last one used.
     """
     if n_samples < 1:
         raise ConfigError("need at least one sample")
@@ -113,37 +123,54 @@ def slice_sample(
     # the state as Python floats: the density is scalar arithmetic
     x = np.array(posterior.mean if init is None else init, dtype=float).tolist()
     k = len(x)
-    out = np.empty((n_samples, k))
-    logf = posterior.logpdf
-    for s in range(n_samples):
+    moments, log_norm = posterior._moments, posterior._log_norm
+    uniform = _uniforms(rng).__next__
+    # each coordinate's squared z-score at x, the terms logpdf adds
+    terms = [(v - m) * (v - m) / var for v, (m, var) in zip(x, moments)]
+
+    def logf(v):
+        """logpdf at x with coordinate d moved to v: the terms before d,
+        summed once per update, then d's, then the rest in order."""
+        z = v - m
+        total = prefix + z * z / var
+        for t in after:
+            total += t
+        return -0.5 * (total + log_norm)
+
+    out = []
+    for _ in range(n_samples):
+        prefix = 0.0
         for d in range(k):
+            m, var = moments[d]
+            after = terms[d + 1:]
             # floor the uniform so the auxiliary level never degenerates
-            log_y = logf(x) + math.log(max(rng.random(), 1e-300))
-            left = x[d] - scale * rng.random()
+            log_y = logf(x[d]) + math.log(max(uniform(), 1e-300))
+            left = x[d] - scale * uniform()
             right = left + scale
-            probe = x.copy()
-            while True:
-                probe[d] = left
-                if logf(probe) <= log_y:
-                    break
+            while not logf(left) <= log_y:
                 left -= scale
-            while True:
-                probe[d] = right
-                if logf(probe) <= log_y:
-                    break
+            while not logf(right) <= log_y:
                 right += scale
             while True:
-                cand = left + (right - left) * rng.random()
-                probe[d] = cand
-                if logf(probe) > log_y:
-                    x[d] = cand
+                cand = left + (right - left) * uniform()
+                if logf(cand) > log_y:
                     break
                 if cand < x[d]:
                     left = cand
                 else:
                     right = cand
-        out[s] = x
-    return out
+            x[d] = cand
+            terms[d] = (cand - m) * (cand - m) / var
+            prefix += terms[d]
+        out.extend(x)
+    return np.array(out).reshape(n_samples, k)
+
+
+def _uniforms(rng: np.random.Generator):
+    """``rng.random()`` values one at a time, drawn ``_UNIFORM_BLOCK`` at
+    a time: the sequence that one call per value returns."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def probability(

@@ -205,6 +205,15 @@ class TestExitCodes:
         assert "must be nonnegative" in capsys.readouterr().err
         assert not (workspace / "out" / "partition.json").exists()
 
+    def test_series_beyond_its_bound_is_config_error(self, workspace, capsys):
+        # 50 molecules at a rate bound of 2e10: qt near 1e12 over the unit window
+        text = (workspace / "models" / "decay.crn").read_text()
+        (workspace / "models" / "fast.crn").write_text(text.replace("[0.1, 10]", "[0.1, 2e10]"))
+        assert run("synth", "--model", "models/fast.crn", "--property", "P>0.5 [ true U[0,1] (B>=25) ]",
+                   "--out-dir", "out") == 2
+        assert "narrow the rate bounds" in capsys.readouterr().err
+        assert not (workspace / "out" / "partition.json").exists()
+
     def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
         assert "missing --property" in capsys.readouterr().err

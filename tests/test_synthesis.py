@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import crnverify.transient as TRANSIENT
 from crnverify import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from crnverify.synthesis import (
     _refine,
     save_heatmap_grid,
 )
-from crnverify.transient import UntilEvaluator
+from crnverify.transient import UntilEvaluator, evaluator_for
 from reference_synthesis import reference_refine
 
 AB = parse_crn("format=1; species A B; param k in [0.1, 10]; reaction decay: A -> B @ k; init A=1;")
@@ -160,11 +161,16 @@ class TestScreenedRefinement:
         assert status == reference_status
         assert evaluations < reference_evaluations
 
-    def test_level_of_ruled_out_boxes_evaluates_nothing(self, monkeypatch):
-        # the value is 1 everywhere, within the margin of the bound: the
-        # first labeled level evaluates its corners, which rule every box
-        # undecided, and each child at the next level holds one of them
-        flat = parse_csl("P>=1 [ true U[0,1] (A=1) ]")
+    # the value is 1 everywhere, within the margin of the bound: a box
+    # holding any value is undecided
+    FLAT = parse_csl("P>=1 [ true U[0,1] (A=1) ]")
+    FLAT_CONFIG = settings(0.01, synth_max_depth=MIN_LABEL_DEPTH + 1)
+    LEVEL = 2 * 2**MIN_LABEL_DEPTH + 1  # the first labeled level's lattice points
+
+    def _counted_refine(self, monkeypatch, block_lanes=None):
+        """``_refine`` of the flat case and the sizes of its
+        ``probabilities`` calls, at ``block_lanes`` lanes a block when
+        given."""
         calls = []
         probabilities = UntilEvaluator.probabilities
 
@@ -173,14 +179,33 @@ class TestScreenedRefinement:
             return probabilities(evaluator, points, tol)
 
         monkeypatch.setattr(UntilEvaluator, "probabilities", counted)
-        config = settings(0.01, synth_max_depth=MIN_LABEL_DEPTH + 1)
+        if block_lanes is not None:
+            monkeypatch.setattr(TRANSIENT, "_BLOCK_NNZ", block_lanes * evaluator_for(AB, self.FLAT)._lane_nnz)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the NaN placeholders warn about nothing
-            lo, hi, labels, status, evaluations = _refine(AB, flat, config, *_theta(AB))
+            return _refine(AB, self.FLAT, self.FLAT_CONFIG, *_theta(AB)), calls
+
+    def test_level_of_ruled_out_boxes_evaluates_nothing(self, monkeypatch):
+        # a level wider than one block runs in two stages: its corners
+        # rule every box undecided, and each child at the next level holds
+        # one of them
+        (lo, hi, labels, status, evaluations), calls = self._counted_refine(monkeypatch, self.LEVEL - 1)
         corners = 2**MIN_LABEL_DEPTH + 1
         assert calls == [corners] and evaluations == corners
         assert set(labels.tolist()) == {LABEL_UNDECIDED} and len(labels) == 2 ** (MIN_LABEL_DEPTH + 1)
         assert status == "tolerance-unmet"
+
+    def test_level_within_one_block_is_one_call(self, monkeypatch):
+        # the level fits one block: one call of all its points, and the
+        # next level's boxes are ruled out by known values as before
+        assert evaluator_for(AB, self.FLAT).block_lanes >= self.LEVEL
+        got, calls = self._counted_refine(monkeypatch)
+        assert calls == [self.LEVEL] and got[4] == self.LEVEL
+        monkeypatch.undo()
+        two_stages, _ = self._counted_refine(monkeypatch, self.LEVEL - 1)
+        want = reference_refine(AB, self.FLAT, self.FLAT_CONFIG, *_theta(AB))
+        for g, t, w in zip(got[:4], two_stages[:4], want[:4]):  # lo, hi, labels, status
+            assert np.array_equal(g, t) and np.array_equal(g, w)
 
 
 def _shuffled_grid_partition(rng):

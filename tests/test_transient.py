@@ -5,6 +5,7 @@ constructors."""
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,17 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import crnverify.transient as TRANSIENT
-from crnverify import CrnVerifyError, enumerate_states, parse_crn, parse_csl
+from crnverify import ConfigError, CrnVerifyError, enumerate_states, parse_crn, parse_csl
 from crnverify.csl import BoolLiteral, Comparison
 from crnverify.model import point_values
-from crnverify.transient import DEFAULT_TOL, UntilEvaluator, _LanePattern, _poisson_weights, evaluator_for
+from crnverify.transient import (
+    DEFAULT_TOL,
+    RATE_MARGIN,
+    UntilEvaluator,
+    _LanePattern,
+    _poisson_weights,
+    evaluator_for,
+)
 from reference_chain import combine, reference_chain
 from reference_model import rate_matrix_row
 
@@ -429,6 +437,50 @@ class TestLanesMatchReference:
     def test_transient_rejects_mismatched_initial(self):
         with pytest.raises(ValueError, match="length 3"):
             lane_series(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(3) / 3, 1.0)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [1e-17, 0.0, 1.0, float("nan")])
+    def test_tolerance_out_of_range_is_rejected_before_any_series(self, monkeypatch, tol):
+        # below machine epsilon, 1 - tol rounds to 1 and the Poisson
+        # quantile is not finite
+        monkeypatch.setattr(TRANSIENT, "_poisson_series", None)  # any series call would raise TypeError
+        evaluator = evaluator_for(DECAY, parse_csl("P>0.5 [ true U[0,1] (B=1) ]"))
+        with pytest.raises(ConfigError, match="machine epsilon"):
+            evaluator.probability(K_ONE, tol=tol)
+
+    def test_machine_epsilon_is_accepted(self):
+        value = evaluator_for(AB, parse_csl("P>0.5 [ true U[0,1] (B=1) ]")).probability(K_ONE, tol=2.0**-52)
+        assert value == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
+
+
+class TestSeriesBound:
+    # 50 molecules at a rate bound of 2e10: qt near 1e12 over the unit window
+    HUGE = DECAY_TEXT.replace("[0, 10]", "[0, 2e10]")
+
+    def test_series_beyond_the_bound_fails_before_allocating(self):
+        evaluator = evaluator_for(parse_crn(self.HUGE), parse_csl("P>0.5 [ true U[0,1] (B>=25) ]"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="narrow the rate bounds"):
+                evaluator.probabilities([(2e10,), (1.0,)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the weights alone would take terabytes
+
+    def test_bound_counts_every_lane(self, monkeypatch):
+        # three lanes of decay's longest series fit a bound of three lanes'
+        # weights and fail one of two
+        evaluator = evaluator_for(DECAY, parse_csl(DECAY_FORMULAS[1]))
+        points = [(10.0,)] * 3
+        want = evaluator.probabilities(points)
+        terms = len(_poisson_weights(RATE_MARGIN * 500.0 * 2.0, DEFAULT_TOL))
+        monkeypatch.setattr(TRANSIENT, "_MAX_WEIGHTS", 3 * terms)
+        assert evaluator.probabilities(points).tolist() == want.tolist()
+        monkeypatch.setattr(TRANSIENT, "_MAX_WEIGHTS", 2 * terms)
+        with pytest.raises(ConfigError, match="x 3 lane"):
+            evaluator.probabilities(points)
 
 
 THREE_WAY = parse_crn(

@@ -18,6 +18,7 @@ from crnverify import (
 )
 from crnverify.rng import stream
 from crnverify.synthesis import LABEL_SAT, LABEL_UNDECIDED, LABEL_VIOL, RegionPartition
+from reference_slice import reference_slice_sample
 
 
 def fit(values, weights):
@@ -96,6 +97,18 @@ class TestSliceSample:
         a = slice_sample(posterior, 100, 2.0, stream(4, 0))
         b = slice_sample(posterior, 100, 2.0, stream(4, 0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [0.01, 2.0, 50.0])  # long step-out loops, then long shrink loops
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_draws_equal_the_one_call_per_uniform_reference(self, k, scale):
+        rng = np.random.default_rng(k)
+        post = Posterior(names=tuple(f"p{d}" for d in range(k)), mean=rng.normal(size=k),
+                         variance=rng.uniform(0.5, 2.0, size=k))
+        for init in (None, post.mean + 3.0 * post.std()):
+            got = slice_sample(post, 200, scale, stream(6, k), init=init)
+            want = reference_slice_sample(post, 200, scale, stream(6, k), init=init)
+            assert got.shape == want.shape == (200, k)
+            assert got.tobytes() == want.tobytes()
 
     def test_custom_init(self, posterior):
         draws = slice_sample(posterior, 50, 2.0, stream(5, 0), init=np.array([0.0021, 0.049]))
