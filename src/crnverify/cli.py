@@ -45,19 +45,6 @@ from .verdict import (
 )
 
 
-def _model_with_bounds(config: ExperimentConfig) -> PCRN:
-    pcrn = load_crn(config.model)
-    if config.param_bounds:
-        pcrn = PCRN(
-            species=pcrn.species,
-            reactions=pcrn.reactions,
-            params=pcrn.params.with_bounds(config.param_bounds),
-            initial_state=pcrn.initial_state,
-            conserved_total=pcrn.conserved_total,
-        )
-    return pcrn
-
-
 def _true_point(config: ExperimentConfig, pcrn: PCRN) -> list[float]:
     if not config.true_point:
         raise ConfigError("config needs a true_point to generate data")
@@ -72,7 +59,7 @@ def _true_point(config: ExperimentConfig, pcrn: PCRN) -> list[float]:
 
 def cmd_generate(config: ExperimentConfig, out_dir: Path) -> Path:
     """Simulate the data-generating system once and write the observations."""
-    pcrn = _model_with_bounds(config)
+    pcrn = load_crn(config.model)
     formula = parse_csl(config.property)
     point = _true_point(config, pcrn)
     times = config.times(default_end=formula.path.t_hi)
@@ -90,7 +77,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> Path:
 
 def cmd_synth(config: ExperimentConfig, out_dir: Path) -> tuple[Path, Path, str]:
     """Partition the parameter space and export it plus a plotting grid."""
-    pcrn = _model_with_bounds(config)
+    pcrn = load_crn(config.model)
     partition = synthesize(pcrn, parse_csl(config.property), config)
     partition_path = out_dir / "partition.json"
     heatmap_path = out_dir / "heatmap.csv"
@@ -108,7 +95,7 @@ def _abcseq(pcrn: PCRN, data: Dataset, config: ExperimentConfig, batches: list[i
 
 def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tuple[Path, Path]:
     """Run batched sequential ABC and write particles plus a posterior summary."""
-    pcrn = _model_with_bounds(config)
+    pcrn = load_crn(config.model)
     data = load_dataset(dataset_path)
     if data.species != pcrn.species_names():
         raise ConfigError(
@@ -162,7 +149,7 @@ def _posterior_from_file(path: Path) -> Posterior:
 
 def cmd_baseline(source_path: Path, config: ExperimentConfig, out_dir: Path, n_params: int, n_sims: int) -> Path:
     """Bayesian statistical model checking over posterior parameter draws."""
-    pcrn = _model_with_bounds(config)
+    pcrn = load_crn(config.model)
     formula = parse_csl(config.property)
     posterior = _posterior_from_file(source_path)
     results = bayes_smc(

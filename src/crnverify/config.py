@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .files import finite_number, read_json
-from .model import ParameterSpace
 from .transient import check_tol
 
 
@@ -23,7 +22,8 @@ class ExperimentConfig:
     """Every setting of every stage; a stage reads the fields it needs.
 
     ``model`` and ``property`` may stay empty for a command that reads
-    neither (``load_config`` still requires both keys in a file).
+    neither (``load_config`` still requires both keys in a file).  The
+    parameter box is the ``.crn`` file's: no setting overrides it.
     """
 
     model: str = ""
@@ -31,9 +31,7 @@ class ExperimentConfig:
     seed: int | None = None
     scenario: str = ""
     workers: int = 1
-    param_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     true_point: dict[str, float] = field(default_factory=dict)
-    observation_times: list[float] | None = None
     observation_count: int = 20
     observation_end: float | None = None  # defaults to the property's window end
     noise_sigma: float = 0.0
@@ -68,17 +66,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a positive integer count, got {value!r}")
         if type(self.abc_particles) is not int or self.abc_particles < 2:
             raise ConfigError(f"abc_particles must be an integer of at least 2, got {self.abc_particles!r}")
-        for name, value in (("param_bounds", self.param_bounds), ("true_point", self.true_point)):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-        for k, pair in self.param_bounds.items():
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(finite_number, pair))):
-                raise ConfigError(f"param_bounds[{k!r}] must be a [lower, upper] pair of finite numbers, got {pair!r}")
-        self.param_bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in self.param_bounds.items()}
-        try:  # the model's own bound checks, before any stage runs
-            ParameterSpace(tuple((k, lo, hi) for k, (lo, hi) in self.param_bounds.items()))
-        except ConfigError as exc:
-            raise ConfigError(f"param_bounds: {exc}") from exc
+        if not isinstance(self.true_point, dict):
+            raise ConfigError(f"true_point must be a JSON object, got {self.true_point!r}")
         reals = [
             ("noise_sigma", self.noise_sigma),
             ("slice_scale", self.slice_scale),
@@ -86,7 +75,6 @@ class ExperimentConfig:
             ("synth_margin", self.synth_margin),
             ("synth_transient_tol", self.synth_transient_tol),
             *((f"true_point[{k!r}]", v) for k, v in self.true_point.items()),
-            *(("observation_times", v) for v in self.observation_times or ()),
         ]
         if self.observation_end is not None:
             reals.append(("observation_end", self.observation_end))
@@ -106,15 +94,10 @@ class ExperimentConfig:
             raise ConfigError("slice_scale must be positive")
         if not 0 < self.synth_volume_tolerance < 1:
             raise ConfigError("synth_volume_tolerance must lie strictly between 0 and 1")
-        if self.observation_times is not None:
-            times = list(map(float, self.observation_times))
-            if not times or times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
-                raise ConfigError("observation_times must be nonempty, nonnegative and strictly increasing")
 
     def times(self, default_end: float) -> np.ndarray:
-        """Observation grid: explicit times, or evenly spaced over (0, end]."""
-        if self.observation_times is not None:
-            return np.array(self.observation_times, dtype=float)
+        """Observation grid: ``observation_count`` times evenly spaced over
+        (0, end]."""
         end = self.observation_end if self.observation_end is not None else default_end
         if end <= 0:
             raise ConfigError("observation_end must be positive")
@@ -124,9 +107,8 @@ class ExperimentConfig:
     def scenario_name(self) -> str:
         if self.scenario:
             return self.scenario
-        q = len(self.observation_times) if self.observation_times is not None else self.observation_count
         noise = "with noise" if self.noise_sigma > 0 else "without noise"
-        return f"{q} obs {noise}"
+        return f"{self.observation_count} obs {noise}"
 
 
 @contextmanager

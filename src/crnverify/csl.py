@@ -114,7 +114,7 @@ class BoundedUntil:
     t_hi: float
 
     def __post_init__(self):
-        if self.t_lo < 0 or self.t_hi < self.t_lo:
+        if not 0 <= self.t_lo <= self.t_hi:  # NaN fails too
             raise ParseError(f"until interval [{self.t_lo}, {self.t_hi}] needs 0 <= t <= t'")
 
 
@@ -158,8 +158,9 @@ _TOKEN_RE = re.compile(
 def parse_csl(text: str) -> CslFormula:
     """Parse a property string into its AST.
 
-    Raises ParseError (with position) on malformed input, bounds outside
-    [0,1], reversed intervals, or use of the unsupported fragment.
+    Raises ParseError, with its position, on malformed input or use of
+    the unsupported fragment.  ``CslFormula`` rejects a bound outside
+    [0,1] and ``BoundedUntil`` a reversed interval, without a position.
     """
     toks = Tokens(text, _TOKEN_RE)
     kind, val, pos = toks.next()
@@ -169,8 +170,6 @@ def parse_csl(text: str) -> CslFormula:
     if relation not in RELATIONS:
         toks.error(f"unsupported probability relation {relation!r}; use <, <=, >, >=")
     bound = toks.number()
-    if not 0.0 <= bound <= 1.0:
-        raise ParseError(f"probability bound {bound} outside [0,1]")
     toks.expect("[")
     path = _parse_path(toks)
     toks.expect("]")
@@ -193,8 +192,6 @@ def _parse_path(toks: Tokens) -> BoundedUntil:
     toks.expect(",")
     t_hi = toks.number()
     toks.expect("]")
-    if t_lo > t_hi:
-        raise ParseError(f"until interval [{t_lo}, {t_hi}] has t > t'")
     phi2 = _parse_state(toks)
     return BoundedUntil(phi1=phi1, phi2=phi2, t_lo=t_lo, t_hi=t_hi)
 

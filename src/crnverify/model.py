@@ -101,17 +101,6 @@ class ParameterSpace:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def with_bounds(self, overrides: dict[str, tuple[float, float]]) -> "ParameterSpace":
-        """Copy with some dimensions' bounds replaced."""
-        unknown = set(overrides) - set(self.names)
-        if unknown:
-            raise ConfigError(f"bound override for unknown parameter(s) {sorted(unknown)}")
-        dims = tuple(
-            (name, *overrides[name]) if name in overrides else (name, lo, hi)
-            for name, lo, hi in self.dims
-        )
-        return ParameterSpace(dims)
-
 
 @dataclass(frozen=True)
 class PCRN:

@@ -78,6 +78,10 @@ _BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call ove
 # widest call an estimate makes, and widest ABC wave unless it has more
 # pending slots; neither keeps paths, so a call's memory is O(lanes)
 _LANES = 1024
+# steps of one kernel call.  A one-lane call keeping its visits holds about
+# 460 B a step, so 2^18 steps stay within 128 MiB; a network that is not
+# conserved (X -> X + X) reaches the cap instead of growing without bound
+_MAX_STEPS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +232,8 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
     a lane stopped past its entry of ``eps``).  With ``path``, returns
     whether each lane satisfies it (``t_end`` is its t'), a lane leaving
     once decided.  With neither, returns every visit as (lane, state,
-    entry time) arrays in step order.
+    entry time) arrays in step order.  A call that would take more than
+    ``_MAX_STEPS`` steps fails with a ``ConfigError``.
     """
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
@@ -349,6 +354,11 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
                 if not len(lanes):
                     break
                 active = np.bincount(group, minlength=len(rows))
+            if step == _MAX_STEPS:
+                raise ConfigError(
+                    f"a simulation call needs more than {_MAX_STEPS} steps to reach time {t_end:g}: narrow the rate "
+                    "bounds or the time window, or check that the network cannot grow without bound"
+                )
             if fresh is not None:
                 for g in fresh:
                     if active[g]:

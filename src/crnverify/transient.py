@@ -43,7 +43,7 @@ from functools import cache
 import numpy as np
 from scipy import sparse, special
 
-from .csl import CslFormula, StateFormula
+from .csl import BoundedUntil, CslFormula
 from .errors import ConfigError, CrnVerifyError
 from .model import PCRN, _falling_product, compiled_reactions, enumerate_states, point_values
 
@@ -209,7 +209,8 @@ def _chain_basis(pcrn: PCRN):
 
 
 class UntilEvaluator:
-    """Reusable two-phase evaluator for one network and one until formula.
+    """Reusable two-phase evaluator for one network and one until path,
+    ``path``'s window already checked by ``BoundedUntil``.
 
     Building the evaluator enumerates the state space and precomputes the
     per-parameter rate pieces with absorbing rows already zeroed, and each
@@ -217,17 +218,15 @@ class UntilEvaluator:
     matrices as one array before its lanes join the Poisson series.
     """
 
-    def __init__(self, pcrn: PCRN, phi1: StateFormula, phi2: StateFormula, t_lo: float, t_hi: float):
-        if not 0 <= t_lo <= t_hi:
-            raise ConfigError(f"until window [{t_lo}, {t_hi}] needs 0 <= t <= t'")
+    def __init__(self, pcrn: PCRN, path: BoundedUntil):
         self.pcrn = pcrn
-        self.t_lo = float(t_lo)
-        self.t_hi = float(t_hi)
+        self.t_lo = float(path.t_lo)
+        self.t_hi = float(path.t_hi)
         space, basis = _chain_basis(pcrn)
         self.space = space
         index = pcrn.species_index()
-        self.mask1 = phi1.mask(space.states, index)
-        self.mask2 = phi2.mask(space.states, index)
+        self.mask1 = path.phi1.mask(space.states, index)
+        self.mask2 = path.phi2.mask(space.states, index)
         self.init_idx = space.ordinal(pcrn.initial_state)
         # phase 1: non-phi1 states absorb; phase 2: phi2 and (!phi1 & !phi2) absorb
         keep1 = sparse.diags(self.mask1.astype(float))
@@ -346,5 +345,4 @@ def evaluator_for(pcrn: PCRN, formula: CslFormula) -> UntilEvaluator:
     """The evaluator of ``formula``'s until path on ``pcrn``; ``formula.compare``
     decides the threshold on a value it returns.  Built once per process
     for equal arguments, so a forked worker inherits its parent's."""
-    path = formula.path
-    return UntilEvaluator(pcrn, path.phi1, path.phi2, path.t_lo, path.t_hi)
+    return UntilEvaluator(pcrn, formula.path)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
-The two full SIR pipeline runs (satisfying and violating ground truth) are
-module-scoped fixtures; later criteria reuse their stage files instead of
+The two SIR runs (satisfying and violating ground truth) are module-scoped
+fixtures: a full pipeline on the satisfying config, and the violating
+config's data and inference integrated over that run's partition, which
+both configs share.  Later criteria reuse their stage files instead of
 recomputing them.  The criteria that use them are marked ``slow``;
 ``pytest -m "not slow"`` leaves them out for a fast loop.
 """
@@ -10,6 +12,7 @@ recomputing them.  The criteria that use them are marked ``slow``;
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +66,21 @@ def case_formula():
     return parse_csl("P>0.1 [ (I>0) U[100,150] (I=0) ]")
 
 
-def _run_pipeline(config_name: str, out_dir: Path) -> dict:
-    """Run the real CLI pipeline with the shipped config, paths made absolute."""
+def _write_config(config_name: str, out_dir: Path) -> Path:
+    """The shipped config in ``out_dir``, its model path made absolute."""
     doc = json.loads((REPO / "configs" / config_name).read_text())
     doc["model"] = str(REPO / "models" / Path(doc["model"]).name)
     config_path = out_dir / config_name
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_path.write_text(json.dumps(doc))
-    code = main(["pipeline", "--config", str(config_path), "--out-dir", str(out_dir)])
-    assert code == 0, f"pipeline exited with {code}"
+    return config_path
+
+
+def _outputs(config_path: Path, out_dir: Path, partition: Path, particles: Path) -> dict:
     return {
         "config_path": config_path,
         "out": out_dir,
-        "run": json.loads((out_dir / "run.json").read_text()),
+        "partition": partition,
+        "particles": particles,
         "verdict": json.loads((out_dir / "verdict.json").read_text()),
         "posterior": json.loads((out_dir / "posterior.json").read_text()),
     }
@@ -83,12 +88,30 @@ def _run_pipeline(config_name: str, out_dir: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def phi_run(tmp_path_factory):
-    return _run_pipeline("sir_phi_20obs_noiseless.json", tmp_path_factory.mktemp("phi"))
+    """The real CLI pipeline on the satisfying config."""
+    out = tmp_path_factory.mktemp("phi")
+    config_path = _write_config("sir_phi_20obs_noiseless.json", out)
+    code = main(["pipeline", "--config", str(config_path), "--out-dir", str(out)])
+    assert code == 0, f"pipeline exited with {code}"
+    stages = json.loads((out / "run.json").read_text())["stages"]
+    return _outputs(config_path, out, out / stages["partition"], out / stages["particles"])
 
 
 @pytest.fixture(scope="module")
-def notphi_run(tmp_path_factory):
-    return _run_pipeline("sir_notphi_20obs_noiseless.json", tmp_path_factory.mktemp("notphi"))
+def notphi_run(tmp_path_factory, phi_run):
+    """The violating config's generate, infer and verify, against the
+    satisfying run's partition: synthesis reads no data, so the two
+    configs, which share every setting it reads, build the same one."""
+    out = tmp_path_factory.mktemp("notphi")
+    config_path = _write_config("sir_notphi_20obs_noiseless.json", out)
+    shared = ["model", "property", *(f.name for f in fields(ExperimentConfig) if f.name.startswith("synth_"))]
+    mine, phi = load_config(config_path), load_config(phi_run["config_path"])
+    assert {k: getattr(mine, k) for k in shared} == {k: getattr(phi, k) for k in shared}
+    config, particles = str(config_path), out / "particles.csv"
+    assert main(["generate", "--config", config, "--out-dir", str(out)]) == 0
+    assert main(["infer", "--config", config, "--dataset", str(out / "dataset.csv"), "--out-dir", str(out)]) == 0
+    assert main(["verify", str(phi_run["partition"]), str(particles), "--config", config, "--out-dir", str(out)]) == 0
+    return _outputs(config_path, out, phi_run["partition"], particles)
 
 
 def test_criterion_1_transient_oracle_equivalence():
@@ -139,7 +162,7 @@ def test_criterion_3_ground_truth_classification(sir, case_formula):
 @pytest.mark.slow
 def test_criterion_4_synthesis_partition_validity(sir, case_formula, phi_run):
     with criterion(4, "SIR partition: coverage, tolerance, labels, statistical audit"):
-        partition = load_partition(phi_run["out"] / phi_run["run"]["stages"]["partition"])
+        partition = load_partition(phi_run["partition"])
         theta_vol = partition.theta_volume()
 
         box_vol = sum(float(np.prod(hi - lo)) for lo, hi in zip(partition.lo, partition.hi))
@@ -198,7 +221,7 @@ def test_criterion_7_baseline_agreement(phi_run, notphi_run):
         ):
             config = load_config(run["config_path"])
             baseline_path = cmd_baseline(
-                run["out"] / run["run"]["stages"]["particles"], config, run["out"],
+                run["particles"], config, run["out"],
                 n_params=50, n_sims=200,
             )
             doc = json.loads(baseline_path.read_text())
@@ -242,7 +265,7 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
         assert steps <= {(-1, 1, 0), (0, -1, 1)}
 
         # partition disjoint cover on the synthesized SIR partition
-        partition = load_partition(phi_run["out"] / phi_run["run"]["stages"]["partition"])
+        partition = load_partition(phi_run["partition"])
         boxes = list(zip(partition.lo, partition.hi))
         rng2 = np.random.default_rng(2)
         idx = rng2.choice(len(boxes), size=min(400, len(boxes)), replace=False)

@@ -19,6 +19,7 @@ import pytest
 
 from crnverify.cli import build_parser, main
 from crnverify.config import ExperimentConfig
+from test_benchmark_names import _config_keys
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -214,6 +215,28 @@ class TestExitCodes:
         assert "narrow the rate bounds" in capsys.readouterr().err
         assert not (workspace / "out" / "partition.json").exists()
 
+    def test_bounds_in_config_are_an_unknown_key(self, workspace, capsys):
+        # the .crn is the one source of the parameter box
+        doc = json.loads((workspace / "smoke.json").read_text())
+        (workspace / "bounds.json").write_text(json.dumps({**doc, "param_bounds": {"k": [0.5, 2.0]}}))
+        assert run("generate", "--config", "bounds.json", "--out-dir", "out") == 2
+        assert "unknown keys ['param_bounds']" in capsys.readouterr().err
+        assert not any((workspace / "out").iterdir())
+
+    def test_growth_past_the_step_cap_is_config_error(self, workspace, capsys, monkeypatch):
+        # X -> X + X is not conserved: its population, and the steps of one
+        # path, grow without bound
+        monkeypatch.setattr("crnverify.simulate._MAX_STEPS", 1000)
+        (workspace / "models" / "growth.crn").write_text(
+            "format=1; species X; param k in [0.1, 10]; reaction split: X -> X + X @ k; init X=1;"
+        )
+        doc = {**json.loads((workspace / "smoke.json").read_text()), "model": "models/growth.crn",
+               "property": "P>0.5 [ true U[0,30] false ]", "observation_end": 30.0}
+        (workspace / "growth.json").write_text(json.dumps(doc))
+        assert run("generate", "--config", "growth.json", "--out-dir", "out") == 2
+        assert "more than 1000 steps to reach time 30" in capsys.readouterr().err
+        assert not (workspace / "out" / "dataset.csv").exists()
+
     def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
         assert "missing --property" in capsys.readouterr().err
@@ -236,6 +259,16 @@ def test_every_flag_sets_a_config_field_or_is_command_only():
         for action in parser._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.dest in settings | COMMAND_ONLY, f"{name}: {action.option_strings or action.dest}"
+
+
+def test_every_config_field_is_set_somewhere():
+    # a setting that no shipped config, benchmark workload or flag sets is
+    # a second source for something, or dead
+    shipped = {key for path in (REPO / "configs").glob("*.json") for key in json.loads(path.read_text())}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {action.dest for parser in commands.values() for action in parser._actions}
+    unset = {f.name for f in fields(ExperimentConfig)} - shipped - _config_keys() - dests
+    assert not unset, f"settings nothing sets: {sorted(unset)}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -68,6 +68,17 @@ def test_slice_init_rejected(tmp_path):
         load_config(write(tmp_path, {**BASE, "slice_init": [0.002, 0.05]}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("param_bounds", {"ki": [5e-5, 0.003]}),
+    ("observation_times", [1.0, 2.5, 9.0]),
+])
+def test_second_source_of_a_setting_rejected(tmp_path, key, value):
+    # the .crn holds the parameter box, and observation_count and
+    # observation_end the observation grid
+    with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+        load_config(write(tmp_path, {**BASE, key: value}))
+
+
 def test_nonpositive_counts_rejected(tmp_path):
     for key in ("observation_count", "abc_particles", "abc_batches", "abc_rounds", "slice_samples"):
         with pytest.raises(ConfigError, match=key):
@@ -86,13 +97,6 @@ def test_observation_times_default_grid(tmp_path):
     assert np.allclose(cfg.times(default_end=150.0), [2.0, 4.0, 6.0, 8.0])
     cfg = load_config(write(tmp_path, {**BASE, "observation_count": 3}))
     assert np.allclose(cfg.times(default_end=150.0), [50.0, 100.0, 150.0])
-
-
-def test_explicit_observation_times(tmp_path):
-    cfg = load_config(write(tmp_path, {**BASE, "observation_times": [1.0, 2.5, 9.0]}))
-    assert np.allclose(cfg.times(default_end=150.0), [1.0, 2.5, 9.0])
-    with pytest.raises(ConfigError):
-        load_config(write(tmp_path, {**BASE, "observation_times": [2.0, 1.0]}))
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -132,27 +136,18 @@ NAN, INF = float("nan"), float("inf")
         ("synth_margin", NAN),
         ("observation_end", INF),
         ("observation_end", 0.0),
-        ("observation_times", [1.0, NAN]),
-        ("param_bounds", {"ki": [5e-5, INF]}),
         ("seed", 20240901.7),
         ("seed", -1),
         ("seed", True),
         ("observation_count", 3.5),
         ("abc_particles", 20.5),
         ("workers", True),
-        ("param_bounds", {"k": 5}),
-        ("param_bounds", {"k": [0.1, 5, 9]}),
-        ("param_bounds", {"k": [0.1, "5"]}),
-        ("param_bounds", [0.1, 5]),
-        ("true_point", [1.0]),
+        pytest.param("true_point", [1.0], id="true_point-list"),
         ("abc_particles", 1),
         ("abc_particles", True),
         ("synth_volume_tolerance", 0.0),
         ("synth_volume_tolerance", 1.0),
-        ("observation_times", [-1.0, 2.0]),
         pytest.param("noise_sigma", 10**400, id="noise_sigma-huge-integer"),
-        pytest.param("param_bounds", {"ki": [-1.0, 0.003]}, id="param_bounds-negative-lower"),
-        pytest.param("param_bounds", {"ki": [5e-5, 10**400]}, id="param_bounds-huge-integer"),
         ("synth_transient_tol", 1e-17),
     ],
 )

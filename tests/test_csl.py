@@ -39,6 +39,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_csl("P>0.1 [ true U[5,1] true ]")
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(2.0, 1.0), (-1.0, 1.0), (float("nan"), 1.0), (0.0, float("nan"))])
+    def test_window_checked_where_the_path_is_built(self, t_lo, t_hi):
+        # the one check of the window: the parser and the evaluators rely on it
+        with pytest.raises(ParseError, match="needs 0 <= t <= t'"):
+            BoundedUntil(BoolLiteral(True), BoolLiteral(True), t_lo, t_hi)
+
     def test_next_operator_unsupported(self):
         with pytest.raises(ParseError, match="unsupported"):
             parse_csl("P>0.1 [ X (I>0) ]")

@@ -292,6 +292,36 @@ class TestKernelMatchesReference:
 
 
 # ---------------------------------------------------------------------------
+# The step cap: a network that is not conserved fails instead of growing.
+
+GROWTH = parse_crn("format=1; species X; param k in [0.1, 10]; reaction split: X -> X + X @ k; init X=1;")
+
+
+@pytest.mark.parametrize("mode", ["visits", "distances", "until"])
+def test_growth_stops_at_the_step_cap(monkeypatch, mode):
+    monkeypatch.setattr(SIM, "_MAX_STEPS", 64)
+    call = {
+        "visits": lambda rng: SIM.simulate_visits(GROWTH, [[1.0]], 30.0, rng),
+        "distances": lambda rng: SIM.simulate_distances(GROWTH, [[1.0]], _dataset(GROWTH, [30.0], [[1.0]]),
+                                                        np.inf, rng),
+        "until": lambda rng: SIM.simulate_until(GROWTH, [[1.0]], parse_csl("P>0.5 [ true U[0,30] false ]").path,
+                                                rng),
+    }[mode]
+    with pytest.raises(ConfigError, match="more than 64 steps to reach time 30"):
+        call(stream(46, 0))
+
+
+def test_a_call_may_take_exactly_the_cap(monkeypatch):
+    # four molecules decay in four steps, then the lane absorbs
+    monkeypatch.setattr(SIM, "_MAX_STEPS", 4)
+    states, _, _ = SIM.simulate_visits(SHORT_DECAY, [[1.0]], 1e3, stream(47, 0))
+    assert states[-1].tolist() == [0, 4]
+    monkeypatch.setattr(SIM, "_MAX_STEPS", 3)
+    with pytest.raises(ConfigError, match="more than 3 steps"):
+        SIM.simulate_visits(SHORT_DECAY, [[1.0]], 1e3, stream(47, 0))
+
+
+# ---------------------------------------------------------------------------
 # Grouped calls against one call per group.
 
 

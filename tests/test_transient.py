@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 import crnverify.transient as TRANSIENT
 from crnverify import ConfigError, CrnVerifyError, enumerate_states, parse_crn, parse_csl
-from crnverify.csl import BoolLiteral, Comparison
+from crnverify.csl import BoolLiteral, BoundedUntil, Comparison
 from crnverify.model import point_values
 from crnverify.transient import (
     DEFAULT_TOL,
@@ -203,7 +203,7 @@ class TestBoundedUntil:
 
     def test_immediate_witness_at_time_zero(self):
         phi2 = Comparison((("A", 1),), "=", 1)  # holds in the initial state
-        got = UntilEvaluator(AB, BoolLiteral(False), phi2, 0.0, 0.0).probability(K_ONE)
+        got = UntilEvaluator(AB, BoundedUntil(BoolLiteral(False), phi2, 0.0, 0.0)).probability(K_ONE)
         assert got == 1.0
 
     def test_matches_dense_oracle_on_random_chains(self):
@@ -505,7 +505,7 @@ def _evaluate_with_masks(pcrn, point, phi1_mask, phi2_mask, space, t_lo, t_hi):
     """Drive the production evaluator with arbitrary state-set masks."""
     phi1 = _MaskFormula(space, phi1_mask)
     phi2 = _MaskFormula(space, phi2_mask)
-    return UntilEvaluator(pcrn, phi1, phi2, t_lo, t_hi).probability(point, tol=1e-12)
+    return UntilEvaluator(pcrn, BoundedUntil(phi1, phi2, t_lo, t_hi)).probability(point, tol=1e-12)
 
 
 class _MaskFormula:
