@@ -11,7 +11,7 @@ from crnverify.rng import stream
 from crnverify.simulate import simulate
 
 pcrn = load_crn("models/sir.crn")
-print("species:", pcrn.species_names())
+print("species:", pcrn.species)
 print("parameters:", [f"{n} in [{lo}, {hi}]" for n, lo, hi in pcrn.params.dims])
 print("initial state:", pcrn.initial_state)
 

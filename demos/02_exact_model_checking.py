@@ -28,8 +28,9 @@ theta_viol = (0.002, 0.18)
 for name, theta in [("satisfying", theta_sat), ("violating", theta_viol)]:
     exact = evaluator.probability(theta)
     (est,) = estimate_lambda(pcrn, [theta], prop, 1000, [stream(7, 0)])
+    half = 1.96 * np.sqrt(est * (1.0 - est) / 1000)  # 95% normal-approximation band
     decided = prop.compare(exact)
     print(
         f"{name:10s} rates {dict(zip(pcrn.params.names, theta))}: exact {exact:.4f}, "
-        f"simulated {est.mean:.3f} +- {est.ci_halfwidth:.3f}, property holds: {decided}"
+        f"simulated {est:.3f} +- {half:.3f}, property holds: {decided}"
     )

@@ -17,7 +17,7 @@ true_rate = (1.0,)  # one rate per parameter, in pcrn.params.names order
 
 # early observation times matter: past t ~ 1 every fast rate looks alike
 trajectory = simulate(pcrn, true_rate, 10.0, stream(42, 0))
-data = observe(trajectory, np.linspace(0.5, 10.0, 10), 2.0, stream(42, 1), species=pcrn.species_names())
+data = observe(trajectory, np.linspace(0.5, 10.0, 10), 2.0, stream(42, 1), species=pcrn.species)
 print("observed A counts:", np.round(data.observations[:, 0], 1))
 
 config = ExperimentConfig(seed=42, abc_particles=400, abc_rounds=6)

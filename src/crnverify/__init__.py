@@ -28,11 +28,10 @@ from .model import (
     PCRN,
     ParameterSpace,
     Reaction,
-    Species,
     StateSpace,
     enumerate_states,
 )
-from .monitor import LambdaEstimate, estimate_lambda
+from .monitor import estimate_lambda
 from .simulate import (
     Dataset,
     Trajectory,

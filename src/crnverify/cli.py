@@ -65,7 +65,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> Path:
     times = config.times(default_end=formula.path.t_hi)
     stream = rngmod.stream(config.seed, rngmod.STAGE_GENERATE)
     traj = simulate(pcrn, point, float(times[-1]), stream)
-    data = observe(traj, times, config.noise_sigma, stream, species=pcrn.species_names())
+    data = observe(traj, times, config.noise_sigma, stream, species=pcrn.species)
     path = out_dir / "dataset.csv"
     save_dataset(
         data,
@@ -97,9 +97,9 @@ def cmd_infer(config: ExperimentConfig, dataset_path: Path, out_dir: Path) -> tu
     """Run batched sequential ABC and write particles plus a posterior summary."""
     pcrn = load_crn(config.model)
     data = load_dataset(dataset_path)
-    if data.species != pcrn.species_names():
+    if data.species != pcrn.species:
         raise ConfigError(
-            f"dataset species {data.species} do not match model species {pcrn.species_names()}"
+            f"dataset species {data.species} do not match model species {pcrn.species}"
         )
     batches = list(range(config.abc_batches))
     workers = min(config.workers, len(batches))

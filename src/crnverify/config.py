@@ -5,7 +5,6 @@ that draws random numbers keys them by the seed, and ``rng.stream`` fails
 without one, so a config fully determines every output byte.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -120,6 +119,9 @@ def worker_map(workers: int):
     if workers == 1:
         yield map
         return
+    # imported here: it costs every command's start, and one worker needs no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield pool.map
 

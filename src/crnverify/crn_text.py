@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ParseError
 from .files import FORMAT_VERSION
-from .model import PCRN, ParameterSpace, Reaction, Species
+from .model import PCRN, ParameterSpace, Reaction
 
 _CRN_TOKEN_RE = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)"
@@ -56,8 +56,10 @@ class Tokens:
             pos = m.end()
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", len(self.text))
+    def peek(self, ahead: int = 0):
+        """The token ``ahead`` places past the next one, or end of input."""
+        j = self.i + ahead
+        return self.tokens[j] if j < len(self.tokens) else ("eof", "", len(self.text))
 
     def next(self):
         tok = self.peek()
@@ -101,7 +103,8 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 def parse_crn(text: str) -> PCRN:
-    """Parse network source text into a validated PCRN."""
+    """Parse network source text into a validated PCRN, its reactions
+    compiled to the index form once the last species is declared."""
     toks = Tokens(text)
 
     # version header
@@ -116,7 +119,7 @@ def parse_crn(text: str) -> PCRN:
 
     species_order: list[str] = []
     params: list[tuple[str, float, float]] = []
-    reactions: list[Reaction] = []
+    reactions: list[tuple[str, dict[str, int], dict[str, int], int]] = []
     init: dict[str, int] = {}
     conserve: int | None = None
 
@@ -159,15 +162,10 @@ def parse_crn(text: str) -> PCRN:
             toks.expect("@")
             rate = toks.ident("a rate parameter name")
             toks.expect(";")
-            if not any(p[0] == rate for p in params):
+            rates = [p[0] for p in params]
+            if rate not in rates:
                 toks.error(f"reaction {rname!r} uses undeclared parameter {rate!r}")
-            try:
-                reactions.append(
-                    Reaction(reactants=tuple(lhs.items()), products=tuple(rhs.items()),
-                             rate_parameter=rate, name=rname)
-                )
-            except ConfigError as exc:
-                toks.error(str(exc))
+            reactions.append((rname, lhs, rhs, rates.index(rate)))
         elif stmt == "init":
             while True:
                 name = toks.ident("a species name")
@@ -193,12 +191,21 @@ def parse_crn(text: str) -> PCRN:
 
     if not species_order:
         raise ParseError("no species declared")
-    species = tuple(Species(name=n, index=i) for i, n in enumerate(species_order))
+    index = {name: i for i, name in enumerate(species_order)}
+    compiled = tuple(
+        Reaction(
+            reactants=tuple(sorted((index[s], count) for s, count in lhs.items())),
+            change=tuple(rhs.get(s, 0) - lhs.get(s, 0) for s in species_order),
+            rate=rate,
+            name=rname,
+        )
+        for rname, lhs, rhs, rate in reactions
+    )
     initial = tuple(init.get(n, 0) for n in species_order)
     try:
         return PCRN(
-            species=species,
-            reactions=tuple(reactions),
+            species=tuple(species_order),
+            reactions=compiled,
             params=ParameterSpace(tuple(params)),
             initial_state=initial,
             conserved_total=conserve,

@@ -8,6 +8,8 @@ linear comparisons over species counts:
 
 Next-state and unbounded-until path operators, and nested probability
 operators, are recognized and rejected with explicit "unsupported" errors.
+The names ``true``, ``false``, ``P`` and ``X`` are read as species where a
+comparison (a comparator, ``+``, ``-`` or ``*``) follows them.
 """
 
 import re
@@ -20,6 +22,8 @@ from .errors import ParseError
 
 RELATIONS = ("<=", ">=", "<", ">")
 COMPARATORS = ("<=", ">=", "!=", "<", ">", "=")
+# a token after an identifier that makes the identifier a species of a comparison
+_LINEAR_FOLLOW = (*COMPARATORS, "+", "-", "*")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,8 @@ class BoundedUntil:
     def __post_init__(self):
         if not 0 <= self.t_lo <= self.t_hi:  # NaN fails too
             raise ParseError(f"until interval [{self.t_lo}, {self.t_hi}] needs 0 <= t <= t'")
+        if self.t_hi == float("inf"):
+            raise ParseError(f"unbounded until is unsupported: U[{self.t_lo}, {self.t_hi}] needs a finite t'")
 
 
 @dataclass(frozen=True)
@@ -226,16 +232,18 @@ def _parse_unary(toks: Tokens) -> StateFormula:
         inner = _parse_or(toks)
         toks.expect(")")
         return inner
-    if kind == "ident" and val == "true":
-        toks.next()
-        return BoolLiteral(True)
-    if kind == "ident" and val == "false":
-        toks.next()
-        return BoolLiteral(False)
-    if kind == "ident" and val == "P":
-        toks.error("nested probability operators are unsupported", pos)
-    if kind == "ident" and val == "X":
-        toks.error("the next operator X is unsupported", pos)
+    # true, false, P and X name species only where a comparison follows
+    follow = toks.peek(1)[1]
+    nested = follow in RELATIONS and toks.peek(2)[0] == "num" and toks.peek(3)[1] == "["
+    if kind == "ident" and (follow not in _LINEAR_FOLLOW or val == "P" and nested):
+        match val:
+            case "true" | "false":
+                toks.next()
+                return BoolLiteral(val == "true")
+            case "P":
+                toks.error("nested probability operators are unsupported", pos)
+            case "X":
+                toks.error("the next operator X is unsupported", pos)
     return _parse_comparison(toks)
 
 

@@ -19,7 +19,6 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -29,42 +28,19 @@ DEFAULT_STATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
-class Species:
-    """A chemical species and its position in the state vector."""
-
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class Reaction:
-    """One mass-action reaction: reactants -> products at a named rate parameter.
+    """One mass-action reaction in the index form every kernel reads.
 
-    ``reactants`` and ``products`` map species names to nonnegative counts.
-    The net stoichiometric change must be nonzero.
+    ``reactants`` holds sorted (species index, order) pairs, ``change``
+    the net count change of each species, and ``rate`` the index of the
+    reaction's rate in ``params.names``.  ``PCRN`` checks them against
+    its species and parameters.
     """
 
-    reactants: tuple[tuple[str, int], ...]
-    products: tuple[tuple[str, int], ...]
-    rate_parameter: str
+    reactants: tuple[tuple[int, int], ...]
+    change: tuple[int, ...]
+    rate: int
     name: str = ""
-
-    def __post_init__(self):
-        for side in (self.reactants, self.products):
-            for species, count in side:
-                if count < 0:
-                    raise ConfigError(f"negative stoichiometric count for {species}")
-        if not self.net_change():
-            raise ConfigError(f"reaction {self.name or self.rate_parameter!r} has zero net change")
-
-    def net_change(self) -> dict[str, int]:
-        """Map species -> net count change, omitting zero entries."""
-        delta: dict[str, int] = {}
-        for species, count in self.products:
-            delta[species] = delta.get(species, 0) + count
-        for species, count in self.reactants:
-            delta[species] = delta.get(species, 0) - count
-        return {s: d for s, d in delta.items() if d != 0}
 
 
 @dataclass(frozen=True)
@@ -106,42 +82,41 @@ class ParameterSpace:
 class PCRN:
     """A parametric chemical reaction network.
 
+    ``species`` holds the species names in state-vector order.
     ``conserved_total``, when set, bounds the total molecule count during
     state-space enumeration (the SIR case conserves S+I+R exactly).
     """
 
-    species: tuple[Species, ...]
+    species: tuple[str, ...]
     reactions: tuple[Reaction, ...]
     params: ParameterSpace
     initial_state: tuple[int, ...]
     conserved_total: int | None = None
 
     def __post_init__(self):
-        names = [s.name for s in self.species]
-        if len(set(names)) != len(names):
+        n, names = len(self.species), self.params.names
+        if len(set(self.species)) != n:
             raise ConfigError("duplicate species names")
-        if [s.index for s in self.species] != list(range(len(names))):
-            raise ConfigError("species indices must be contiguous from 0")
-        if len(self.initial_state) != len(self.species):
+        if len(self.initial_state) != n:
             raise ConfigError("initial state length does not match species count")
         if any(c < 0 for c in self.initial_state):
             raise ConfigError("initial molecule counts must be nonnegative")
-        declared = set(self.params.names)
-        known = set(names)
-        for r in self.reactions:
-            if r.rate_parameter not in declared:
-                raise ConfigError(f"reaction {r.name or '?'} uses undeclared parameter {r.rate_parameter!r}")
-            for species, _ in r.reactants + r.products:
-                if species not in known:
-                    raise ConfigError(f"reaction {r.name or '?'} references unknown species {species!r}")
         if self.conserved_total is not None and sum(self.initial_state) > self.conserved_total:
             raise ConfigError("initial state exceeds conserved total")
+        for r in self.reactions:
+            if not 0 <= r.rate < len(names):
+                raise ConfigError(f"reaction {r.name or '?'!r} uses undeclared parameter number {r.rate} "
+                                  f"of {list(names)}")
+            label = repr(r.name or names[r.rate])  # the rate parameter names an unnamed reaction
+            if not all(0 <= i < n and order > 0 for i, order in r.reactants):
+                raise ConfigError(f"reaction {label} has a reactant outside species 0..{n - 1} or of order below 1")
+            if len(r.change) != n:
+                raise ConfigError(f"reaction {label} changes {len(r.change)} species of {n}")
+            if not any(r.change):
+                raise ConfigError(f"reaction {label} has zero net change")
 
     def species_index(self) -> dict[str, int]:
-        return {s.name: s.index for s in self.species}
-
-    def species_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.species)
+        return {name: i for i, name in enumerate(self.species)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +167,7 @@ def _place_values(radices: np.ndarray) -> np.ndarray:
 def _falling_product(reactants, x):
     """Reactant-combination count prod_i x_i (x_i - 1) ... (x_i - u_i + 1).
 
-    ``reactants`` is a compiled ``((species index, order u_i), ...)`` list
+    ``reactants`` is a reaction's ``((species index, order u_i), ...)`` pairs
     and ``x`` is indexed by species: one state of ints, or ``states.T`` as
     float columns to count in every state at once.  Counts are nonnegative,
     so a factor reaches 0 before any factor goes negative and no clamp is
@@ -205,24 +180,6 @@ def _falling_product(reactants, x):
             factor = x[i] - k if k else x[i]
             g = factor if g is None else g * factor
     return 1 if g is None else g
-
-
-# Per-network compiled reaction structure: index-based reactant lists,
-# sparse stoichiometric deltas and the index of each reaction's rate in
-# ``params.names``, shared by the simulator and the chain builder.
-@cache
-def compiled_reactions(pcrn: PCRN):
-    idx = pcrn.species_index()
-    names = pcrn.params.names
-    compiled = []
-    for r in pcrn.reactions:
-        reactants: dict[int, int] = {}
-        for species, count in r.reactants:
-            if count:
-                reactants[idx[species]] = reactants.get(idx[species], 0) + count
-        delta = tuple(sorted((idx[s], d) for s, d in r.net_change().items()))
-        compiled.append((tuple(sorted(reactants.items())), delta, names.index(r.rate_parameter)))
-    return tuple(compiled)
 
 
 def point_values(names: tuple[str, ...], point: Sequence[float]) -> list[float]:
@@ -242,18 +199,15 @@ def enumerate_states(pcrn: PCRN, max_states: int = DEFAULT_STATE_CAP) -> StateSp
     ``max_states``, or a state space whose keys do not fit in int64, raises
     rather than truncating silently.
     """
-    compiled = compiled_reactions(pcrn)
     start = tuple(int(c) for c in pcrn.initial_state)
     seen = {start}
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for reactants, delta, _ in compiled:
-            if _falling_product(reactants, state) == 0:
+        for r in pcrn.reactions:
+            if _falling_product(r.reactants, state) == 0:
                 continue
-            nxt = list(state)
-            for i, d in delta:
-                nxt[i] += d
+            nxt = [c + d for c, d in zip(state, r.change)]
             if any(c < 0 for c in nxt):
                 continue
             if pcrn.conserved_total is not None and sum(nxt) > pcrn.conserved_total:

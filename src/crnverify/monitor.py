@@ -17,7 +17,6 @@ no generator is read after its piece's call.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,33 +26,22 @@ from .model import PCRN, point_values
 from .simulate import _LANES, simulate, simulate_until  # noqa: F401
 
 
-@dataclass(frozen=True)
-class LambdaEstimate:
-    """Monte Carlo estimate of the satisfaction probability at one parameter point."""
-
-    mean: float
-    n: int
-    ci_halfwidth: float
-
-
 def estimate_lambda(
     pcrn: PCRN,
     points: Sequence[Sequence[float]],
     formula: CslFormula,
     n_sims: int,
     rngs: Sequence[np.random.Generator],
-) -> list[LambdaEstimate]:
+) -> np.ndarray:
     """Fraction of ``n_sims`` independent sample paths satisfying the path
-    formula, at each of ``points``.
+    formula, at each of ``points``, as one float array.
 
     Point ``i``'s runs come in pieces of at most ``_LANES`` runs: piece 0
     draws from ``rngs[i]``, and piece p >= 1 from child p - 1 of
     ``rngs[i].spawn(pieces - 1)``, so a later piece exists only when
     ``n_sims`` exceeds ``_LANES``.  The points' pieces, in order, are
     packed greedily into ``simulate_until`` calls of at most ``_LANES``
-    lanes, one group per piece; each run stops once decided.  The
-    half-width is the 95% normal approximation, intended for diagnostics
-    rather than guarantees.
+    lanes, one group per piece; each run stops once decided.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
@@ -76,9 +64,4 @@ def estimate_lambda(
         hits = simulate_until(pcrn, np.repeat([values[i] for i in ids], sizes, axis=0), formula.path,
                               [(rng, n) for _, rng, n in call])
         np.add.at(satisfied, ids, np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64))
-    estimates = []
-    for count in satisfied.tolist():
-        mean = count / n_sims
-        ci = 1.96 * float(np.sqrt(mean * (1.0 - mean) / n_sims))
-        estimates.append(LambdaEstimate(mean=mean, n=n_sims, ci_halfwidth=ci))
-    return estimates
+    return satisfied / n_sims

@@ -72,7 +72,7 @@ import numpy as np
 from .csl import BoundedUntil
 from .errors import ConfigError, ParseError
 from .files import finite_number, read_csv, write_csv
-from .model import PCRN, _falling_product, compiled_reactions, point_values
+from .model import PCRN, _falling_product, point_values
 
 _BLOCK = 256  # draws per block of a call, over all its lanes: cuts per-call overhead
 # widest call an estimate makes, and widest ABC wave unless it has more
@@ -238,13 +238,10 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
     if t_end <= 0:
         raise ConfigError("simulation horizon must be positive")
     m = len(values)
-    compiled = compiled_reactions(pcrn)
-    reactants = [r for r, _, _ in compiled]
-    last = len(compiled) - 1
-    delta = np.zeros((len(compiled), len(pcrn.initial_state)))
-    for j, (_, changes, _) in enumerate(compiled):
-        for i, d in changes:
-            delta[j, i] = d
+    reactions = pcrn.reactions
+    reactants = [r.reactants for r in reactions]
+    last = len(reactions) - 1
+    delta = np.array([r.change for r in reactions], dtype=float).reshape(len(reactions), len(pcrn.species))
 
     # every group's (rows x lanes) blocks lie side by side in flat buffers,
     # drawn as its own call draws them: lane j of group g reads row r at
@@ -267,7 +264,7 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
 
     # counts are exact in float64, the propensity kernel's column type
     lanes = np.arange(m)
-    rates = values[:, [k for _, _, k in compiled]].T
+    rates = values[:, [r.rate for r in reactions]].T
     states = np.tile(np.asarray(pcrn.initial_state, dtype=float), (m, 1))
     t = np.zeros(m)
     visits = [(lanes, states, t)]
@@ -285,7 +282,7 @@ def _lockstep(pcrn: PCRN, values: np.ndarray, t_end: float, groups: list,
         while True:
             # propensities and their running sums, added in reaction order
             x = states.T
-            total = rates[0] * _falling_product(reactants[0], x) if compiled else np.zeros(len(lanes))
+            total = rates[0] * _falling_product(reactants[0], x) if reactions else np.zeros(len(lanes))
             cum = [total]
             for j in range(1, last + 1):
                 total = total + rates[j] * _falling_product(reactants[j], x)

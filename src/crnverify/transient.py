@@ -45,7 +45,7 @@ from scipy import sparse, special
 
 from .csl import BoundedUntil, CslFormula
 from .errors import ConfigError, CrnVerifyError
-from .model import PCRN, _falling_product, compiled_reactions, enumerate_states, point_values
+from .model import PCRN, _falling_product, enumerate_states, point_values
 
 try:  # scipy's CSR mat-vec kernel, called directly to skip per-call dispatch
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -186,17 +186,14 @@ def _chain_basis(pcrn: PCRN):
     by_param = [([], [], []) for _ in pcrn.params.names]
     states = space.states
     columns = states.T.astype(float)
-    for reactants, delta, k in compiled_reactions(pcrn):
-        g = np.ones(n) * _falling_product(reactants, columns)
+    for r in pcrn.reactions:
+        g = np.ones(n) * _falling_product(r.reactants, columns)
         active = np.nonzero(g > 0)[0]
         if active.size == 0:
             continue
-        targets = states[active]
-        for i, d in delta:
-            targets[:, i] += d
-        tgt_idx = space.ordinals(targets)
+        tgt_idx = space.ordinals(states[active] + r.change)
         keep = tgt_idx >= 0
-        rows, cols, vals = by_param[k]
+        rows, cols, vals = by_param[r.rate]
         rows.extend(active[keep].tolist())
         cols.extend(tgt_idx[keep].tolist())
         vals.extend(g[active][keep].tolist())

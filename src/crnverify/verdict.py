@@ -36,23 +36,12 @@ class Posterior:
     def __post_init__(self):
         if np.any(self.variance <= 0):
             raise ConfigError("posterior variances must be positive")
-        # once, as Python floats, for logpdf and slice_sample
+        # once, as Python floats, for slice_sample
         object.__setattr__(self, "_moments", tuple(zip(self.mean.tolist(), self.variance.tolist())))
         object.__setattr__(self, "_log_norm", float(np.sum(np.log(2.0 * np.pi * self.variance))))
 
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
-
-    def logpdf(self, values) -> float:
-        """Log-density at ``values`` (a sequence of floats in ``names``
-        order), its squared z-scores added in sequence: the same bits as
-        ``np.sum`` below eight parameters, which sums short arrays in
-        sequence too."""
-        total = 0.0
-        for v, (m, var) in zip(values, self._moments):
-            d = v - m
-            total += d * d / var
-        return -0.5 * (total + self._log_norm)
 
 
 @dataclass
@@ -111,10 +100,10 @@ def slice_sample(
 
     The uniforms come from ``rng`` ``_UNIFORM_BLOCK`` at a time, in the
     order one ``rng.random()`` call per uniform returns them, and the
-    density adds its terms in ``Posterior.logpdf``'s order, so the draws
-    are those of that one-call-per-uniform sampler bit for bit.  The
-    generator is left past the last uniform of the last block, beyond the
-    last one used.
+    density adds its squared z-scores in parameter order, as ``logpdf`` in
+    ``tests/reference_slice.py`` does, so the draws are those of that
+    one-call-per-uniform sampler bit for bit.  The generator is left past
+    the last uniform of the last block, beyond the last one used.
     """
     if n_samples < 1:
         raise ConfigError("need at least one sample")
@@ -125,12 +114,12 @@ def slice_sample(
     k = len(x)
     moments, log_norm = posterior._moments, posterior._log_norm
     uniform = _uniforms(rng).__next__
-    # each coordinate's squared z-score at x, the terms logpdf adds
+    # each coordinate's squared z-score at x, the terms the density adds
     terms = [(v - m) * (v - m) / var for v, (m, var) in zip(x, moments)]
 
     def logf(v):
-        """logpdf at x with coordinate d moved to v: the terms before d,
-        summed once per update, then d's, then the rest in order."""
+        """The log-density at x with coordinate d moved to v: the terms
+        before d, summed once per update, then d's, then the rest in order."""
         z = v - m
         total = prefix + z * z / var
         for t in after:
@@ -253,8 +242,8 @@ def bayes_smc(
         else:
             raise ConfigError("posterior mass is almost entirely negative")
         points.append(values[order])
-    estimates = estimate_lambda(pcrn, points, formula, n_sims, draws)
-    return [(point, e.mean, formula.compare(e.mean)) for point, e in zip(points, estimates)]
+    estimates = estimate_lambda(pcrn, points, formula, n_sims, draws).tolist()
+    return [(point, p, formula.compare(p)) for point, p in zip(points, estimates)]
 
 
 def majority_verdict(results: list[tuple[np.ndarray, float, bool]]) -> bool:

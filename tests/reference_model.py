@@ -9,15 +9,15 @@ kernels against them.
 """
 
 from crnverify.errors import StateSpaceCapError
-from crnverify.model import _falling_product, compiled_reactions, point_values
+from crnverify.model import _falling_product, point_values
 
 
 def propensity(pcrn, state, reaction_index: int, point) -> float:
     """Mass-action propensity of ``pcrn.reactions[reaction_index]`` at ``state``:
     its rate times the falling-factorial reactant count, zero whenever a
     reactant count is below its required multiplicity."""
-    reactants, _, k = compiled_reactions(pcrn)[reaction_index]
-    return point_values(pcrn.params.names, point)[k] * _falling_product(reactants, state)
+    r = pcrn.reactions[reaction_index]
+    return point_values(pcrn.params.names, point)[r.rate] * _falling_product(r.reactants, state)
 
 
 def rate_matrix_row(state, pcrn, point, space) -> dict[tuple[int, ...], float]:
@@ -29,14 +29,11 @@ def rate_matrix_row(state, pcrn, point, space) -> dict[tuple[int, ...], float]:
     """
     row: dict[tuple[int, ...], float] = {}
     state = tuple(int(c) for c in state)
-    for j, (_, delta, _) in enumerate(compiled_reactions(pcrn)):
+    for j, r in enumerate(pcrn.reactions):
         a = propensity(pcrn, state, j, point)
         if a <= 0.0:
             continue
-        target = list(state)
-        for i, d in delta:
-            target[i] += d
-        target = tuple(target)
+        target = tuple(c + d for c, d in zip(state, r.change))
         if space.ordinals([target])[0] < 0:
             if pcrn.conserved_total is not None and sum(target) > pcrn.conserved_total:
                 continue

@@ -23,7 +23,7 @@ import numpy as np
 
 import crnverify.simulate as SIM
 from crnverify import BoundedUntil, Trajectory
-from crnverify.model import _falling_product, compiled_reactions, point_values
+from crnverify.model import _falling_product, point_values
 
 
 def simulate_paths(pcrn, points, t_end, rng) -> list[Trajectory]:
@@ -147,11 +147,10 @@ def _copy(rng):
 
 
 def _simulate(pcrn, point, t_end, draws):
-    compiled = compiled_reactions(pcrn)
     values = point_values(pcrn.params.names, point)
-    rates = [values[k] for _, _, k in compiled]
-    reactants = [r for r, _, _ in compiled]
-    n_reactions = len(compiled)
+    rates = [values[r.rate] for r in pcrn.reactions]
+    reactants = [r.reactants for r in pcrn.reactions]
+    n_reactions = len(pcrn.reactions)
     state = list(pcrn.initial_state)
     t = 0.0
     states = [tuple(state)]
@@ -176,7 +175,7 @@ def _simulate(pcrn, point, t_end, draws):
             if u < acc:
                 chosen = j
                 break
-        for i, d in compiled[chosen][1]:
+        for i, d in enumerate(pcrn.reactions[chosen].change):
             state[i] += d
         states.append(tuple(state))
         times.append(t)

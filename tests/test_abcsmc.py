@@ -32,7 +32,7 @@ K_TRUE = (1.0,)
 @pytest.fixture(scope="module")
 def decay_data():
     traj = simulate(DECAY, K_TRUE, 10.0, stream(100, 0))
-    return observe(traj, np.linspace(0.5, 10.0, 20), 0.0, stream(100, 1), species=DECAY.species_names())
+    return observe(traj, np.linspace(0.5, 10.0, 20), 0.0, stream(100, 1), species=DECAY.species)
 
 
 class TestAdaptiveThreshold:
@@ -189,7 +189,7 @@ class TestAbcseq:
         traj = simulate(DECAY, K_TRUE, 10.0, stream(100, 0))
 
         def pooled_std(q):
-            data = observe(traj, np.linspace(10.0 / q, 10.0, q), 0.0, stream(100, 1), species=DECAY.species_names())
+            data = observe(traj, np.linspace(10.0 / q, 10.0, q), 0.0, stream(100, 1), species=DECAY.species)
             sets = abcseq(DECAY, data, ExperimentConfig(seed=11, abc_particles=500, abc_rounds=6), [0, 1])
             return float(fit_posterior(*pool_batches(sets)).std()[0])
 

@@ -240,7 +240,7 @@ def test_criterion_8_property_suites(sir, case_formula, phi_run):
         )
         traj = simulate(decay, (1.0,), 10.0, stream(100, 0))
         data = observe(traj, np.linspace(0.5, 10.0, 20), 0.0, stream(100, 1),
-                       species=decay.species_names())
+                       species=decay.species)
 
         # ABC weight normalization and strictly decreasing thresholds
         (res,) = abcseq(decay, data, ExperimentConfig(seed=8, abc_particles=200, abc_rounds=5))

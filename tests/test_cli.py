@@ -237,6 +237,16 @@ class TestExitCodes:
         assert "more than 1000 steps to reach time 30" in capsys.readouterr().err
         assert not (workspace / "out" / "dataset.csv").exists()
 
+    def test_infinite_window_end_exits_2_without_a_dataset(self, workspace, capsys):
+        # without observation_end the grid ends at t', which must be finite
+        doc = json.loads((workspace / "smoke.json").read_text())
+        del doc["observation_end"]
+        doc["property"] = "P>0.5 [ (B<25) U[0.5,1e400] (B>=25) ]"
+        (workspace / "unbounded.json").write_text(json.dumps(doc))
+        assert run("generate", "--config", "unbounded.json", "--out-dir", "out") == 2
+        assert "unbounded until is unsupported" in capsys.readouterr().err
+        assert not (workspace / "out" / "dataset.csv").exists()
+
     def test_missing_required_flags_without_config(self, workspace, capsys):
         assert run("synth", "--model", "models/decay.crn", "--out-dir", "out") == 2
         assert "missing --property" in capsys.readouterr().err
@@ -556,3 +566,14 @@ def test_verify_on_nan_weight_exits_instead_of_looping(smoke_stages, tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 2, result.stderr
+
+
+def test_cli_import_leaves_out_the_process_pool_and_scipy_stats():
+    # each costs every command's start: the pool is imported only with
+    # more than one worker, and scipy.stats (over a second) not at all
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    code = ("import sys, crnverify.cli; "
+            "print(sorted({'concurrent.futures.process', 'scipy.stats'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -19,17 +19,20 @@ def test_sir_file_parses(tmp_path):
         "conserve 100;\n"
     )
     pcrn = parse_crn(src)
-    assert len(pcrn.species) == 3
+    assert pcrn.species == ("S", "I", "R")
     assert pcrn.params.names == ("ki", "kr")
     assert pcrn.params.dims[0][1:] == (5e-5, 0.003)
     assert pcrn.initial_state == (95, 5, 0)
     assert pcrn.conserved_total == 100
     infect = pcrn.reactions[0]
-    assert dict(infect.reactants) == {"S": 1, "I": 1}
-    assert dict(infect.products) == {"I": 2}
+    assert infect.reactants == ((0, 1), (1, 1))
+    assert infect.change == (-1, 1, 0)
+    assert infect.rate == 0 and infect.name == "infect"
+    recover = pcrn.reactions[1]
+    assert (recover.reactants, recover.change, recover.rate) == (((1, 1),), (0, -1, 1), 1)
     path = tmp_path / "m.crn"
     path.write_text(src)
-    assert load_crn(path).species_names() == ("S", "I", "R")
+    assert load_crn(path).species == ("S", "I", "R")
 
 
 def test_empty_reaction_list_is_valid():
@@ -41,14 +44,26 @@ def test_repeated_species_accumulates_count():
     pcrn = parse_crn(
         "format=1; species A B; param k in [0, 1]; reaction r: A + A -> B @ k; init A=2;"
     )
-    assert dict(pcrn.reactions[0].reactants) == {"A": 2}
+    assert pcrn.reactions[0].reactants == ((0, 2),)
 
 
 def test_coefficient_prefix():
     pcrn = parse_crn(
         "format=1; species A B; param k in [0, 1]; reaction r: 2 A -> B @ k; init A=2;"
     )
-    assert dict(pcrn.reactions[0].reactants) == {"A": 2}
+    assert pcrn.reactions[0].reactants == ((0, 2),)
+    assert pcrn.reactions[0].change == (-2, 1)
+
+
+def test_reactions_compile_against_every_declared_species():
+    # reactants sort by species index, and a species declared after the
+    # reaction still gets its entry in the change
+    pcrn = parse_crn(
+        "format=1; species A B; param k in [0, 1]; reaction r: B + A -> 2 B @ k; species C; init A=1;"
+    )
+    assert pcrn.species == ("A", "B", "C")
+    assert pcrn.reactions[0].reactants == ((0, 1), (1, 1))
+    assert pcrn.reactions[0].change == (-1, 1, 0)
 
 
 def test_empty_side_token():
@@ -56,6 +71,7 @@ def test_empty_side_token():
         "format=1; species A; param k in [0, 1]; reaction feed: 0 -> A @ k; init A=0; conserve 5;"
     )
     assert pcrn.reactions[0].reactants == ()
+    assert pcrn.reactions[0].change == (1,)
 
 
 def test_undeclared_species_in_reaction_names_it():
@@ -116,7 +132,7 @@ def test_comments_and_whitespace_ignored():
     pcrn = parse_crn(
         "# leading comment\nformat=1;  # trailing\n\nspecies A;\nparam k in [0, 1];\ninit A=1;"
     )
-    assert pcrn.species_names() == ("A",)
+    assert pcrn.species == ("A",)
 
 
 def test_no_partial_model_on_garbage():

@@ -49,6 +49,31 @@ class TestParse:
         with pytest.raises(ParseError, match="unsupported"):
             parse_csl("P>0.1 [ X (I>0) ]")
 
+    @pytest.mark.parametrize("prop, expected", [
+        ("P>0.5 [ true U[0,30] (X<0) ]", Comparison((("X", 1),), "<", 0)),
+        ("P>0.5 [ true U[0,30] (P>0) ]", Comparison((("P", 1),), ">", 0)),
+        ("P>0.5 [ true U[0,30] (true+1>=2) ]", Comparison((("true", 1),), ">=", 1)),
+        ("P>0.5 [ true U[0,30] (false-1=0) ]", Comparison((("false", 1),), "=", 1)),
+        ("P>0.5 [ X (A>0) ]", "the next operator X is unsupported"),
+        ("P>0.5 [ P>0 [ true U[0,1] true ] U[0,1] true ]", "nested probability operators are unsupported"),
+    ], ids=["X", "P", "true", "false", "next-operator", "nested-probability"])
+    def test_operator_names_are_species_before_a_comparison(self, prop, expected):
+        # a species may be named like an operator: the token after it decides
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=expected):
+                parse_csl(prop)
+            return
+        f = parse_csl(prop)
+        assert f.path.phi1 == BoolLiteral(True) and f.path.phi2 == expected
+        assert parse_csl(format_csl(f)) == f
+
+    @pytest.mark.parametrize("window", ["[0.5,1e400]", "[1e400,1e400]"])
+    def test_infinite_window_end_is_an_unbounded_until(self, window):
+        with pytest.raises(ParseError, match="unbounded until is unsupported"):
+            parse_csl(f"P>0.5 [ (B<25) U{window} (B>=25) ]")
+        with pytest.raises(ParseError, match="unbounded until is unsupported"):
+            BoundedUntil(BoolLiteral(True), BoolLiteral(True), 0.0, float("inf"))
+
     def test_unbounded_until_unsupported(self):
         with pytest.raises(ParseError, match="unsupported"):
             parse_csl("P>0.1 [ (I>0) U (I=0) ]")

@@ -8,7 +8,6 @@ from crnverify import (
     ParameterSpace,
     PCRN,
     Reaction,
-    Species,
     StateSpaceCapError,
     enumerate_states,
     parse_crn,
@@ -45,13 +44,10 @@ def sir():
 
 def brute_force_reachable(pcrn):
     """Independent reachability closure: plain set fixpoint over reaction effects."""
-    index = pcrn.species_index()
     effects = []
     for r in pcrn.reactions:
-        need = {index[s]: 0 for s, _ in r.reactants}
-        for s, c in r.reactants:
-            need[index[s]] += c
-        delta = {index[s]: d for s, d in r.net_change().items()}
+        need = dict(r.reactants)
+        delta = {i: d for i, d in enumerate(r.change) if d}
         effects.append((need, delta))
     frontier = {tuple(pcrn.initial_state)}
     seen = set(frontier)
@@ -235,14 +231,38 @@ class TestTypes:
             ParameterSpace((("k", 0.0, 1.0), ("k", 0.0, 2.0)))
 
     def test_reaction_rejects_zero_net_change(self):
-        with pytest.raises(ConfigError):
-            Reaction(reactants=(("A", 1),), products=(("A", 1),), rate_parameter="k")
+        with pytest.raises(ConfigError, match="reaction 'k' has zero net change"):
+            PCRN(
+                species=("A",),
+                reactions=(Reaction(reactants=((0, 1),), change=(0,), rate=0),),
+                params=ParameterSpace((("k", 0.0, 1.0),)),
+                initial_state=(1,),
+            )
 
     def test_pcrn_rejects_undeclared_rate_parameter(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="reaction 'r' uses undeclared parameter number 1"):
             PCRN(
-                species=(Species("A", 0),),
-                reactions=(Reaction(reactants=(("A", 1),), products=(), rate_parameter="zz"),),
+                species=("A",),
+                reactions=(Reaction(reactants=((0, 1),), change=(-1,), rate=1, name="r"),),
+                params=ParameterSpace((("k", 0.0, 1.0),)),
+                initial_state=(1,),
+            )
+
+    @pytest.mark.parametrize(
+        "reaction, message",
+        [
+            (Reaction(reactants=((1, 1),), change=(-1,), rate=0, name="r"), "reaction 'r' has a reactant outside"),
+            (Reaction(reactants=((0, 0),), change=(-1,), rate=0, name="r"), "reaction 'r' has a reactant outside"),
+            (Reaction(reactants=((0, 1),), change=(-1, 0), rate=0, name="r"), "changes 2 species of 1"),
+            (Reaction(reactants=((0, 1),), change=(-1,), rate=-1, name="r"), "undeclared parameter number -1"),
+        ],
+        ids=["species-index", "order", "change-length", "negative-rate"],
+    )
+    def test_pcrn_checks_the_index_form(self, reaction, message):
+        with pytest.raises(ConfigError, match=message):
+            PCRN(
+                species=("A",),
+                reactions=(reaction,),
                 params=ParameterSpace((("k", 0.0, 1.0),)),
                 initial_state=(1,),
             )

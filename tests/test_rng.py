@@ -38,7 +38,7 @@ def test_abc_waves_never_replay_another_stage(monkeypatch):
     """Every key abcseq draws from, for batch ids that equal the other
     stages' tags among others, gives draws unlike those stages' streams."""
     rng = stream(7, STAGE_GENERATE)
-    data = observe(simulate(DECAY, (1.0,), 3.0, rng), np.linspace(0.5, 3.0, 6), 0.0, rng, species=DECAY.species_names())
+    data = observe(simulate(DECAY, (1.0,), 3.0, rng), np.linspace(0.5, 3.0, 6), 0.0, rng, species=DECAY.species)
     keys = []
 
     def recording_stream(seed, *key):

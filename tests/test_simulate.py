@@ -114,7 +114,7 @@ class TestObserve:
     def test_zero_sigma_reproduces_counts_exactly(self):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(11, 0))
         times = np.linspace(7.5, 150.0, 20)
-        data = observe(traj, times, 0.0, stream(11, 1), species=SIR.species_names())
+        data = observe(traj, times, 0.0, stream(11, 1), species=SIR.species)
         for t, row in zip(data.times, data.observations):
             assert np.array_equal(row, states_at(traj, [t])[0].astype(float))
 
@@ -125,14 +125,14 @@ class TestObserve:
         diffs = []
         x = states_at(traj, [50.0])[0].astype(float)
         for _ in range(10000):
-            data = observe(traj, [50.0], 2.0, rng, species=SIR.species_names())
+            data = observe(traj, [50.0], 2.0, rng, species=SIR.species)
             diffs.extend((data.observations[0] - x).tolist())
         sd = np.std(diffs)
         assert abs(sd - 2.0) / 2.0 < 0.05
 
     def test_identity_observation_has_n_components(self):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(13, 0))
-        data = observe(traj, [10.0, 20.0], 0.0, stream(13, 1), species=SIR.species_names())
+        data = observe(traj, [10.0, 20.0], 0.0, stream(13, 1), species=SIR.species)
         assert data.observations.shape == (2, 3)
 
 
@@ -140,7 +140,7 @@ class TestDiscrepancy:
     def test_perfect_match_is_zero(self):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(21, 0))
         times = np.linspace(10.0, 150.0, 15)
-        data = observe(traj, times, 0.0, stream(21, 1), species=SIR.species_names())
+        data = observe(traj, times, 0.0, stream(21, 1), species=SIR.species)
         assert discrepancy(data, traj) == 0.0
 
     def test_single_component_by_hand(self):
@@ -170,7 +170,7 @@ class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(31, 0))
         times = np.linspace(7.5, 150.0, 20)
-        data = observe(traj, times, 2.0, stream(31, 1), species=SIR.species_names())
+        data = observe(traj, times, 2.0, stream(31, 1), species=SIR.species)
         path = tmp_path / "d.csv"
         save_dataset(data, path, meta={"seed": 31})
         loaded = load_dataset(path)
@@ -188,7 +188,7 @@ class TestDatasetFiles:
 
     def test_header_shape(self, tmp_path):
         traj = simulate(SIR, THETA_PHI, 150.0, stream(32, 0))
-        data = observe(traj, [10.0], 0.0, stream(32, 1), species=SIR.species_names())
+        data = observe(traj, [10.0], 0.0, stream(32, 1), species=SIR.species)
         path = tmp_path / "d.csv"
         save_dataset(data, path)
         lines = path.read_text().splitlines()
